@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import BilopError, InvalidInputError
+from ..errors import BudgetError, InvalidInputError, ToleranceError
 from ..grid import (GridFunction, SpectralFunction, fft_forward, fft_inverse,
                     spectral_derivative)
 from ..operator import (BilinearOperator, DenseBilinearOperator, apply,
@@ -95,7 +95,7 @@ def check_t1_conditions(T: BilinearOperator, a: GridFunction,
         slot2_dec = apply(make_operator(comp_eta, grid), one, da)
         route_gaps["slot1"] = float(np.max(np.abs(slot1.values - slot1_dec.values)))
         route_gaps["slot2"] = float(np.max(np.abs(slot2.values - slot2_dec.values)))
-    except BilopError:
+    except (BudgetError, InvalidInputError, ToleranceError):  # non-finite routes raise
         decomposition_available = False
 
     closed_form_error = None

@@ -112,12 +112,12 @@ def _run_apply(cfg):
     f = resolve_multiplier(cfg["f"], grid)
     g = resolve_multiplier(cfg["g"], grid)
     out = apply(T, f, g)
-    data = {
-        "strategy": T.strategy,
-        "l2_norm": lp_norm(out, 2),
-        "linf_norm": lp_norm(out, np.inf),
-        "values": out.values,
-    }
+    data = {"strategy": T.strategy}
+    if T.strategy == "multiplier":
+        low = T.lowrank()
+        data.update(rank=low.rank, residual=low.residual)
+    data.update(l2_norm=lp_norm(out, 2), linf_norm=lp_norm(out, np.inf),
+                values=out.values)
     flat = out.values.ravel()
     table = (("index", "re", "im"),
              [(i, v.real, v.imag) for i, v in enumerate(flat)])

@@ -3,11 +3,24 @@
     T(f,g)(x_j) = (1/L^{2n}) sum_{k,l} sigma(x_j, xi_k, eta_l)
                   fhat(xi_k) ghat(eta_l) e^{i x_j (xi_k + eta_l)}
 
-Three application strategies: "direct" evaluates the double frequency
-sum per node; "multiplier" (x-independent sigma) folds the sum over
-output frequencies; "separable" (sigma = a(x) b(xi) c(eta)) applies two
-linear multipliers and one product.  All agree at the nodes exactly up
-to roundoff; the fast paths exist because direct costs N^{3n}.
+Two application strategies.  "direct" evaluates the double frequency
+sum per node, at cost N^{3n}.  "multiplier" (x-independent sigma)
+factors S[k, l] = sigma(0, xi_k, eta_l) over the flattened frequency
+mesh (M = N^n points) as S ~ sum_r U_r V_r^T, then applies
+T(f,g) = sum_r ifftn(U_r fftn(f)) ifftn(V_r fftn(g)) with 2R FFTs.
+
+The factors come from an adaptive randomized range finder (Halko,
+Martinsson and Tropp, arXiv:0909.4061) with a fixed seed.  Its Gaussian
+sketch of S doubles in width until a held-out probe W gives
+||(S - Q Q^H S) W|| <= FACTOR_RTOL ||S W||, or until it spans all M
+columns (exact); the SVD of Q^H S is cut where its tail falls below the
+same relative bound.  S is evaluated in row blocks of at most
+FACTOR_BUDGET entries: once if it fits in one block, else once per
+sketch round and once for Q^H S.  A sketch wider than FACTOR_BUDGET / M
+raises BudgetError.  An operator factors S on its first multiplier
+apply, under a lock shared by the threads applying it, and keeps the
+factors for its lifetime.  Non-finite symbol values on the frequency
+grid and non-finite apply outputs raise DomainError.
 
 Transposes are materialized as dense trilinear tensors, exact at small
 N, with the bilinear dual pairing <u, v> = sum_j u_j v_j dx^n (no
@@ -15,18 +28,29 @@ conjugation).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetError, InvalidInputError
+from .errors import BudgetError, DomainError, InvalidInputError
 from .grid import Grid, GridFunction
-from .symbols.core import Symbol
+from .symbols.core import Symbol, _pack
 
 DIRECT_BUDGET = 2 ** 28
 DENSE_BUDGET = 2 ** 24
+FACTOR_BUDGET = 2 ** 22
+FACTOR_RTOL = 1e-14
+SKETCH_START = 64   # first sketch width
+SKETCH_PROBES = 10  # held-out probe columns
+SKETCH_SEED = 0
 
-STRATEGIES = ("direct", "multiplier", "separable")
+STRATEGIES = ("direct", "multiplier")
+
+
+def _flat(mesh) -> np.ndarray:
+    """(dim, N^dim) array of a mesh's coordinates, flattened in C order."""
+    return np.stack([a.ravel() for a in mesh])
 
 
 def _is_x_independent(sigma: Symbol, grid: Grid, probes: int = 20,
@@ -36,24 +60,78 @@ def _is_x_independent(sigma: Symbol, grid: Grid, probes: int = 20,
     rng = np.random.default_rng(12345)
     nyq = np.pi * grid.points_per_axis / grid.period
 
-    def draw(scale, count):
-        return rng.uniform(-scale, scale, size=count)
+    def draw(lo, hi):
+        return _pack([rng.uniform(lo, hi, size=probes) for _ in range(grid.dim)], grid.dim)
 
-    if grid.dim == 1:
-        x1 = rng.uniform(0, grid.period, size=probes)
-        x2 = rng.uniform(0, grid.period, size=probes)
-        xi, eta = draw(nyq, probes), draw(nyq, probes)
-        v1 = np.asarray(sigma.eval(x1, xi, eta))
-        v2 = np.asarray(sigma.eval(x2, xi, eta))
-    else:
-        xs = [(rng.uniform(0, grid.period, size=probes),
-               rng.uniform(0, grid.period, size=probes)) for _ in range(2)]
-        xi = (draw(nyq, probes), draw(nyq, probes))
-        eta = (draw(nyq, probes), draw(nyq, probes))
-        v1 = np.asarray(sigma.eval(xs[0], xi, eta))
-        v2 = np.asarray(sigma.eval(xs[1], xi, eta))
+    x1, x2 = draw(0, grid.period), draw(0, grid.period)
+    xi, eta = draw(-nyq, nyq), draw(-nyq, nyq)
+    v1 = np.asarray(sigma.eval(x1, xi, eta))
+    v2 = np.asarray(sigma.eval(x2, xi, eta))
     scale = np.max(np.abs(v1)) + 1.0
     return bool(np.max(np.abs(v1 - v2)) <= tol * scale)
+
+
+@dataclass(frozen=True)
+class LowRank:
+    """S ~ u.T @ v, u and v of shape (rank, M); residual is the held-out
+    relative residual the range finder accepted."""
+
+    u: np.ndarray
+    v: np.ndarray
+    residual: float
+
+    @property
+    def rank(self) -> int:
+        return self.u.shape[0]
+
+
+def _frequency_rows(sigma: Symbol, grid: Grid, rows) -> np.ndarray:
+    """S[rows, :] with S[k, l] = sigma(0, xi_k, eta_l) on the flattened mesh."""
+    xi = _flat(grid.frequency_mesh())
+    S = np.asarray(sigma.eval(_pack([0.0] * grid.dim, grid.dim),
+                              _pack(xi[:, rows, None], grid.dim),
+                              _pack(xi[:, None, :], grid.dim)))
+    if not np.all(np.isfinite(S)):
+        raise DomainError(f"symbol {sigma.name!r} is not finite on the "
+                          f"{grid.points_per_axis}-point frequency grid")
+    return S if np.iscomplexobj(S) else S.astype(float, copy=False)
+
+
+def _factorize(sigma: Symbol, grid: Grid) -> LowRank:
+    M = grid.points_per_axis ** grid.dim
+    step = max(1, FACTOR_BUDGET // M)
+    held = [(slice(None), _frequency_rows(sigma, grid, slice(None)))] if step >= M else []
+
+    def blocks():
+        """(rows, S[rows, :]) pairs; S is evaluated once when it fits in one block."""
+        return held or ((rows, _frequency_rows(sigma, grid, rows))
+                        for rows in (slice(i, i + step) for i in range(0, M, step)))
+
+    rng = np.random.default_rng(SKETCH_SEED)
+    Y = np.empty((M, 0))
+    probe, residual = None, np.inf
+    while Y.shape[1] < M and residual > FACTOR_RTOL:
+        width = min(M, max(2 * Y.shape[1], SKETCH_START))
+        if width * M > FACTOR_BUDGET:
+            raise BudgetError(
+                f"symbol {sigma.name!r} needs a rank above {Y.shape[1]} on {M} "
+                f"frequencies (held-out residual {residual:.3g} > {FACTOR_RTOL:g}); "
+                f"its factors would exceed {FACTOR_BUDGET} entries: shrink N")
+        new = width - Y.shape[1]
+        omega = rng.standard_normal((M, new if probe is not None else new + SKETCH_PROBES))
+        sketch = np.concatenate([S @ omega for _, S in blocks()])
+        if probe is None:
+            probe = sketch[:, new:]
+        Y = np.hstack([Y, sketch[:, :new]])
+        Q = np.linalg.qr(Y)[0]
+        scale = np.linalg.norm(probe)
+        residual = np.linalg.norm(probe - Q @ (Q.conj().T @ probe)) / scale if scale else 0.0
+
+    u, s, vh = np.linalg.svd(sum(Q[rows].conj().T @ S for rows, S in blocks()),
+                             full_matrices=False)
+    tail = np.sqrt(np.cumsum(s[::-1] ** 2)[::-1])  # tail[r] = ||s[r:]||
+    rank = int(np.count_nonzero(tail > FACTOR_RTOL * tail[0]))
+    return LowRank(((Q @ u[:, :rank]) * s[:rank]).T, vh[:rank], float(residual))
 
 
 @dataclass(frozen=True)
@@ -61,6 +139,9 @@ class BilinearOperator:
     sigma: Symbol
     grid: Grid
     strategy: str
+    _factors: LowRank | None = field(default=None, init=False, repr=False, compare=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False,
+                                  repr=False, compare=False)
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -69,9 +150,15 @@ class BilinearOperator:
         if self.strategy == "multiplier" and not _is_x_independent(self.sigma, self.grid):
             raise InvalidInputError(
                 "multiplier strategy needs an x-independent symbol")
-        if self.strategy == "separable" and self.sigma.factors is None:
-            raise InvalidInputError(
-                "separable strategy needs declared factors a(x) b(xi) c(eta)")
+
+    def lowrank(self) -> LowRank:
+        """The multiplier strategy's factors of S, computed on first use."""
+        if self.strategy != "multiplier":
+            raise InvalidInputError("only the multiplier strategy factors its symbol")
+        with self._lock:
+            if self._factors is None:
+                object.__setattr__(self, "_factors", _factorize(self.sigma, self.grid))
+        return self._factors
 
 
 def make_operator(sigma: Symbol, grid: Grid, strategy: str | None = None) -> BilinearOperator:
@@ -80,12 +167,7 @@ def make_operator(sigma: Symbol, grid: Grid, strategy: str | None = None) -> Bil
         raise InvalidInputError(
             f"symbol dim {sigma.dim} does not match grid dim {grid.dim}")
     if strategy is None:
-        if sigma.factors is not None:
-            strategy = "separable"
-        elif _is_x_independent(sigma, grid):
-            strategy = "multiplier"
-        else:
-            strategy = "direct"
+        strategy = "multiplier" if _is_x_independent(sigma, grid) else "direct"
     return BilinearOperator(sigma, grid, strategy)
 
 
@@ -144,112 +226,55 @@ def pairing(u: GridFunction, v: GridFunction) -> complex:
 
 def _apply_direct(op: BilinearOperator, f: GridFunction, g: GridFunction) -> GridFunction:
     grid = op.grid
-    n, N, L = grid.dim, grid.points_per_axis, grid.period
-    if N ** (3 * n) > DIRECT_BUDGET:
+    n, M = grid.dim, grid.points_per_axis ** grid.dim
+    if M ** 3 > DIRECT_BUDGET:
         raise BudgetError(
-            f"direct strategy costs N^(3n) = {N ** (3 * n)} > {DIRECT_BUDGET}; "
+            f"direct strategy costs N^(3n) = {M ** 3} > {DIRECT_BUDGET}; "
             f"shrink N (or use an x-independent symbol with the multiplier path)")
-    fhat = np.fft.fftn(f.values) * grid.spacing ** n
-    ghat = np.fft.fftn(g.values) * grid.spacing ** n
-    if n == 1:
-        x = grid.nodes_1d()
-        xi = grid.frequencies_1d()
-        out = np.empty(N, dtype=complex)
-        chunk = max(1, DIRECT_BUDGET // (64 * N * N))
-        for start in range(0, N, chunk):
-            xs = x[start:start + chunk]
-            sig = np.asarray(op.sigma.eval(xs[:, None, None],
-                                           xi[None, :, None], xi[None, None, :]))
-            ef = fhat[None, :] * np.exp(1j * np.outer(xs, xi))
-            eg = ghat[None, :] * np.exp(1j * np.outer(xs, xi))
-            out[start:start + chunk] = np.einsum("jkl,jk,jl->j", sig, ef, eg)
-        return GridFunction(grid, out / L ** 2)
-    # n == 2: flatten nodes, frequencies stay as meshes
-    x1, x2 = grid.node_mesh()
-    xi1, xi2 = grid.frequency_mesh()
-    nodes = N * N
-    out = np.empty(nodes, dtype=complex)
-    xf1, xf2 = x1.ravel(), x2.ravel()
-    for j in range(nodes):
-        sig = np.asarray(op.sigma.eval(
-            (xf1[j], xf2[j]),
-            (xi1[:, :, None, None], xi2[:, :, None, None]),
-            (xi1[None, None, :, :], xi2[None, None, :, :])))
-        phf = np.exp(1j * (xi1 * xf1[j] + xi2 * xf2[j]))
-        ef = fhat * phf
-        eg = ghat * phf
-        out[j] = np.einsum("klmn,kl,mn->", sig, ef, eg)
-    return GridFunction(grid, out.reshape(N, N) / L ** 4)
+    fhat = np.fft.fftn(f.values).ravel() * grid.spacing ** n
+    ghat = np.fft.fftn(g.values).ravel() * grid.spacing ** n
+    x, xi = _flat(grid.node_mesh()), _flat(grid.frequency_mesh())
+    out = np.empty(M, dtype=complex)
+    chunk = max(1, DIRECT_BUDGET // (64 * M * M))
+    for start in range(0, M, chunk):
+        xs = x[:, start:start + chunk]
+        sig = np.asarray(op.sigma.eval(_pack(xs[:, :, None, None], grid.dim),
+                                       _pack(xi[:, None, :, None], grid.dim),
+                                       _pack(xi[:, None, None, :], grid.dim)))
+        phase = np.exp(1j * (xs.T @ xi))
+        out[start:start + chunk] = np.einsum("jkl,jk,jl->j", sig, fhat * phase, ghat * phase)
+    return GridFunction(grid, out.reshape(grid.shape) / grid.period ** (2 * n))
 
 
 def _apply_multiplier(op: BilinearOperator, f: GridFunction, g: GridFunction) -> GridFunction:
-    grid = op.grid
-    n, N, L = grid.dim, grid.points_per_axis, grid.period
-    fhat = np.fft.fftn(f.values) * grid.spacing ** n
-    ghat = np.fft.fftn(g.values) * grid.spacing ** n
-    xi = grid.frequencies_1d()
-    if n == 1:
-        folded = np.zeros(N, dtype=complex)
-        k_idx = np.arange(N)
-        chunk = max(1, min(N, 2 ** 22 // N))
-        zero_x = 0.0
-        for start in range(0, N, chunk):
-            m_idx = np.arange(start, min(start + chunk, N))
-            l_idx = (m_idx[None, :] - k_idx[:, None]) % N
-            sig = np.asarray(op.sigma.eval(zero_x, xi[k_idx][:, None], xi[l_idx]))
-            folded[m_idx] = np.sum(sig * fhat[k_idx][:, None] * ghat[l_idx], axis=0)
-        vals = np.fft.ifft(folded) * N / L ** 2
-        return GridFunction(grid, vals)
-    # n == 2: fold over both frequency axes
-    k1, k2 = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
-    folded = np.zeros((N, N), dtype=complex)
-    zero_x = (0.0, 0.0)
-    for m1 in range(N):
-        l1 = (m1 - k1) % N
-        for m2 in range(N):
-            l2 = (m2 - k2) % N
-            sig = np.asarray(op.sigma.eval(
-                zero_x, (xi[k1], xi[k2]), (xi[l1], xi[l2])))
-            folded[m1, m2] = np.sum(sig * fhat[k1, k2] * ghat[l1, l2])
-    vals = np.fft.ifftn(folded) * N ** 2 / L ** 4
-    return GridFunction(grid, vals)
-
-
-def _apply_separable(op: BilinearOperator, f: GridFunction, g: GridFunction) -> GridFunction:
-    grid = op.grid
-    n, N, L = grid.dim, grid.points_per_axis, grid.period
-    fa, fb, fc = op.sigma.factors
-    fhat = np.fft.fftn(f.values) * grid.spacing ** n
-    ghat = np.fft.fftn(g.values) * grid.spacing ** n
-    if n == 1:
-        xi = grid.frequencies_1d()
-        bf = np.fft.ifft(np.asarray(fb(xi)) * fhat) * N / L
-        cg = np.fft.ifft(np.asarray(fc(xi)) * ghat) * N / L
-        vals = np.asarray(fa(grid.nodes_1d())) * bf * cg
-        return GridFunction(grid, vals)
-    mesh = grid.frequency_mesh()
-    bf = np.fft.ifftn(np.asarray(fb(mesh)) * fhat) * N ** 2 / L ** 2
-    cg = np.fft.ifftn(np.asarray(fc(mesh)) * ghat) * N ** 2 / L ** 2
-    vals = np.asarray(fa(grid.node_mesh())) * bf * cg
-    return GridFunction(grid, vals)
+    low = op.lowrank()
+    shape = (low.rank,) + op.grid.shape
+    axes = tuple(range(1, op.grid.dim + 1))
+    # the (N/L)^{2n} of the inverse sums cancels the dx^{2n} of fhat and ghat
+    bf = np.fft.ifftn((low.u * np.fft.fftn(f.values).ravel()).reshape(shape), axes=axes)
+    cg = np.fft.ifftn((low.v * np.fft.fftn(g.values).ravel()).reshape(shape), axes=axes)
+    return GridFunction(op.grid, np.sum(bf * cg, axis=0))
 
 
 def apply(op, f: GridFunction, g: GridFunction) -> GridFunction:
-    """Apply a bilinear, commutator, or dense operator to (f, g)."""
-    if isinstance(op, CommutatorOperator):
-        return commutator_apply(op, f, g)
-    if isinstance(op, DenseBilinearOperator):
-        _check_inputs(op.grid, f, g)
-        fv = f.values.ravel()
-        gv = g.values.ravel()
-        out = np.einsum("jpq,p,q->j", op.tensor, fv, gv)
-        return GridFunction(op.grid, out.reshape(op.grid.shape))
+    """Apply a bilinear, commutator, or dense operator to (f, g).
+
+    A non-finite output raises DomainError.
+    """
     _check_inputs(op.grid, f, g)
-    if op.strategy == "direct":
-        return _apply_direct(op, f, g)
-    if op.strategy == "multiplier":
-        return _apply_multiplier(op, f, g)
-    return _apply_separable(op, f, g)
+    if isinstance(op, CommutatorOperator):
+        out = commutator_apply(op, f, g)
+    elif isinstance(op, DenseBilinearOperator):
+        vals = np.einsum("jpq,p,q->j", op.tensor, f.values.ravel(), g.values.ravel())
+        out = GridFunction(op.grid, vals.reshape(op.grid.shape))
+    elif op.strategy == "direct":
+        out = _apply_direct(op, f, g)
+    else:
+        out = _apply_multiplier(op, f, g)
+    if not np.all(np.isfinite(out.values)):
+        raise DomainError("operator output is not finite; the symbol or the "
+                          "inputs are singular on this grid")
+    return out
 
 
 def commutator_apply(c: CommutatorOperator, f: GridFunction, g: GridFunction) -> GridFunction:
@@ -284,36 +309,20 @@ def dense_tensor(op) -> np.ndarray:
                 W = W * (a[None, None, :] - a[:, None, None])
         return W
     grid = op.grid
-    n, N, L = grid.dim, grid.points_per_axis, grid.period
-    if N ** (3 * n) > DENSE_BUDGET:
+    M = grid.points_per_axis ** grid.dim
+    if M ** 3 > DENSE_BUDGET:
         raise BudgetError(
-            f"dense tensor needs N^(3n) = {N ** (3 * n)} > {DENSE_BUDGET} entries; "
-            f"shrink N")
-    dx = grid.spacing
-    if n == 1:
-        x = grid.nodes_1d()
-        xi = grid.frequencies_1d()
-        W = np.empty((N, N, N), dtype=complex)
-        for j in range(N):
-            sig = np.asarray(op.sigma.eval(x[j], xi[:, None], xi[None, :]))
-            phase = np.exp(1j * xi * x[j])
-            M = sig * phase[:, None] * phase[None, :]
-            W[j] = np.fft.fft2(M)
-        return W * (dx ** 2 / L ** 2)
-    x1, x2 = grid.node_mesh()
-    xi1, xi2 = grid.frequency_mesh()
-    nodes = N * N
-    W = np.empty((nodes, nodes, nodes), dtype=complex)
-    xf1, xf2 = x1.ravel(), x2.ravel()
-    for j in range(nodes):
-        sig = np.asarray(op.sigma.eval(
-            (xf1[j], xf2[j]),
-            (xi1[:, :, None, None], xi2[:, :, None, None]),
-            (xi1[None, None, :, :], xi2[None, None, :, :])))
-        ph = np.exp(1j * (xi1 * xf1[j] + xi2 * xf2[j]))
-        M = sig * ph[:, :, None, None] * ph[None, None, :, :]
-        W[j] = np.fft.fftn(M).reshape(nodes, nodes)
-    return W * (dx ** 4 / L ** 4)
+            f"dense tensor needs N^(3n) = {M ** 3} > {DENSE_BUDGET} entries; shrink N")
+    x, xi = _flat(grid.node_mesh()), _flat(grid.frequency_mesh())
+    W = np.empty((M, M, M), dtype=complex)
+    for j in range(M):
+        sig = np.asarray(op.sigma.eval(_pack(x[:, j], grid.dim),
+                                       _pack(xi[:, :, None], grid.dim),
+                                       _pack(xi[:, None, :], grid.dim)))
+        phase = np.exp(1j * (x[:, j] @ xi))
+        W[j] = np.fft.fftn((sig * phase[:, None] * phase[None, :])
+                           .reshape(grid.shape * 2)).reshape(M, M)
+    return W * (grid.spacing / grid.period) ** (2 * grid.dim)
 
 
 def transpose(op, which: int):
@@ -362,13 +371,10 @@ def verify_transpose_identities(T: BilinearOperator, a: GridFunction,
     dxn = grid.spacing ** grid.dim
 
     def rand_fn():
-        v = rng.standard_normal(nodes) + 1j * rng.standard_normal(nodes)
-        return v
+        return rng.standard_normal(nodes) + 1j * rng.standard_normal(nodes)
 
-    results = {}
+    results = dict.fromkeys(sides, 0.0)
     diffs = {name: lhs - rhs for name, (lhs, rhs) in sides.items()}
-    for name in sides:
-        results[name] = 0.0
     for _ in range(trials):
         fv, gv, hv = rand_fn(), rand_fn(), rand_fn()
         norm = np.sqrt(np.sum(np.abs(fv) ** 2) * dxn) \

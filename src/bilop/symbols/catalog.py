@@ -30,9 +30,6 @@ def _one_sym() -> Symbol:
     return Symbol("one", lambda x, xi, eta: np.ones(
         np.broadcast_shapes(np.shape(x), np.shape(xi), np.shape(eta))),
         SymbolClassParams(0.0, 1.0, 0.0), dim=1, partials=partials,
-        factors=(lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                 lambda xi: np.ones_like(np.asarray(xi, dtype=float)),
-                 lambda eta: np.ones_like(np.asarray(eta, dtype=float))),
         x_independent=True)
 
 
@@ -50,11 +47,8 @@ def _coordinate_sym(which: str) -> Symbol:
                 key = ((a,), (b,), (g,))
                 if a + b + g > 0 and key not in partials:
                     partials[key] = _zero
-    ones = lambda v: np.ones_like(np.asarray(v, dtype=float))
-    ident = lambda v: np.asarray(v, dtype=float)
-    factors = (ones, ident, ones) if which == "xi" else (ones, ones, ident)
     return Symbol(which, pick, SymbolClassParams(1.0, 1.0, 0.0), dim=1,
-                  partials=partials, factors=factors, x_independent=True)
+                  partials=partials, x_independent=True)
 
 
 def _sqrt1_partials():
@@ -140,8 +134,6 @@ def _cm0_sym() -> Symbol:
 
 
 def _bad_xieta_sym() -> Symbol:
-    ones = lambda v: np.ones_like(np.asarray(v, dtype=float))
-    ident = lambda v: np.asarray(v, dtype=float)
     partials = {
         ((0,), (1,), (0,)): lambda x, xi, eta: np.asarray(eta)
         * np.ones(np.broadcast_shapes(np.shape(x), np.shape(xi), np.shape(eta))),
@@ -161,7 +153,7 @@ def _bad_xieta_sym() -> Symbol:
                   * np.ones(np.broadcast_shapes(np.shape(x), np.shape(xi),
                                                 np.shape(eta))),
                   SymbolClassParams(1.0, 1.0, 0.0), dim=1, partials=partials,
-                  factors=(ones, ident, ident), x_independent=True)
+                  x_independent=True)
 
 
 def _bad_linear_sym() -> Symbol:

@@ -83,7 +83,7 @@ class Symbol:
     """
 
     def __init__(self, name: str, fn, declared_class: SymbolClassParams,
-                 dim: int = 1, partials: dict | None = None, factors=None,
+                 dim: int = 1, partials: dict | None = None,
                  x_independent: bool | None = None):
         if dim not in (1, 2):
             raise InvalidInputError(f"dim must be 1 or 2, got {dim}")
@@ -91,7 +91,6 @@ class Symbol:
         self.fn = fn
         self.declared_class = declared_class
         self.dim = dim
-        self.factors = factors
         self.x_independent = x_independent
         norm = {}
         for key, val in (partials or {}).items():

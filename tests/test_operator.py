@@ -1,14 +1,25 @@
 """Bilinear operator assembly: strategies, budgets, commutators, pairings."""
 
+import json
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bilop.errors import BudgetError, InvalidInputError
+import bilop.operator as operator_module
+from bilop.cli import main as cli_main
+from bilop.errors import BudgetError, DomainError, InvalidInputError
 from bilop.grid import Grid, GridFunction, fft_forward
 from bilop.operator import (
     DENSE_BUDGET,
     DIRECT_BUDGET,
+    FACTOR_RTOL,
     STRATEGIES,
+    DenseBilinearOperator,
     apply,
     commutator,
     commutator_apply,
@@ -17,6 +28,7 @@ from bilop.operator import (
     pairing,
     transpose,
 )
+from bilop.parallel import thread_map
 from bilop.symbols import SymbolClassParams, catalog_symbol, parse_symbol_expr, symbol_catalog, symbol_from_expr
 
 
@@ -123,7 +135,7 @@ def test_coordinate_symbol_differentiates_first_slot():
 
 def test_default_strategy_selection():
     grid = Grid(dim=1, points_per_axis=16)
-    assert make_operator(catalog_symbol("xi"), grid).strategy == "separable"
+    assert make_operator(catalog_symbol("xi"), grid).strategy == "multiplier"
     assert make_operator(catalog_symbol("sqrt1"), grid).strategy == "multiplier"
     assert make_operator(catalog_symbol("theta_sqrt1"), grid).strategy == "direct"
 
@@ -137,28 +149,20 @@ def test_strategies_agree_on_x_independent_symbols(name):
     for strat in ("direct", "multiplier"):
         outs[strat] = apply(make_operator(sigma, grid, strategy=strat), f, g).values
     assert np.max(np.abs(outs["direct"] - outs["multiplier"])) < 1e-10
-    if sigma.factors is not None:
-        sep = apply(make_operator(sigma, grid, strategy="separable"), f, g).values
-        assert np.max(np.abs(sep - outs["direct"])) < 1e-10
 
 
 def test_strategy_names_are_closed():
-    assert set(STRATEGIES) == {"direct", "multiplier", "separable"}
+    assert set(STRATEGIES) == {"direct", "multiplier"}
     grid = Grid(dim=1, points_per_axis=16)
-    with pytest.raises(InvalidInputError):
-        make_operator(catalog_symbol("xi"), grid, strategy="magic")
+    for name in ("magic", "separable"):
+        with pytest.raises(InvalidInputError):
+            make_operator(catalog_symbol("xi"), grid, strategy=name)
 
 
 def test_multiplier_strategy_requires_x_independence():
     grid = Grid(dim=1, points_per_axis=16)
     with pytest.raises(InvalidInputError):
         make_operator(catalog_symbol("theta_sqrt1"), grid, strategy="multiplier")
-
-
-def test_separable_strategy_requires_factored_symbol():
-    grid = Grid(dim=1, points_per_axis=16)
-    with pytest.raises(InvalidInputError):
-        make_operator(catalog_symbol("sqrt1"), grid, strategy="separable")
 
 
 # ------------------------------------------------------------------ budgets
@@ -349,3 +353,159 @@ def test_expression_symbol_operator_round_trip():
     a = apply(make_operator(sig, grid), f, g).values
     b = apply(make_operator(catalog_symbol("sqrt1"), grid), f, g).values
     assert np.max(np.abs(a - b)) < 1e-12
+
+
+# ------------------------------------------------- low-rank multiplier path
+
+_BLOCKS = ("sqrt({c}+{r2})", "exp(-({r2})/{c}^2)", "cos({a}/sqrt({c}+{r2}))",
+           "{a}/({c}+{r2})", "({a}*{b}+{c})/({c}+{r2})^2")
+
+
+@st.composite
+def smooth_symbols(draw, dim):
+    """Sums of smooth blocks in xi^2 + eta^2, with drawn constants."""
+    if dim == 1:
+        r2, a, b = "xi^2+eta^2", "xi", "eta"
+    else:
+        r2, a, b = "xi1^2+xi2^2+eta1^2+eta2^2", "xi2", "eta1"
+    terms = []
+    for template in draw(st.lists(st.sampled_from(_BLOCKS), min_size=1, max_size=3)):
+        coef = draw(st.sampled_from(("1", "-0.5", "2", "3.5")))
+        c = draw(st.sampled_from(("1", "1.5", "2", "4")))
+        terms.append(f"{coef}*" + template.format(r2=r2, a=a, b=b, c=c))
+    return "+".join(terms)
+
+
+def _check_against_direct(expr, grid, seed):
+    sigma = symbol_from_expr(expr, SymbolClassParams(1.0), dim=grid.dim)
+    f, g = random_pair(grid, seed=seed)
+    fast = apply(make_operator(sigma, grid, strategy="multiplier"), f, g).values
+    slow = apply(make_operator(sigma, grid, strategy="direct"), f, g).values
+    assert np.max(np.abs(fast - slow)) <= 1e-10 * np.max(np.abs(slow)), expr
+
+
+@settings(max_examples=30, deadline=None)
+@given(expr=smooth_symbols(1), n=st.sampled_from((8, 16, 32)), seed=st.integers(0, 99))
+def test_multiplier_matches_direct_on_random_symbols_1d(expr, n, seed):
+    _check_against_direct(expr, Grid(dim=1, points_per_axis=n), seed)
+
+
+@settings(max_examples=15, deadline=None)
+@given(expr=smooth_symbols(2), seed=st.integers(0, 99))
+def test_multiplier_matches_direct_on_random_symbols_2d(expr, seed):
+    _check_against_direct(expr, Grid(dim=2, points_per_axis=8), seed)
+
+
+def test_coordinate_symbol_factors_at_rank_one():
+    T = make_operator(catalog_symbol("xi"), Grid(dim=1, points_per_axis=64))
+    low = T.lowrank()
+    assert low.rank == 1
+    assert low.residual <= FACTOR_RTOL
+
+
+def test_full_rank_symbol_is_exact_when_the_sketch_spans_the_mesh():
+    grid = Grid(dim=1, points_per_axis=16)
+    sigma = symbol_from_expr("(xi-eta)/sqrt(1+(xi-eta)^2)", SymbolClassParams(0.0))
+    T = make_operator(sigma, grid)
+    f, g = random_pair(grid, seed=16)
+    fast = apply(T, f, g).values
+    assert T.lowrank().rank == 16
+    slow = brute_force_apply(sigma, f, g)
+    assert np.max(np.abs(fast - slow)) <= 1e-13 * np.max(np.abs(slow))
+
+
+def test_row_blocked_factorization_matches_one_block(monkeypatch):
+    grid = Grid(dim=1, points_per_axis=256)
+    f, g = random_pair(grid, seed=17)
+    whole = apply(make_operator(catalog_symbol("sqrt1"), grid), f, g).values
+    monkeypatch.setattr(operator_module, "FACTOR_BUDGET", 2 ** 14)  # 64-row blocks
+    blocked = apply(make_operator(catalog_symbol("sqrt1"), grid), f, g).values
+    assert np.max(np.abs(blocked - whole)) <= 1e-12 * np.max(np.abs(whole))
+
+
+def test_threads_sharing_an_operator_factor_it_once(monkeypatch):
+    monkeypatch.setenv("BILOP_THREADS", "4")
+    grid = Grid(dim=1, points_per_axis=128)
+    sigma = symbol_from_expr("sqrt(1+xi^2+eta^2)", SymbolClassParams(1.0))
+    inner, calls, lock = sigma.fn, [], threading.Lock()
+
+    def counted(x, xi, eta):
+        with lock:
+            calls.append(np.size(xi))
+        time.sleep(0.05)  # widen the window in which a second factorization could start
+        return inner(x, xi, eta)
+
+    sigma.fn = counted
+    T = make_operator(sigma, grid)
+    pairs = [random_pair(grid, seed=s) for s in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        outs = thread_map(lambda pair: apply(T, *pair).values, pairs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(calls) == 1
+    assert np.array_equal(outs[3], apply(T, *pairs[3]).values)
+
+
+def test_symbol_over_the_factor_budget_is_refused(monkeypatch):
+    monkeypatch.setattr(operator_module, "FACTOR_BUDGET", 2 ** 14)  # rank <= 64 at N=256
+    grid = Grid(dim=1, points_per_axis=256)
+    sigma = symbol_from_expr("(xi-eta)/sqrt(1+(xi-eta)^2)", SymbolClassParams(0.0))
+    T = make_operator(sigma, grid)
+    f, g = random_pair(grid, seed=18)
+    with pytest.raises(BudgetError, match="residual"):
+        apply(T, f, g)
+
+
+def test_only_the_multiplier_strategy_is_factored():
+    T = make_operator(catalog_symbol("sqrt1"), Grid(dim=1, points_per_axis=16), "direct")
+    with pytest.raises(InvalidInputError):
+        T.lowrank()
+
+
+# --------------------------------------------------------- non-finite guard
+
+
+def test_singular_symbol_is_refused_by_every_strategy():
+    grid = Grid(dim=1, points_per_axis=64)
+    sigma = symbol_from_expr("1/xi", SymbolClassParams(-1.0))
+    f, g = random_pair(grid, seed=19)
+    for strategy in STRATEGIES:
+        with pytest.raises(DomainError):
+            apply(make_operator(sigma, grid, strategy), f, g)
+
+
+def test_non_finite_dense_and_commutator_outputs_are_refused():
+    grid = Grid(dim=1, points_per_axis=8)
+    f, g = random_pair(grid, seed=20)
+    W = np.zeros((8, 8, 8), dtype=complex)
+    W[0, 0, 0] = np.nan
+    with pytest.raises(DomainError):
+        apply(DenseBilinearOperator(grid, W), f, g)
+    T = make_operator(catalog_symbol("sqrt1"), grid)
+    a = GridFunction(grid, np.full(8, np.inf))
+    with pytest.raises(DomainError), np.errstate(invalid="ignore"):
+        apply(commutator(T, 1, a), f, g)
+
+
+def _cli_apply(tmp_path, capsys, *args):
+    rc = cli_main(["apply", *args, "--out-dir", str(tmp_path)])
+    return rc, capsys.readouterr().out
+
+
+def test_cli_apply_exits_1_on_a_singular_symbol(tmp_path, capsys):
+    rc, out = _cli_apply(tmp_path, capsys, "--symbol", "1/xi", "--n", "64")
+    assert rc == 1
+    assert out == ""
+
+
+def test_cli_apply_reports_rank_and_residual(tmp_path, capsys):
+    rc, out = _cli_apply(tmp_path, capsys, "--symbol", "sqrt1", "--n", "256")
+    data = json.loads(out)["data"]
+    assert rc == 0
+    assert (data["strategy"], data["rank"]) == ("multiplier", 25)
+    assert 0 < data["residual"] <= FACTOR_RTOL
+    rc, out = _cli_apply(tmp_path, capsys, "--symbol", "theta_sqrt1", "--n", "16")
+    assert rc == 0
+    assert "rank" not in json.loads(out)["data"]
