@@ -61,15 +61,11 @@ def family_member(name: str, grid: Grid, k: int, seed: int = 0,
         raise InvalidInputError(f"mode budget {k} exceeds the grid's band")
     rng = np.random.default_rng(1000003 * seed + k)
     coeff = np.zeros(grid.shape, dtype=complex)
-    if grid.dim == 1:
-        modes = np.concatenate([np.arange(1, k + 1), np.arange(-k, 0)])
-        coeff[modes] = rng.standard_normal(modes.size) + 1j * rng.standard_normal(modes.size)
-    else:
-        m = np.fft.fftfreq(grid.points_per_axis, d=1.0 / grid.points_per_axis)
-        m1, m2 = np.meshgrid(m, m, indexing="ij")
-        band = (np.maximum(np.abs(m1), np.abs(m2)) <= k) & ((m1 != 0) | (m2 != 0))
-        count = int(band.sum())
-        coeff[band] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    m = np.fft.fftfreq(grid.points_per_axis, d=1.0 / grid.points_per_axis)
+    mesh = np.abs(np.meshgrid(*[m] * grid.dim, indexing="ij"))
+    band = (np.max(mesh, axis=0) <= k) & np.any(mesh != 0, axis=0)
+    count = int(band.sum())
+    coeff[band] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
     vals = np.fft.ifftn(coeff)
     return GridFunction(grid, vals)
 

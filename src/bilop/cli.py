@@ -65,13 +65,11 @@ def resolve_multiplier(spec: str, grid: Grid) -> GridFunction:
     if spec in MULTIPLIER_NAMES:
         return multiplier_function(spec, grid)
     node = parse_symbol_expr(spec)
-    allowed = {"x"} if grid.dim == 1 else {"x1", "x2"}
-    extra = node.free_vars() - allowed
+    env = dict(zip(("x",) if grid.dim == 1 else ("x1", "x2"), grid.node_mesh()))
+    extra = node.free_vars() - set(env)
     if extra:
         raise ConfigError(
-            f"multiplier may only use {sorted(allowed)}, found {sorted(extra)}")
-    mesh = grid.node_mesh()
-    env = {"x": mesh[0]} if grid.dim == 1 else {"x1": mesh[0], "x2": mesh[1]}
+            f"multiplier may only use {sorted(env)}, found {sorted(extra)}")
     vals = np.asarray(node.eval(env)) * np.ones(grid.shape)
     return GridFunction(grid, vals.astype(complex))
 
@@ -115,7 +113,8 @@ def _run_apply(cfg):
     data = {"strategy": T.strategy}
     if T.strategy == "multiplier":
         low = T.lowrank()
-        data.update(rank=low.rank, residual=low.residual)
+        data.update(rank=low.rank, residual=low.residual, x_rank=low.x_rank,
+                    x_residual=low.x_residual)
     data.update(l2_norm=lp_norm(out, 2), linf_norm=lp_norm(out, np.inf),
                 values=out.values)
     flat = out.values.ravel()

@@ -62,16 +62,10 @@ class Grid:
 
     def node_mesh(self) -> tuple:
         """Tuple of dim arrays of shape self.shape giving node coordinates."""
-        ax = self.nodes_1d()
-        if self.dim == 1:
-            return (ax,)
-        return tuple(np.meshgrid(ax, ax, indexing="ij"))
+        return tuple(np.meshgrid(*[self.nodes_1d()] * self.dim, indexing="ij"))
 
     def frequency_mesh(self) -> tuple:
-        ax = self.frequencies_1d()
-        if self.dim == 1:
-            return (ax,)
-        return tuple(np.meshgrid(ax, ax, indexing="ij"))
+        return tuple(np.meshgrid(*[self.frequencies_1d()] * self.dim, indexing="ij"))
 
 
 @dataclass(frozen=True)
@@ -163,10 +157,7 @@ def spectral_derivative(f: GridFunction, axis: int = 0) -> GridFunction:
 def translate(f: GridFunction, steps) -> GridFunction:
     """f(. + steps*dx), exact circular shift by whole nodes per axis."""
     g = f.grid
-    if g.dim == 1:
-        steps = (int(steps),) if np.isscalar(steps) else tuple(int(s) for s in steps)
-    else:
-        steps = tuple(int(s) for s in steps)
+    steps = (int(steps),) if np.isscalar(steps) else tuple(int(s) for s in steps)
     if len(steps) != g.dim:
         raise InvalidInputError(f"need {g.dim} shift components, got {len(steps)}")
     return GridFunction(g, np.roll(f.values, shift=[-s for s in steps],

@@ -20,13 +20,14 @@ def _zero(x, xi, eta):
     return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(xi), np.shape(eta)))
 
 
+def _zeros(x_orders) -> dict:
+    """_zero for each partial ((a,), (b,), (g,)) of order >= 1, a in x_orders, b, g <= 2."""
+    return {((a,), (b,), (g,)): _zero for a in x_orders for b in range(3) for g in range(3)
+            if a + b + g}
+
+
 def _one_sym() -> Symbol:
-    partials = {}
-    for a in range(3):
-        for b in range(3):
-            for g in range(3):
-                if a + b + g > 0 and a <= 2 and b <= 2 and g <= 2:
-                    partials[((a,), (b,), (g,))] = _zero
+    partials = _zeros(range(3))
     return Symbol("one", lambda x, xi, eta: np.ones(
         np.broadcast_shapes(np.shape(x), np.shape(xi), np.shape(eta))),
         SymbolClassParams(0.0, 1.0, 0.0), dim=1, partials=partials,
@@ -38,15 +39,10 @@ def _coordinate_sym(which: str) -> Symbol:
         np.shape(x), np.shape(xi), np.shape(eta)))) if which == "xi" else (
         lambda x, xi, eta: np.asarray(eta) * np.ones(np.broadcast_shapes(
             np.shape(x), np.shape(xi), np.shape(eta))))
-    partials = {((0,), (1,), (0,)) if which == "xi" else ((0,), (0,), (1,)):
+    partials = {**_zeros(range(3)),
+                ((0,), (1,), (0,)) if which == "xi" else ((0,), (0,), (1,)):
                 lambda x, xi, eta: np.ones(np.broadcast_shapes(
                     np.shape(x), np.shape(xi), np.shape(eta)))}
-    for a in range(3):
-        for b in range(3):
-            for g in range(3):
-                key = ((a,), (b,), (g,))
-                if a + b + g > 0 and key not in partials:
-                    partials[key] = _zero
     return Symbol(which, pick, SymbolClassParams(1.0, 1.0, 0.0), dim=1,
                   partials=partials, x_independent=True)
 
@@ -65,12 +61,7 @@ def _sqrt1_partials():
 
 
 def _sqrt1_sym() -> Symbol:
-    partials = dict(_sqrt1_partials())
-    for a in (1, 2):
-        for b in range(3):
-            for g in range(3):
-                if b <= 2 and g <= 2:
-                    partials[((a,), (b,), (g,))] = _zero
+    partials = {**_sqrt1_partials(), **_zeros((1, 2))}
     return Symbol("sqrt1",
                   lambda x, xi, eta: np.sqrt(1.0 + np.asarray(xi) ** 2
                                              + np.asarray(eta) ** 2)
@@ -121,10 +112,7 @@ def _cm0_sym() -> Symbol:
         ((0,), (1,), (1,)): lambda x, xi, eta: -8 * np.asarray(xi)
         * np.asarray(eta) / w(xi, eta) ** 3,
     }
-    for a in (1, 2):
-        for b in range(3):
-            for g in range(3):
-                partials[((a,), (b,), (g,))] = _zero
+    partials.update(_zeros((1, 2)))
     return Symbol("cm0",
                   lambda x, xi, eta: (np.asarray(xi) ** 2 + np.asarray(eta) ** 2)
                   / w(xi, eta) * np.ones(np.broadcast_shapes(
@@ -144,10 +132,7 @@ def _bad_xieta_sym() -> Symbol:
         ((0,), (2,), (0,)): _zero,
         ((0,), (0,), (2,)): _zero,
     }
-    for a in (1, 2):
-        for b in range(3):
-            for g in range(3):
-                partials[((a,), (b,), (g,))] = _zero
+    partials.update(_zeros((1, 2)))
     return Symbol("bad_xieta",
                   lambda x, xi, eta: np.asarray(xi) * np.asarray(eta)
                   * np.ones(np.broadcast_shapes(np.shape(x), np.shape(xi),

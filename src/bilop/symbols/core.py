@@ -179,27 +179,19 @@ def symbol_from_expr(expr, declared_class: SymbolClassParams, dim: int = 1,
         if name is None:
             from .expr import pretty
             name = pretty(node)
-    allowed = set(VARIABLES_1D if dim == 1 else VARIABLES_2D)
+    names = VARIABLES_1D if dim == 1 else VARIABLES_2D
+    allowed = set(names)
     free = node.free_vars()
     bad = sorted(free - allowed)
     if bad:
         raise InvalidInputError(
             f"expression variables {bad} not available in dim {dim}")
 
-    if dim == 1:
-        def fn(x, xi, eta):
-            env = {"x": np.asarray(x), "xi": np.asarray(xi), "eta": np.asarray(eta)}
-            with np.errstate(all="ignore"):
-                return node.eval(env)
-    else:
-        def fn(x, xi, eta):
-            xc = _components(x, 2)
-            xic = _components(xi, 2)
-            etac = _components(eta, 2)
-            env = {"x1": xc[0], "x2": xc[1], "xi1": xic[0], "xi2": xic[1],
-                   "eta1": etac[0], "eta2": etac[1]}
-            with np.errstate(all="ignore"):
-                return node.eval(env)
+    def fn(x, xi, eta):
+        env = dict(zip(names, _components(x, dim) + _components(xi, dim)
+                       + _components(eta, dim)))
+        with np.errstate(all="ignore"):
+            return node.eval(env)
 
     return Symbol(name, fn, declared_class, dim=dim,
                   x_independent=not any(v in free for v in ("x", "x1", "x2")))

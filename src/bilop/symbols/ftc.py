@@ -100,11 +100,8 @@ def ftc_decompose(sigma: Symbol, quad_points: int = 64, guard: bool = True,
         rng = np.random.default_rng(0)
         x = rng.uniform(0, period, size=guard_samples)
         z = rng.uniform(-guard_box, guard_box, size=(guard_samples, 2 * dim))
-        if dim == 1:
-            xp, xip, etap = x, z[:, 0], z[:, 1]
-        else:
-            xp = (x, rng.uniform(0, period, size=guard_samples))
-            xip, etap = (z[:, 0], z[:, 1]), (z[:, 2], z[:, 3])
+        xp = _pack((x, *rng.uniform(0, period, size=(dim - 1, guard_samples))), dim)
+        xip, etap = _pack(tuple(z[:, :dim].T), dim), _pack(tuple(z[:, dim:].T), dim)
         for c in comps:
             fine = c.with_quad_points(2 * quad_points)
             v1 = np.asarray(c.eval(xp, xip, etap))
@@ -127,21 +124,13 @@ def reconstruction_residual(sigma: Symbol, components: list, probes: int = 200,
     dim = sigma.dim
     rng = np.random.default_rng(seed)
     z = rng.uniform(-box, box, size=(probes, 2 * dim))
-    if dim == 1:
-        x = rng.uniform(0, period, size=probes)
-        xi, eta = z[:, 0], z[:, 1]
-        zero = np.zeros(probes)
-        base = sigma.eval(x, xi, eta) - sigma.eval(x, zero, zero)
-        acc = xi * components[0].eval(x, xi, eta)
-        acc = acc + eta * components[1].eval(x, xi, eta)
-        return float(np.max(np.abs(acc - base)))
-    x = (rng.uniform(0, period, size=probes), rng.uniform(0, period, size=probes))
-    xi = (z[:, 0], z[:, 1])
-    eta = (z[:, 2], z[:, 3])
-    zero = (np.zeros(probes), np.zeros(probes))
+    x = _pack(tuple(rng.uniform(0, period, size=(dim, probes))), dim)
+    xic, etac = z[:, :dim].T, z[:, dim:].T
+    xi, eta = _pack(tuple(xic), dim), _pack(tuple(etac), dim)
+    zero = _pack((np.zeros(probes),) * dim, dim)
     base = sigma.eval(x, xi, eta) - sigma.eval(x, zero, zero)
-    acc = np.zeros(probes, dtype=complex)
+    acc = 0
     for j in range(dim):
-        acc = acc + xi[j] * components[j].eval(x, xi, eta)
-        acc = acc + eta[j] * components[dim + j].eval(x, xi, eta)
+        acc = acc + xic[j] * components[j].eval(x, xi, eta)
+        acc = acc + etac[j] * components[dim + j].eval(x, xi, eta)
     return float(np.max(np.abs(acc - base)))

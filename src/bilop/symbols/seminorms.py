@@ -7,19 +7,24 @@ For each derivative triple the ratio
 
 is approximated by sampled maxima over shells max(|xi|,|eta|) in
 [2^s, 2^(s+1)); the growth verdict comes from the slope of log2(max)
-against s.
+against s.  The shells never reach zero frequency, so a separate
+order-0 entry, near_zero, takes maxima on paths to xi = 0, eta = 0 and
+the origin at max-norm 2^-k, k = 0..AXIS_DEPTH; it is "singular" when a
+value is non-finite or the maxima grow with k.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import InvalidInputError
 from ..parallel import thread_map
-from .core import Symbol, absnorm
+from .core import Symbol, _pack, absnorm
 
 GROWTH_SLOPE_THRESHOLD = 0.2
+AXIS_DEPTH = 20
 
 
 @dataclass(frozen=True)
@@ -29,7 +34,7 @@ class SeminormEntry:
     gamma: tuple
     ratio: float
     slope: float
-    verdict: str  # bounded | growing | indeterminate
+    verdict: str  # bounded | growing | indeterminate | singular
     shell_max: tuple = field(repr=False, default=())
 
 
@@ -42,10 +47,11 @@ class SeminormReport:
     samples: int
     max_order: int
     entries: tuple
+    near_zero: SeminormEntry
 
     @property
     def all_bounded(self) -> bool:
-        return all(e.verdict == "bounded" for e in self.entries)
+        return all(e.verdict == "bounded" for e in (*self.entries, self.near_zero))
 
     def entry(self, alpha, beta, gamma) -> SeminormEntry:
         for e in self.entries:
@@ -55,13 +61,8 @@ class SeminormReport:
 
 
 def _block_indices(dim: int, max_order: int):
-    if dim == 1:
-        return [(o,) for o in range(max_order + 1)]
-    out = []
-    for total in range(max_order + 1):
-        for i in range(total + 1):
-            out.append((i, total - i))
-    return out
+    return [t for total in range(max_order + 1)
+            for t in itertools.product(range(total + 1), repeat=dim) if sum(t) == total]
 
 
 def _shell_probes(rng, s: int, samples: int, dim: int, period: float):
@@ -72,9 +73,34 @@ def _shell_probes(rng, s: int, samples: int, dim: int, period: float):
     peak[peak == 0] = 1.0
     z = w * (r / peak)[:, None]
     x = rng.uniform(0.0, period, size=(samples, dim))
-    if dim == 1:
-        return x[:, 0], z[:, 0], z[:, 1]
-    return ((x[:, 0], x[:, 1]), (z[:, 0], z[:, 1]), (z[:, 2], z[:, 3]))
+    return tuple(_pack(tuple(v.T), dim) for v in (x, z[:, :dim], z[:, dim:]))
+
+
+def _growth_slope(maxima: np.ndarray) -> float:
+    positive = maxima > 0
+    if positive.sum() < 2:
+        return 0.0
+    return float(np.polyfit(np.nonzero(positive)[0], np.log2(maxima[positive]), 1)[0])
+
+
+def _near_zero(sigma: Symbol, rng, samples: int, period: float) -> SeminormEntry:
+    """Order-0 maxima on paths to xi = 0, eta = 0 and the origin, per scale 2^-k."""
+    dim = sigma.dim
+    x = _pack(tuple(rng.uniform(0.0, period, size=(dim, 3 * samples))), dim)
+    z = rng.uniform(-1.0, 1.0, size=(2, dim, 3 * samples))
+    z /= np.max(np.abs(z), axis=1, keepdims=True)  # max-norm 1 per block
+    shrink = np.repeat([[1, 0], [0, 1], [1, 1]], samples, axis=0).T[:, None, :]
+    maxima = []
+    for k in range(AXIS_DEPTH + 1):
+        xi, eta = (_pack(tuple(v), dim) for v in z * 2.0 ** (-k * shrink))
+        with np.errstate(all="ignore"):
+            vals = np.abs(np.asarray(sigma.eval(x, xi, eta))) \
+                * absnorm(xi, eta, dim) ** -sigma.declared_class.m
+        maxima.append(float(np.max(vals)) if np.all(np.isfinite(vals)) else np.inf)
+    slope = _growth_slope(np.array(maxima)) if np.isfinite(maxima).all() else float("nan")
+    zero = (0,) * dim
+    return SeminormEntry(zero, zero, zero, ratio=max(maxima), slope=slope, shell_max=tuple(maxima),
+                         verdict="bounded" if slope <= GROWTH_SLOPE_THRESHOLD else "singular")
 
 
 def estimate_seminorms(sigma: Symbol, max_order: int = 2, box: float = 8192.0,
@@ -122,12 +148,7 @@ def estimate_seminorms(sigma: Symbol, max_order: int = 2, box: float = 8192.0,
                                          verdict="indeterminate",
                                          shell_max=tuple(maxima)))
             continue
-        positive = maxima > 0
-        if positive.sum() >= 2:
-            s_idx = np.nonzero(positive)[0]
-            slope = float(np.polyfit(s_idx, np.log2(maxima[positive]), 1)[0])
-        else:
-            slope = 0.0
+        slope = _growth_slope(maxima)
         verdict = "growing" if slope > GROWTH_SLOPE_THRESHOLD else "bounded"
         entries.append(SeminormEntry(*t, ratio=float(np.max(maxima)), slope=slope,
                                      verdict=verdict, shell_max=tuple(maxima)))
@@ -135,4 +156,5 @@ def estimate_seminorms(sigma: Symbol, max_order: int = 2, box: float = 8192.0,
     return SeminormReport(symbol=sigma.name,
                           declared_class=(cls.m, cls.rho, cls.delta),
                           box=float(box), shells=shells, samples=samples,
-                          max_order=max_order, entries=tuple(entries))
+                          max_order=max_order, entries=tuple(entries),
+                          near_zero=_near_zero(sigma, rng, samples, period))

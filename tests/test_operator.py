@@ -19,6 +19,7 @@ from bilop.operator import (
     DIRECT_BUDGET,
     FACTOR_RTOL,
     STRATEGIES,
+    X_RTOL,
     DenseBilinearOperator,
     apply,
     commutator,
@@ -29,7 +30,8 @@ from bilop.operator import (
     transpose,
 )
 from bilop.parallel import thread_map
-from bilop.symbols import SymbolClassParams, catalog_symbol, parse_symbol_expr, symbol_catalog, symbol_from_expr
+from bilop.symbols import (Symbol, SymbolClassParams, catalog_symbol, parse_symbol_expr,
+                           symbol_catalog, symbol_from_expr)
 
 
 def brute_force_apply(sigma, f, g):
@@ -137,7 +139,10 @@ def test_default_strategy_selection():
     grid = Grid(dim=1, points_per_axis=16)
     assert make_operator(catalog_symbol("xi"), grid).strategy == "multiplier"
     assert make_operator(catalog_symbol("sqrt1"), grid).strategy == "multiplier"
-    assert make_operator(catalog_symbol("theta_sqrt1"), grid).strategy == "direct"
+    assert make_operator(catalog_symbol("theta_sqrt1"), grid).strategy == "multiplier"
+    # sampled x-rank 9 against the cap M/8 = 2
+    wild = symbol_from_expr("cos(x*xi)", SymbolClassParams(0.0))
+    assert make_operator(wild, grid).strategy == "direct"
 
 
 @pytest.mark.parametrize("name", ["one", "xi", "sqrt1", "cm0"])
@@ -159,10 +164,13 @@ def test_strategy_names_are_closed():
             make_operator(catalog_symbol("xi"), grid, strategy=name)
 
 
-def test_multiplier_strategy_requires_x_independence():
-    grid = Grid(dim=1, points_per_axis=16)
-    with pytest.raises(InvalidInputError):
-        make_operator(catalog_symbol("theta_sqrt1"), grid, strategy="multiplier")
+def test_multiplier_strategy_refuses_x_rank_over_the_cap():
+    grid = Grid(dim=1, points_per_axis=64)
+    T = make_operator(symbol_from_expr("cos(x*xi)", SymbolClassParams(0.0)), grid,
+                      strategy="multiplier")
+    f, g = random_pair(grid, seed=21)
+    with pytest.raises(BudgetError, match="x-rank above M/8 = 8"):
+        apply(T, f, g)
 
 
 # ------------------------------------------------------------------ budgets
@@ -173,7 +181,7 @@ def test_direct_budget_refusal():
     # refusal happens when work is attempted, not at construction
     big = Grid(dim=1, points_per_axis=1024)
     assert 1024**3 > DIRECT_BUDGET
-    T = make_operator(catalog_symbol("theta_sqrt1"), big)
+    T = make_operator(catalog_symbol("theta_sqrt1"), big, strategy="direct")
     f, g = random_pair(big, seed=20)
     with pytest.raises(BudgetError):
         apply(T, f, g)
@@ -458,6 +466,89 @@ def test_symbol_over_the_factor_budget_is_refused(monkeypatch):
         apply(T, f, g)
 
 
+# ------------------------------------- x-dependent symbols: skeleton expansion
+
+_SPATIAL = ("(2+sin({k}*x))", "exp(cos({k}*x))", "(1.5+cos(x)*sin({k}*x))", "sin({k}*x)")
+
+
+@st.composite
+def x_dependent_symbols(draw, dim):
+    """A(x)*B(xi,eta) + C(xi,eta), or a product of two such terms (x-rank <= 4)."""
+    def term():
+        a = draw(st.sampled_from(_SPATIAL)).format(k=draw(st.sampled_from("123")))
+        if dim == 2:
+            a = a.replace("x)", "x1+x2)")
+        return f"({a}*({draw(smooth_symbols(dim))})+{draw(smooth_symbols(dim))})"
+    return "*".join(term() for _ in range(draw(st.integers(1, 2))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(expr=x_dependent_symbols(1), n=st.sampled_from((32, 64)), seed=st.integers(0, 99))
+def test_skeleton_expansion_matches_direct_on_random_symbols_1d(expr, n, seed):
+    _check_against_direct(expr, Grid(dim=1, points_per_axis=n), seed)
+
+
+@settings(max_examples=10, deadline=None)
+@given(expr=x_dependent_symbols(2), seed=st.integers(0, 99))
+def test_skeleton_expansion_matches_direct_on_random_symbols_2d(expr, seed):
+    _check_against_direct(expr, Grid(dim=2, points_per_axis=8), seed)
+
+
+def test_held_out_nodes_catch_x_dependence_at_few_frequencies():
+    # the sampled pairs all miss the bump at xi = eta = 0, so only the
+    # full-grid held-out rows see that sigma depends on x
+    grid = Grid(dim=1, points_per_axis=256)
+    sigma = symbol_from_expr("sin(x)*exp(-100*(xi^2+eta^2))", SymbolClassParams(0.0))
+    T = make_operator(sigma, grid)
+    f, g = random_pair(grid, seed=22)
+    fast = apply(T, f, g).values
+    slow = apply(make_operator(sigma, grid, strategy="direct"), f, g).values
+    assert (T.strategy, T.lowrank().x_rank) == ("multiplier", 1)
+    assert np.max(np.abs(fast - slow)) <= 1e-13 * np.max(np.abs(slow))
+
+
+def test_undeclared_x_independence_is_measured():
+    sqrt1 = catalog_symbol("sqrt1")
+    grid = Grid(dim=1, points_per_axis=64)
+    sigma = Symbol("sqrt1?", sqrt1.fn, sqrt1.declared_class)
+    low = make_operator(sigma, grid).lowrank()
+    assert (low.x_rank, low.rank) == (1, make_operator(sqrt1, grid).lowrank().rank)
+
+
+def test_commutator_threads_compute_the_skeleton_once(monkeypatch):
+    monkeypatch.setenv("BILOP_THREADS", "4")
+    grid = Grid(dim=1, points_per_axis=128)
+    calls, lock = [], threading.Lock()
+
+    def counted_symbol():
+        sigma = symbol_from_expr("(2+sin(x))*sqrt(1+xi^2+eta^2)", SymbolClassParams(1.0))
+        inner = sigma.fn
+
+        def counted(x, xi, eta):
+            with lock:
+                calls.append(np.shape(x))
+            time.sleep(0.05)  # widen the window in which a second expansion could start
+            return inner(x, xi, eta)
+
+        sigma.fn = counted
+        return sigma
+
+    pairs = [random_pair(grid, seed=s) for s in range(8)]
+    a = GridFunction(grid, np.sin(grid.nodes_1d()))
+    apply(make_operator(counted_symbol(), grid, "multiplier"), *pairs[0])
+    sequential, calls[:] = len(calls), []
+    C = commutator(make_operator(counted_symbol(), grid, "multiplier"), 1, a)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        outs = thread_map(lambda pair: apply(C, *pair).values, pairs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert calls.count((128, 1)) == 1  # the x-sample: every node, X_SAMPLE pairs
+    assert len(calls) == sequential
+    assert np.array_equal(outs[3], apply(C, *pairs[3]).values)
+
+
 def test_only_the_multiplier_strategy_is_factored():
     T = make_operator(catalog_symbol("sqrt1"), Grid(dim=1, points_per_axis=16), "direct")
     with pytest.raises(InvalidInputError):
@@ -507,5 +598,13 @@ def test_cli_apply_reports_rank_and_residual(tmp_path, capsys):
     assert (data["strategy"], data["rank"]) == ("multiplier", 25)
     assert 0 < data["residual"] <= FACTOR_RTOL
     rc, out = _cli_apply(tmp_path, capsys, "--symbol", "theta_sqrt1", "--n", "16")
+    data = json.loads(out)["data"]
+    assert rc == 0
+    assert (data["strategy"], data["x_rank"]) == ("multiplier", 1)
+    assert data["rank"] > 1
+    assert 0 <= data["residual"] <= FACTOR_RTOL
+    assert 0 <= data["x_residual"] <= X_RTOL
+    rc, out = _cli_apply(tmp_path, capsys, "--symbol", "theta_sqrt1", "--n", "16",
+                         "--strategy", "direct")
     assert rc == 0
     assert "rank" not in json.loads(out)["data"]

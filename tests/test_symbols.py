@@ -1,8 +1,11 @@
 """Symbol catalog, class-seminorm estimation, and derivative bookkeeping."""
 
+import json
+
 import numpy as np
 import pytest
 
+from bilop.cli import main as cli_main
 from bilop.errors import InvalidInputError
 from bilop.symbols import (
     HONEST_BS1_NAMES,
@@ -135,6 +138,43 @@ def test_seminorms_2d_smoke():
     assert all(e.verdict == "bounded" for e in rep.entries)
     bad = estimate_seminorms(catalog_symbol("bad_linear", dim=2), max_order=1, box=512.0, samples=100)
     assert any(e.verdict == "growing" for e in bad.entries)
+
+
+def test_near_zero_probe_flags_symbols_singular_at_the_axes():
+    # the dyadic shells start at max(|xi|, |eta|) >= 1 and see 1/xi as bounded
+    for expr, slope in (("1/xi", 1.0), ("1/eta", 1.0), ("1/(xi^2+eta^2)", 2.0)):
+        rep = estimate_seminorms(symbol_from_expr(expr, SymbolClassParams(0.0)),
+                                 max_order=1, box=1024.0, samples=100)
+        assert rep.near_zero.verdict == "singular", expr
+        assert rep.near_zero.slope == pytest.approx(slope, abs=0.05), expr
+        assert not rep.all_bounded
+    for dim in (1, 2):
+        for name in ("one", "sqrt1", "cm0", "theta_sqrt1"):
+            rep = estimate_seminorms(catalog_symbol(name, dim=dim), max_order=1,
+                                     box=512.0, samples=100)
+            assert rep.near_zero.verdict == "bounded", (name, dim)
+            assert len(rep.near_zero.shell_max) == 21
+
+
+def test_near_zero_probe_calls_non_finite_values_singular():
+    rep = estimate_seminorms(symbol_from_expr("1/(xi*0)", SymbolClassParams(0.0)),
+                             max_order=0, box=64.0, samples=100)
+    assert rep.near_zero.verdict == "singular"
+    assert np.isnan(rep.near_zero.slope)
+
+
+def test_near_zero_probe_leaves_the_shells_unchanged():
+    # the probe draws after the shells, so a ratio pinned before it holds
+    rep = estimate_seminorms(catalog_symbol("sqrt1"))
+    assert rep.entries[0].ratio == pytest.approx(0.9946974285505732, rel=1e-12)
+
+
+def test_cli_seminorms_fails_a_symbol_singular_near_zero(tmp_path, capsys):
+    rc = cli_main(["seminorms", "--symbol", "1/xi", "--out-dir", str(tmp_path)])
+    envelope = json.loads(capsys.readouterr().out)
+    assert (rc, envelope["verdict"]) == (2, "FAILED")
+    assert envelope["data"]["near_zero"]["verdict"] == "singular"
+    assert all(e["verdict"] == "bounded" for e in envelope["data"]["entries"])
 
 
 def test_seminorms_reject_thin_sampling():
