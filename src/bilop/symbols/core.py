@@ -1,8 +1,11 @@
 """Symbols sigma(x, xi, eta): evaluation, declared class, derivatives.
 
 A symbol's evaluator takes (x, xi, eta); in 1D each argument is a scalar
-or ndarray, in 2D each is a pair of those.  Derivatives come from
-registered closed forms when available and central finite differences
+or ndarray, in 2D each is a pair of those.  A symbol built from an
+expression (symbol_from_expr, which also builds the catalog) keeps its AST,
+and every partial derivative is the exact derivative of that AST.  A
+symbol built from a plain callable takes its derivatives from registered
+closed forms when available and from central finite differences
 otherwise, with step 1e-4 in space and 1e-4*(1+|xi|+|eta|) in frequency.
 """
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidInputError
-from .expr import ALL_VARIABLES, VARIABLES_1D, VARIABLES_2D, Node, parse_symbol_expr
+from .expr import VARIABLES_1D, VARIABLES_2D, Node, parse_symbol_expr, pretty
 
 FD_SPACE_STEP = 1e-4
 FD_FREQ_REL_STEP = 1e-4
@@ -75,16 +78,18 @@ def _broadcast_result(res, x, xi, eta, dim: int):
 
 
 class Symbol:
-    """sigma(x, xi, eta) with a declared class and optional closed-form partials.
+    """sigma(x, xi, eta) with a declared class and a source for its partials.
 
-    partials maps (alpha, beta, gamma) multi-index triples to evaluators
-    with the same signature as fn.  Orders up to 2 per variable block are
-    the supported registration range.
+    node, when given, is the expression AST that fn evaluates; partials
+    are then its exact derivatives.  Otherwise partials maps (alpha, beta,
+    gamma) multi-index triples to evaluators with the same signature as
+    fn, and the rest are finite differences.  Orders up to 2 per variable
+    block are the supported registration range.
     """
 
     def __init__(self, name: str, fn, declared_class: SymbolClassParams,
                  dim: int = 1, partials: dict | None = None,
-                 x_independent: bool | None = None):
+                 x_independent: bool | None = None, node: Node | None = None):
         if dim not in (1, 2):
             raise InvalidInputError(f"dim must be 1 or 2, got {dim}")
         self.name = name
@@ -97,6 +102,7 @@ class Symbol:
             a, b, g = key
             norm[(_as_multi(a, dim), _as_multi(b, dim), _as_multi(g, dim))] = val
         self.partials = norm
+        self.node = node
 
     def eval(self, x, xi, eta):
         return _broadcast_result(self.fn(x, xi, eta), x, xi, eta, self.dim)
@@ -104,9 +110,9 @@ class Symbol:
     def partial(self, alpha=0, beta=0, gamma=0):
         """Evaluator for d^alpha_x d^beta_xi d^gamma_eta sigma.
 
-        Finite differences peel one order at a time (eta first, then xi,
-        then x) until a registered closed form or the base evaluator is
-        reached.
+        With an AST this differentiates it exactly.  Otherwise finite
+        differences peel one order at a time (eta first, then xi, then x)
+        until a registered closed form or the base evaluator is reached.
         """
         dim = self.dim
         a = _as_multi(alpha, dim)
@@ -117,6 +123,12 @@ class Symbol:
     def _partial(self, a: tuple, b: tuple, g: tuple):
         if sum(a) + sum(b) + sum(g) == 0:
             return self.fn
+        if self.node is not None:
+            node = self.node  # x first: an x-independent AST folds to Num(0) at once
+            for var, k in zip(VARIABLES_1D if self.dim == 1 else VARIABLES_2D, a + b + g):
+                for _ in range(k):
+                    node = node.diff(var)
+            return _ast_evaluator(node, self.dim)
         hit = self.partials.get((a, b, g))
         if hit is not None:
             return hit
@@ -177,21 +189,21 @@ def symbol_from_expr(expr, declared_class: SymbolClassParams, dim: int = 1,
         if not isinstance(node, Node):
             raise InvalidInputError(f"not an expression or source text: {expr!r}")
         if name is None:
-            from .expr import pretty
             name = pretty(node)
-    names = VARIABLES_1D if dim == 1 else VARIABLES_2D
-    allowed = set(names)
     free = node.free_vars()
-    bad = sorted(free - allowed)
+    bad = sorted(free - set(VARIABLES_1D if dim == 1 else VARIABLES_2D))
     if bad:
         raise InvalidInputError(
             f"expression variables {bad} not available in dim {dim}")
+    return Symbol(name, _ast_evaluator(node, dim), declared_class, dim=dim, node=node,
+                  x_independent=not any(v in free for v in ("x", "x1", "x2")))
+
+
+def _ast_evaluator(node: Node, dim: int):
+    names = VARIABLES_1D if dim == 1 else VARIABLES_2D
 
     def fn(x, xi, eta):
-        env = dict(zip(names, _components(x, dim) + _components(xi, dim)
-                       + _components(eta, dim)))
-        with np.errstate(all="ignore"):
-            return node.eval(env)
+        return node.eval(dict(zip(names, _components(x, dim) + _components(xi, dim)
+                                  + _components(eta, dim))))
 
-    return Symbol(name, fn, declared_class, dim=dim,
-                  x_independent=not any(v in free for v in ("x", "x1", "x2")))
+    return fn

@@ -10,16 +10,29 @@ Grammar (precedence low to high: +,- then *,/ then unary - then ^):
 
 '-' and '/' associate to the left; '^' takes integer exponents only and
 chains left, (x^2)^3.  Variables: x, xi, eta in 1D; x1, x2, xi1, xi2,
-eta1, eta2 in 2D.  Functions: sin, cos, exp, sqrt, abs, log.
-Parse errors carry a 1-based byte offset.
+eta1, eta2 in 2D.  Functions: sin, cos, exp, sqrt, abs, log, sign
+(sign(0) = 0).  Parse errors carry a 1-based byte offset.
+
+Node.diff(var) returns the exact partial derivative as a new AST:
+Num -> 0; Var -> 1 or 0; Neg, +, -, * by the sum and product rules;
+u/v -> (u' - (u/v)*v')/v, the quotient rule without the v^2 that would
+square the denominator again at every further order; u^n ->
+n*u^(n-1)*u'; sin, cos, exp as usual; sqrt(u) -> (0.5/sqrt(u))*u';
+log(u) -> u'/u; abs(u) -> sign(u)*u' and sign -> 0, both exact away from
+the kink.  Sums and products with a literal 0 or 1 fold, so an
+x-derivative of an x-independent expression is Num(0).  Derivatives share
+subtrees; Node.eval computes each shared subtree once.  pretty() of any
+derivative parses back to an equal evaluator.
 """
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
 from ..errors import SymbolParseError
 
-FUNCTIONS = ("sin", "cos", "exp", "sqrt", "abs", "log")
+FUNCTIONS = ("sin", "cos", "exp", "sqrt", "abs", "log", "sign")
 VARIABLES_1D = ("x", "xi", "eta")
 VARIABLES_2D = ("x1", "x2", "xi1", "xi2", "eta1", "eta2")
 ALL_VARIABLES = VARIABLES_1D + VARIABLES_2D
@@ -31,26 +44,63 @@ _FN_TABLE = {
     "sqrt": np.sqrt,
     "abs": np.abs,
     "log": np.log,
+    "sign": np.sign,
 }
 
 
 class Node:
+    """An expression node over its operand nodes, the children."""
+
+    children: tuple = ()
+
     def free_vars(self) -> set:
-        raise NotImplementedError
+        return set().union(*(c.free_vars() for c in self.children))
 
     def eval(self, env: dict):
-        raise NotImplementedError
+        """Value at env, with numpy broadcasting; a shared subtree is evaluated once."""
+        values = []
+        with np.errstate(all="ignore"):
+            for node, slots, spent in self.__dict__.get("_program") or self._compile():
+                values.append(node.apply(env, *[values[i] for i in slots]))
+                for i in spent:  # free each intermediate after its last use
+                    values[i] = None
+        return values[-1]
+
+    def _compile(self) -> list:
+        """The DAG below self in evaluation order: (node, child slots, spent slots)."""
+        program, slot = [], {}
+
+        def visit(node):
+            if id(node) not in slot:
+                slots = [visit(c) for c in node.children]
+                slot[id(node)] = len(program)
+                program.append((node, slots, []))
+            return slot[id(node)]
+
+        visit(self)
+        last_use = {i: j for j, (_, slots, _) in enumerate(program) for i in slots}
+        for i, j in last_use.items():
+            program[j][2].append(i)
+        self._program = program
+        return program
+
+    def diff(self, var: str) -> "Node":
+        """d/dvar, built once per node and variable, so shared subtrees stay shared."""
+        done = self.__dict__.setdefault("_diff", {})
+        if var not in done:
+            done[var] = self.derivative(var)
+        return done[var]
 
 
 class Num(Node):
     def __init__(self, value: float):
         self.value = float(value)
 
-    def free_vars(self):
-        return set()
-
-    def eval(self, env):
+    def apply(self, env):
         return self.value
+
+    def derivative(self, var):
+        return Num(0.0)
 
     def __repr__(self):
         return f"Num({self.value})"
@@ -63,8 +113,11 @@ class Var(Node):
     def free_vars(self):
         return {self.name}
 
-    def eval(self, env):
+    def apply(self, env):
         return env[self.name]
+
+    def derivative(self, var):
+        return Num(1.0 if var == self.name else 0.0)
 
     def __repr__(self):
         return f"Var({self.name})"
@@ -73,15 +126,19 @@ class Var(Node):
 class Neg(Node):
     def __init__(self, child: Node):
         self.child = child
+        self.children = (child,)
 
-    def free_vars(self):
-        return self.child.free_vars()
+    def apply(self, env, a):
+        return -a
 
-    def eval(self, env):
-        return -self.child.eval(env)
+    def derivative(self, var):
+        return _neg(self.child.diff(var))
 
     def __repr__(self):
         return f"Neg({self.child!r})"
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 class BinOp(Node):
@@ -89,21 +146,21 @@ class BinOp(Node):
         self.op = op
         self.left = left
         self.right = right
+        self.children = (left, right)
 
-    def free_vars(self):
-        return self.left.free_vars() | self.right.free_vars()
+    def apply(self, env, a, b):
+        return _BINARY[self.op](a, b)
 
-    def eval(self, env):
-        a = self.left.eval(env)
-        b = self.right.eval(env)
+    def derivative(self, var):
+        u, v = self.left, self.right
+        du, dv = u.diff(var), v.diff(var)
         if self.op == "+":
-            return a + b
+            return _add(du, dv)
         if self.op == "-":
-            return a - b
+            return _sub(du, dv)
         if self.op == "*":
-            return a * b
-        with np.errstate(all="ignore"):
-            return a / b
+            return _add(_mul(du, v), _mul(u, dv))
+        return _div(_sub(du, _mul(self, dv)), v)  # (u' - (u/v) v') / v: no v^2
 
     def __repr__(self):
         return f"BinOp({self.op!r},{self.left!r},{self.right!r})"
@@ -113,13 +170,14 @@ class Pow(Node):
     def __init__(self, base: Node, exponent: int):
         self.base = base
         self.exponent = int(exponent)
+        self.children = (base,)
 
-    def free_vars(self):
-        return self.base.free_vars()
+    def apply(self, env, a):
+        return a ** self.exponent
 
-    def eval(self, env):
-        with np.errstate(all="ignore"):
-            return self.base.eval(env) ** self.exponent
+    def derivative(self, var):
+        n = self.exponent
+        return _mul(_mul(Num(n), _pow(self.base, n - 1)), self.base.diff(var))
 
     def __repr__(self):
         return f"Pow({self.base!r},{self.exponent})"
@@ -129,16 +187,60 @@ class Call(Node):
     def __init__(self, fn: str, arg: Node):
         self.fn = fn
         self.arg = arg
+        self.children = (arg,)
 
-    def free_vars(self):
-        return self.arg.free_vars()
+    def apply(self, env, a):
+        return _FN_TABLE[self.fn](a)
 
-    def eval(self, env):
-        with np.errstate(all="ignore"):
-            return _FN_TABLE[self.fn](self.arg.eval(env))
+    def derivative(self, var):
+        return _CHAIN[self.fn](self.arg, self.arg.diff(var))
 
     def __repr__(self):
         return f"Call({self.fn},{self.arg!r})"
+
+
+def _is(node: Node, value: float) -> bool:
+    return isinstance(node, Num) and node.value == value
+
+
+def _neg(u: Node) -> Node:
+    return Num(-u.value) if isinstance(u, Num) else Neg(u)
+
+
+def _add(u: Node, v: Node) -> Node:
+    return v if _is(u, 0) else u if _is(v, 0) else BinOp("+", u, v)
+
+
+def _sub(u: Node, v: Node) -> Node:
+    return u if _is(v, 0) else _neg(v) if _is(u, 0) else BinOp("-", u, v)
+
+
+def _mul(u: Node, v: Node) -> Node:
+    if _is(u, 0) or _is(v, 0):
+        return Num(0.0)
+    if isinstance(u, Num) and isinstance(v, Num):
+        return Num(u.value * v.value)
+    return v if _is(u, 1) else u if _is(v, 1) else BinOp("*", u, v)
+
+
+def _div(u: Node, v: Node) -> Node:
+    return Num(0.0) if _is(u, 0) else u if _is(v, 1) else BinOp("/", u, v)
+
+
+def _pow(u: Node, n: int) -> Node:
+    return Num(1.0) if n == 0 else u if n == 1 else Pow(u, n)
+
+
+# f(u)' = _CHAIN[f](u, u')
+_CHAIN = {
+    "sin": lambda u, du: _mul(Call("cos", u), du),
+    "cos": lambda u, du: _mul(Neg(Call("sin", u)), du),
+    "exp": lambda u, du: _mul(Call("exp", u), du),
+    "sqrt": lambda u, du: _mul(BinOp("/", Num(0.5), Call("sqrt", u)), du),
+    "log": lambda u, du: _div(du, u),
+    "abs": lambda u, du: _mul(Call("sign", u), du),
+    "sign": lambda u, du: Num(0.0),
+}
 
 
 class _Token:
@@ -302,8 +404,8 @@ _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 def _prec(node: Node) -> int:
     if isinstance(node, BinOp):
         return _PREC_ADD if node.op in "+-" else _PREC_MUL
-    if isinstance(node, Neg):
-        return _PREC_NEG
+    if isinstance(node, Neg) or (isinstance(node, Num) and node.value < 0):
+        return _PREC_NEG  # a folded negative literal prints like unary minus
     if isinstance(node, Pow):
         return _PREC_POW
     return _PREC_ATOM

@@ -8,9 +8,12 @@ For each derivative triple the ratio
 is approximated by sampled maxima over shells max(|xi|,|eta|) in
 [2^s, 2^(s+1)); the growth verdict comes from the slope of log2(max)
 against s.  The shells never reach zero frequency, so a separate
-order-0 entry, near_zero, takes maxima on paths to xi = 0, eta = 0 and
-the origin at max-norm 2^-k, k = 0..AXIS_DEPTH; it is "singular" when a
-value is non-finite or the maxima grow with k.
+order-0 entry, near_zero, takes maxima m_k on paths to xi = 0, eta = 0
+and the origin at max-norm 2^-k, k = 0..AXIS_DEPTH.  It is "singular" when
+a value is non-finite, or when m_20 - m_15 is above a roundoff floor and
+exceeds INCREMENT_RATIO_CUTOFF times m_15 - m_10: a power or logarithmic
+singularity keeps its increments (ratio 2^5p or 1), while a bounded
+symbol settles (ratio 2^-5p for a Hoelder-p limit), however steeply.
 """
 from __future__ import annotations
 
@@ -25,6 +28,8 @@ from .core import Symbol, _pack, absnorm
 
 GROWTH_SLOPE_THRESHOLD = 0.2
 AXIS_DEPTH = 20
+INCREMENT_RATIO_CUTOFF = 0.5
+INCREMENT_FLOOR = 1e-9  # relative to max(m_k); below it an increment is roundoff
 
 
 @dataclass(frozen=True)
@@ -39,6 +44,14 @@ class SeminormEntry:
 
 
 @dataclass(frozen=True)
+class NearZeroEntry(SeminormEntry):
+    """The near_zero entry: (m_20 - m_15) / (m_15 - m_10) next to its cut-off."""
+
+    increment_ratio: float = float("nan")
+    cutoff: float = INCREMENT_RATIO_CUTOFF
+
+
+@dataclass(frozen=True)
 class SeminormReport:
     symbol: str
     declared_class: tuple
@@ -47,7 +60,7 @@ class SeminormReport:
     samples: int
     max_order: int
     entries: tuple
-    near_zero: SeminormEntry
+    near_zero: NearZeroEntry
 
     @property
     def all_bounded(self) -> bool:
@@ -83,7 +96,7 @@ def _growth_slope(maxima: np.ndarray) -> float:
     return float(np.polyfit(np.nonzero(positive)[0], np.log2(maxima[positive]), 1)[0])
 
 
-def _near_zero(sigma: Symbol, rng, samples: int, period: float) -> SeminormEntry:
+def _near_zero(sigma: Symbol, rng, samples: int, period: float) -> NearZeroEntry:
     """Order-0 maxima on paths to xi = 0, eta = 0 and the origin, per scale 2^-k."""
     dim = sigma.dim
     x = _pack(tuple(rng.uniform(0.0, period, size=(dim, 3 * samples))), dim)
@@ -97,10 +110,18 @@ def _near_zero(sigma: Symbol, rng, samples: int, period: float) -> SeminormEntry
             vals = np.abs(np.asarray(sigma.eval(x, xi, eta))) \
                 * absnorm(xi, eta, dim) ** -sigma.declared_class.m
         maxima.append(float(np.max(vals)) if np.all(np.isfinite(vals)) else np.inf)
-    slope = _growth_slope(np.array(maxima)) if np.isfinite(maxima).all() else float("nan")
+    m = np.array(maxima)
+    finite = bool(np.isfinite(m).all())
+    with np.errstate(all="ignore"):
+        last, before = m[-1] - m[-6], m[-6] - m[-11]  # m_20 - m_15, m_15 - m_10
+        increment_ratio = float(last / before) if finite else float("nan")
+    singular = not finite or (last > INCREMENT_FLOOR * np.max(m)
+                              and last > INCREMENT_RATIO_CUTOFF * before)
     zero = (0,) * dim
-    return SeminormEntry(zero, zero, zero, ratio=max(maxima), slope=slope, shell_max=tuple(maxima),
-                         verdict="bounded" if slope <= GROWTH_SLOPE_THRESHOLD else "singular")
+    return NearZeroEntry(zero, zero, zero, ratio=float(np.max(m)), shell_max=tuple(maxima),
+                         slope=_growth_slope(m) if finite else float("nan"),
+                         verdict="singular" if singular else "bounded",
+                         increment_ratio=increment_ratio)
 
 
 def estimate_seminorms(sigma: Symbol, max_order: int = 2, box: float = 8192.0,

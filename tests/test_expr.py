@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_operator import smooth_symbols, x_dependent_symbols
 
 from bilop.errors import SymbolParseError
 from bilop.symbols import parse_symbol_expr, pretty
-from bilop.symbols.expr import VARIABLES_1D, VARIABLES_2D
+from bilop.symbols.expr import VARIABLES_1D, VARIABLES_2D, BinOp, Num, Pow, Var
 
 # a broad corpus exercising every production: numbers (int, float, scientific),
 # all variables, every function, all binary operators, unary minus, nesting,
@@ -175,3 +178,83 @@ def test_vectorized_evaluation_broadcasts():
     eta = np.full(11, 0.5)
     got = node.eval({"xi": xi, "eta": eta})
     assert np.allclose(got, xi**2 + 0.5)
+
+
+# ------------------------------------------------------------ derivatives
+
+
+def random_smooth_expressions(dim):
+    return st.one_of(smooth_symbols(dim), x_dependent_symbols(dim))
+
+
+def _variable_env(dim, seed):
+    rng = np.random.default_rng(seed)
+    return {name: rng.uniform(-3.0, 3.0, 16)
+            for name in (VARIABLES_1D if dim == 1 else VARIABLES_2D)}
+
+
+def _central_difference(node, env, var):
+    h = 1e-5 * (1.0 + np.abs(env[var]))
+    hi = node.eval({**env, var: env[var] + h})
+    lo = node.eval({**env, var: env[var] - h})
+    return (hi - lo) / (2 * h)
+
+
+def _assert_close(got, want, reference):
+    scale = 1.0 + np.max(np.abs(reference)) + np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= 1e-6 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from((1, 2)), data=st.data(), seed=st.integers(0, 99))
+def test_diff_agrees_with_central_differences(dim, data, seed):
+    node = parse_symbol_expr(data.draw(random_smooth_expressions(dim)))
+    env = _variable_env(dim, seed)
+    names = sorted(env)
+    for var in names:
+        d = node.diff(var)
+        _assert_close(d.eval(env) + 0 * env[var], _central_difference(node, env, var),
+                      node.eval(env))
+    # a second derivative against the difference of the exact first one
+    u, v = data.draw(st.sampled_from(names)), data.draw(st.sampled_from(names))
+    du = node.diff(u)
+    _assert_close(du.diff(v).eval(env) + 0 * env[v], _central_difference(du, env, v),
+                  du.eval(env))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from((1, 2)), data=st.data(), seed=st.integers(0, 99))
+def test_printed_derivatives_parse_back_to_the_same_values(dim, data, seed):
+    node = parse_symbol_expr(data.draw(random_smooth_expressions(dim)))
+    env = _variable_env(dim, seed)
+    for u in sorted(env):
+        for d in (node.diff(u), node.diff(u).diff(data.draw(st.sampled_from(sorted(env))))):
+            again = parse_symbol_expr(pretty(d))
+            np.testing.assert_array_equal(again.eval(env) + 0 * env[u], d.eval(env) + 0 * env[u])
+
+
+def test_diff_folds_zeros_and_ones():
+    node = parse_symbol_expr("sqrt(1 + xi^2 + eta^2)")
+    assert isinstance(node.diff("x"), Num) and node.diff("x").value == 0
+    assert pretty(node.diff("xi")) == "0.5/sqrt(1+xi^2+eta^2)*(2*xi)"
+    assert pretty(parse_symbol_expr("xi^-2").diff("xi")) == "-2*xi^-3"
+    assert pretty(parse_symbol_expr("3*xi").diff("xi")) == "3"
+    assert pretty(parse_symbol_expr("log(1 + xi^2)").diff("xi")) == "2*xi/(1+xi^2)"
+
+
+def test_abs_differentiates_to_sign_with_sign_zero_at_the_kink():
+    d = parse_symbol_expr("abs(xi) + abs(eta)").diff("xi")
+    assert pretty(d) == "sign(xi)"
+    assert list(d.eval({"xi": np.array([-2.0, 0.0, 3.0])})) == [-1.0, 0.0, 1.0]
+    assert pretty(d.diff("xi")) == "0"
+
+
+def test_negative_literals_print_with_parentheses_where_needed():
+    # a folded negative literal behaves like unary minus in pretty
+    node = parse_symbol_expr("cos(xi)^3").diff("xi").diff("xi")
+    again = parse_symbol_expr(pretty(node))
+    xi = np.linspace(-2, 2, 9)
+    assert np.array_equal(again.eval({"xi": xi}), node.eval({"xi": xi}))
+    assert pretty(Pow(Num(-2.0), 2)) == "(-2)^2"
+    assert pretty(BinOp("-", Var("xi"), Num(-2.0))) == "xi--2"
+    assert parse_symbol_expr("(-2)^2").eval({}) == 4.0

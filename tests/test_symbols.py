@@ -163,6 +163,39 @@ def test_near_zero_probe_calls_non_finite_values_singular():
     assert np.isnan(rep.near_zero.slope)
 
 
+@pytest.mark.parametrize("expr, verdict, increment_ratio", [
+    ("log(xi^2)", "singular", 1.0),               # slope 0.18: under the old cut
+    ("sqrt(abs(log(xi^2)))", "singular", 0.84),
+    ("1/xi", "singular", 32.0),
+    ("exp(-100*(xi^2+eta^2))", "bounded", 0.001),  # slope 4.8, but it settles
+    ("1-sqrt(abs(xi))", "bounded", 0.18),
+])
+def test_near_zero_verdict_comes_from_the_deepest_scales(expr, verdict, increment_ratio):
+    rep = estimate_seminorms(symbol_from_expr(expr, SymbolClassParams(0.0)),
+                             max_order=0, box=64.0, samples=100)
+    assert rep.near_zero.verdict == verdict
+    assert rep.near_zero.increment_ratio == pytest.approx(increment_ratio, rel=0.05)
+    assert rep.near_zero.cutoff == 0.5
+
+
+def test_near_zero_increments_of_the_catalog_shrink():
+    for dim in (1, 2):
+        for name, sig in symbol_catalog(dim).items():
+            nz = estimate_seminorms(sig, max_order=0, box=64.0, samples=100).near_zero
+            assert nz.verdict == "bounded", (name, dim)
+            # constants have no increment at all (0/0)
+            assert np.isnan(nz.increment_ratio) or nz.increment_ratio <= 0.04, (name, dim)
+
+
+@pytest.mark.parametrize("expr, rc, verdict", [
+    ("log(xi^2)", 2, "FAILED"), ("exp(-100*(xi^2+eta^2))", 0, "BOUNDED")])
+def test_cli_seminorms_near_zero_verdicts(tmp_path, capsys, expr, rc, verdict):
+    got = cli_main(["seminorms", "--symbol", expr, "--out-dir", str(tmp_path)])
+    envelope = json.loads(capsys.readouterr().out)
+    assert (got, envelope["verdict"]) == (rc, verdict)
+    assert envelope["data"]["near_zero"]["cutoff"] == 0.5
+
+
 def test_near_zero_probe_leaves_the_shells_unchanged():
     # the probe draws after the shells, so a ratio pinned before it holds
     rep = estimate_seminorms(catalog_symbol("sqrt1"))
@@ -188,14 +221,177 @@ def test_seminorms_deterministic():
     assert [(e.ratio, e.slope) for e in a.entries] == [(e.ratio, e.slope) for e in b.entries]
 
 
-# ------------------------------------------------- closed-form vs difference
+# ------------------------------------------------- closed-form references
+
+# The closed forms the catalog once registered by hand, kept as the oracle
+# for its expression ASTs.  Every evaluator takes broadcast arrays (pairs of
+# them in 2D) and returns one of the same shape.
 
 
-def fd_twin(sig):
-    # same pointwise values, but no registered derivatives: forces the
-    # finite-difference fallback in partial()
+def _w(xi, eta):
+    return 1.0 + xi ** 2 + eta ** 2
+
+
+def _zeros(x_orders):
+    """The zero partials ((a,), (b,), (g,)) of order >= 1, a in x_orders, b, g <= 2."""
+    return {((a,), (b,), (g,)): lambda x, xi, eta: 0 * xi
+            for a in x_orders for b in range(3) for g in range(3) if a + b + g}
+
+
+_SQRT1_PARTIALS_1D = {
+    ((0,), (1,), (0,)): lambda x, xi, eta: xi / np.sqrt(_w(xi, eta)),
+    ((0,), (0,), (1,)): lambda x, xi, eta: eta / np.sqrt(_w(xi, eta)),
+    ((0,), (2,), (0,)): lambda x, xi, eta: (1 + eta ** 2) / _w(xi, eta) ** 1.5,
+    ((0,), (0,), (2,)): lambda x, xi, eta: (1 + xi ** 2) / _w(xi, eta) ** 1.5,
+    ((0,), (1,), (1,)): lambda x, xi, eta: -xi * eta / _w(xi, eta) ** 1.5,
+}
+_THETA_DERIVS = (lambda x: 2.0 + np.sin(x), np.cos, lambda x: -np.sin(x))
+
+
+def _theta_sqrt1_partials_1d():
+    base = {((0,), (0,), (0,)): lambda x, xi, eta: np.sqrt(_w(xi, eta)),
+            **_SQRT1_PARTIALS_1D}
+    return {((a,), kb, kg): (lambda x, xi, eta, th=_THETA_DERIVS[a], fp=fp:
+                             th(x) * fp(x, xi, eta))
+            for a in range(3) for (_, kb, kg), fp in base.items() if a or kb != (0,) or kg != (0,)}
+
+
+REFERENCE_1D = {
+    "one": (lambda x, xi, eta: 0 * xi + 1.0, _zeros(range(3))),
+    "xi": (lambda x, xi, eta: xi,
+           {**_zeros(range(3)), ((0,), (1,), (0,)): lambda x, xi, eta: 0 * xi + 1.0}),
+    "eta": (lambda x, xi, eta: eta,
+            {**_zeros(range(3)), ((0,), (0,), (1,)): lambda x, xi, eta: 0 * xi + 1.0}),
+    "sqrt1": (lambda x, xi, eta: np.sqrt(1.0 + xi ** 2 + eta ** 2),
+              {**_SQRT1_PARTIALS_1D, **_zeros((1, 2))}),
+    "theta_sqrt1": (lambda x, xi, eta: (2.0 + np.sin(x)) * np.sqrt(1.0 + xi ** 2 + eta ** 2),
+                    _theta_sqrt1_partials_1d()),
+    "cm0": (lambda x, xi, eta: (xi ** 2 + eta ** 2) / _w(xi, eta), {
+        ((0,), (1,), (0,)): lambda x, xi, eta: 2 * xi / _w(xi, eta) ** 2,
+        ((0,), (0,), (1,)): lambda x, xi, eta: 2 * eta / _w(xi, eta) ** 2,
+        ((0,), (2,), (0,)): lambda x, xi, eta: 2 / _w(xi, eta) ** 2 - 8 * xi ** 2 / _w(xi, eta) ** 3,
+        ((0,), (0,), (2,)): lambda x, xi, eta: 2 / _w(xi, eta) ** 2 - 8 * eta ** 2 / _w(xi, eta) ** 3,
+        ((0,), (1,), (1,)): lambda x, xi, eta: -8 * xi * eta / _w(xi, eta) ** 3,
+        **_zeros((1, 2))}),
+    "bad_xieta": (lambda x, xi, eta: xi * eta, {
+        **_zeros((1, 2)),
+        ((0,), (1,), (0,)): lambda x, xi, eta: eta,
+        ((0,), (0,), (1,)): lambda x, xi, eta: xi,
+        ((0,), (1,), (1,)): lambda x, xi, eta: 0 * xi + 1.0,
+        ((0,), (2,), (0,)): lambda x, xi, eta: 0 * xi,
+        ((0,), (0,), (2,)): lambda x, xi, eta: 0 * xi}),
+    # a.e.-exact signs; the kink at the origin is the point of this entry
+    "bad_linear": (lambda x, xi, eta: 1.0 + np.abs(xi) + np.abs(eta), {
+        ((0,), (1,), (0,)): lambda x, xi, eta: np.sign(xi),
+        ((0,), (0,), (1,)): lambda x, xi, eta: np.sign(eta),
+        **{key: (lambda x, xi, eta: 0 * xi) for key in (
+            ((0,), (2,), (0,)), ((0,), (0,), (2,)), ((0,), (1,), (1,)), ((1,), (0,), (0,)))}}),
+}
+
+
+def _w2(xi, eta):
+    return 1.0 + xi[0] ** 2 + xi[1] ** 2 + eta[0] ** 2 + eta[1] ** 2
+
+
+def _first_order_2d(component, theta=None):
+    """d/dxi_j and d/deta_j, each component(v, j, xi, eta) times theta(x) if given."""
+    out = {}
+    for j in range(2):
+        e = tuple(int(i == j) for i in range(2))
+        for block, key in ((0, ((0, 0), e, (0, 0))), (1, ((0, 0), (0, 0), e))):
+            out[key] = (lambda x, xi, eta, j=j, block=block:
+                        component((xi, eta)[block], j, xi, eta)
+                        * (1.0 if theta is None else theta(x)))
+    return out
+
+
+def _theta_2d(x):
+    return 2.0 + np.sin(x[0]) * np.cos(x[1])
+
+
+def _unit_2d(v, j, xi, eta):
+    r = np.sqrt(v[0] ** 2 + v[1] ** 2)
+    return np.where(r > 0, v[j] / np.where(r > 0, r, 1.0), 0.0)
+
+
+REFERENCE_2D = {
+    "one": (lambda x, xi, eta: 0 * xi[0] + 1.0, {}),
+    "xi1": (lambda x, xi, eta: xi[0], {}),
+    "xi2": (lambda x, xi, eta: xi[1], {}),
+    "eta1": (lambda x, xi, eta: eta[0], {}),
+    "eta2": (lambda x, xi, eta: eta[1], {}),
+    "sqrt1": (lambda x, xi, eta: np.sqrt(_w2(xi, eta)),
+              _first_order_2d(lambda v, j, xi, eta: v[j] / np.sqrt(_w2(xi, eta)))),
+    "theta_sqrt1": (lambda x, xi, eta: _theta_2d(x) * np.sqrt(_w2(xi, eta)),
+                    _first_order_2d(lambda v, j, xi, eta: v[j] / np.sqrt(_w2(xi, eta)),
+                                    theta=_theta_2d)),
+    "cm0": (lambda x, xi, eta: (xi[0] ** 2 + xi[1] ** 2 + eta[0] ** 2 + eta[1] ** 2)
+            / _w2(xi, eta),
+            _first_order_2d(lambda v, j, xi, eta: 2.0 * v[j] / _w2(xi, eta) ** 2)),
+    "bad_xieta": (lambda x, xi, eta: xi[0] * eta[0], {}),
+    "bad_linear": (lambda x, xi, eta: 1.0 + np.sqrt(xi[0] ** 2 + xi[1] ** 2)
+                   + np.sqrt(eta[0] ** 2 + eta[1] ** 2), _first_order_2d(_unit_2d)),
+}
+
+
+def _probe_points(dim, count=200, seed=11):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0, 2 * np.pi, (dim, count))
+    xi, eta = rng.uniform(-20, 20, (2, dim, count)) * 10.0 ** rng.uniform(-2, 2, (2, 1, count))
+    pack = (lambda v: v[0]) if dim == 1 else tuple
+    return pack(x), pack(xi), pack(eta)
+
+
+def _normwise_gap(got, want):
+    got, want = np.broadcast_arrays(np.asarray(got, dtype=float), want)
+    scale = np.max(np.abs(want))
+    return np.max(np.abs(got - want)) / (scale if scale > 0 else 1.0)
+
+
+@pytest.mark.parametrize("dim, reference", [(1, REFERENCE_1D), (2, REFERENCE_2D)])
+def test_catalog_values_are_bitwise_equal_to_the_closed_forms(dim, reference):
+    assert tuple(symbol_catalog(dim)) == tuple(reference)
+    x, xi, eta = _probe_points(dim)
+    for name, (value, _) in reference.items():
+        got = catalog_symbol(name, dim).eval(x, xi, eta)
+        np.testing.assert_array_equal(got, value(x, xi, eta), err_msg=name)
+
+
+@pytest.mark.parametrize("dim, reference", [(1, REFERENCE_1D), (2, REFERENCE_2D)])
+def test_catalog_partials_agree_with_the_closed_forms(dim, reference):
+    assert sum(len(partials) for _, partials in reference.values()) == (170 if dim == 1 else 16)
+    x, xi, eta = _probe_points(dim)
+    for name, (_, partials) in reference.items():
+        sig = catalog_symbol(name, dim)
+        for key, want in partials.items():
+            got = sig.partial(*key)(x, xi, eta)
+            assert _normwise_gap(got, want(x, xi, eta)) <= 1e-12, (name, key)
+
+
+def test_sqrt1_second_order_partials_in_2d_are_exact():
+    # d_i d_j sqrt(w) = delta_ij / sqrt(w) - v_i v_j / w^1.5 over the four
+    # frequency variables v = (xi1, xi2, eta1, eta2); these were differences
+    sig = catalog_symbol("sqrt1", dim=2)
+    x, xi, eta = _probe_points(2)
+    v = (*xi, *eta)
+    w = _w2(xi, eta)
+    for i in range(4):
+        for j in range(i, 4):
+            orders = np.zeros(4, dtype=int)
+            orders[i] += 1
+            orders[j] += 1
+            got = sig.partial((0, 0), tuple(orders[:2]), tuple(orders[2:]))(x, xi, eta)
+            want = (i == j) / np.sqrt(w) - v[i] * v[j] / w ** 1.5
+            assert _normwise_gap(got, want) <= 1e-12, (i, j)
+    for alpha in ((1, 0), (0, 1), (1, 1), (2, 0)):
+        assert np.all(sig.partial(alpha, (1, 0), (0, 1))(x, xi, eta) == 0)
+
+
+def fd_twin(sig, partials=None):
+    # same pointwise values, but no AST: forces the finite-difference
+    # fallback in partial() wherever partials registers nothing
     return Symbol(sig.name + "_fd", sig.fn, sig.declared_class, dim=sig.dim,
-                  partials=None, x_independent=sig.x_independent)
+                  partials=partials, x_independent=sig.x_independent)
 
 
 def rel_err(a, b):
@@ -230,7 +426,7 @@ def test_finite_differences_agree_in_2d():
 
 
 def test_bad_linear_partials_are_signs_off_axis():
-    # away from the kink the registered derivative is exactly the sign
+    # away from the kink the derivative is exactly the sign
     sig = catalog_symbol("bad_linear")
     xi = np.array([2.0, -3.0])
     eta = np.array([-1.0, 5.0])
@@ -242,7 +438,8 @@ def test_bad_linear_partials_are_signs_off_axis():
 def test_mixed_partial_resolves_through_registered_first_orders():
     # partial() peels one order at a time, so a mixed derivative of a symbol
     # with only first-order registrations still lands within FD accuracy
-    sig = catalog_symbol("sqrt1")
+    first = {key: _SQRT1_PARTIALS_1D[key] for key in (((0,), (1,), (0,)), ((0,), (0,), (1,)))}
+    sig = fd_twin(catalog_symbol("sqrt1"), partials=first)
     x = np.array([0.0])
     xi = np.array([2.0])
     eta = np.array([1.0])
