@@ -9,6 +9,19 @@ spacing 0.25 is alias-safe for torus offsets (verified by the built-in
 doubling guard).  Derivative kernels multiply the integrand by (i xi),
 (i eta) monomials and differentiate sigma in x.
 
+On the grid the kernel at offsets (u_b, v_b) is the bilinear form
+EU[:, b]^T S EV[:, b] of the psi-weighted symbol matrix S, kept dense,
+with the phase columns EU = e^{i xi u}, EV = e^{i eta v}.  S is real for
+every expression symbol, so S @ EV runs as one real matrix product on
+the float view of EV (a complex S, possible for a plain callable, is
+contracted as its real and imaginary parts).  Callers batch all their
+offsets at one base point into one call; the offsets are contracted in
+column blocks of BLOCK_COLUMNS, so a batch never holds more than one
+block of phase matrices.  The x-derivative kernel makes one pass over S
+for both phase derivatives, on [EV, i eta EV] side by side, plus one
+over d_x sigma.  A symbol with a non-finite value anywhere on the
+frequency box raises DomainError.
+
 Decay fits and Calderon-Zygmund certification of commutator kernels
 K_slot = (a(y or z) - a(x)) K_N live here too.
 """
@@ -24,6 +37,7 @@ from .symbols.core import Symbol
 
 GUARD_REL_TOL = 1e-6
 DEFAULT_SPACING = 0.25
+BLOCK_COLUMNS = 128  # offsets per contraction; bounds the phase matrices
 
 
 def smooth_step(s):
@@ -81,7 +95,8 @@ class KernelQuadrature:
         self._psi1d = self.profile.psi(self.axis)
         self._smats = {}
 
-    def _sigma_matrix(self, x: float, x_order: int) -> np.ndarray:
+    def _sigma_matrix(self, x: float, x_order: int) -> tuple:
+        """psi-weighted sigma (or d_x sigma) on the box: (real part[, imaginary part])."""
         if self.sigma.x_independent:
             x = 0.0  # matrix does not depend on x; share one cache slot
         key = (float(x), int(x_order))
@@ -90,8 +105,17 @@ class KernelQuadrature:
             ax = self.axis
             ev = self.sigma.partial((x_order,), (0,), (0,)) if x_order else self.sigma.fn
             sig = np.asarray(ev(np.asarray(x), ax[:, None], ax[None, :]))
-            sig = sig * np.ones((ax.size, ax.size))
-            got = sig * self._psi1d[:, None] * self._psi1d[None, :]
+            with np.errstate(invalid="ignore"):  # inf * 0 at the box edge; raised below
+                weighted = np.broadcast_to(sig, (ax.size, ax.size)) * self._psi1d[:, None]
+                weighted *= self._psi1d[None, :]
+            if not np.all(np.isfinite(weighted)):
+                raise DomainError(
+                    f"symbol {self.sigma.name!r} is not finite on the kernel frequency "
+                    f"box |xi|, |eta| <= {ax[-1]:g} at x = {x:g}")
+            if np.iscomplexobj(weighted):
+                got = (weighted.real.copy(), weighted.imag.copy())
+            else:
+                got = (weighted,)
             while len(self._smats) >= 3:  # matrices are large at high levels
                 self._smats.pop(next(iter(self._smats)))
             self._smats[key] = got
@@ -100,29 +124,47 @@ class KernelQuadrature:
     def values(self, x: float, us, vs, deriv=(0, 0, 0)) -> np.ndarray:
         """K_N-derivative values at offsets u = x - y, v = x - z (batched)."""
         alpha, beta, gamma = deriv
+        if alpha not in (0, 1):
+            raise InvalidInputError("x-derivative order must be 0 or 1")
         us = np.atleast_1d(np.asarray(us, dtype=float))
         vs = np.atleast_1d(np.asarray(vs, dtype=float))
         ax = self.axis
         h = self.spacing
         scale = h * h / (2 * np.pi) ** 2
-        EU = np.exp(1j * np.outer(ax, us))
-        EV = np.exp(1j * np.outer(ax, vs))
-        if beta:
-            EU = EU * ((-1j * ax) ** beta)[:, None]
-        if gamma:
-            EV = EV * ((-1j * ax) ** gamma)[:, None]
         S0 = self._sigma_matrix(x, 0)
-        vals = np.einsum("mb,mb->b", EU, S0 @ EV)
-        if alpha == 1:
-            # d/dx of the phase: i(xi + eta) splits into two extra passes
-            vals = np.einsum("mb,mb->b", EU * (1j * ax)[:, None], S0 @ EV) \
-                + np.einsum("mb,mb->b", EU, S0 @ (EV * (1j * ax)[:, None]))
-            if self.sigma.x_independent is not True:
-                Sx = self._sigma_matrix(x, 1)
-                vals = vals + np.einsum("mb,mb->b", EU, Sx @ EV)
-        elif alpha > 1:
-            raise InvalidInputError("x-derivative order must be 0 or 1")
+        Sx = None
+        if alpha == 1 and self.sigma.x_independent is not True:
+            Sx = self._sigma_matrix(x, 1)
+        dphase = (1j * ax)[:, None]  # d/dx of the phase: i(xi + eta)
+        vals = np.empty(us.size, dtype=complex)
+        for lo in range(0, us.size, BLOCK_COLUMNS):
+            blk = slice(lo, lo + BLOCK_COLUMNS)
+            EU = np.exp(1j * np.outer(ax, us[blk]))
+            EV = np.exp(1j * np.outer(ax, vs[blk]))
+            if beta:
+                EU = EU * ((-1j * ax) ** beta)[:, None]
+            if gamma:
+                EV = EV * ((-1j * ax) ** gamma)[:, None]
+            if alpha == 1:
+                width = EV.shape[1]
+                W = _contract(S0, np.concatenate([EV, EV * dphase], axis=1))
+                got = np.einsum("mb,mb->b", EU * dphase, W[:, :width]) \
+                    + np.einsum("mb,mb->b", EU, W[:, width:])
+                if Sx is not None:
+                    got = got + np.einsum("mb,mb->b", EU, _contract(Sx, EV))
+            else:
+                got = np.einsum("mb,mb->b", EU, _contract(S0, EV))
+            vals[blk] = got
         return scale * vals
+
+
+def _contract(parts: tuple, E: np.ndarray) -> np.ndarray:
+    """S @ E for real parts (S.real[, S.imag]) and complex E, in real arithmetic."""
+    Ef = E.view(float)  # each complex column is two adjacent real columns
+    out = (parts[0] @ Ef).view(complex)
+    if len(parts) > 1:
+        out = out + 1j * (parts[1] @ Ef).view(complex)
+    return out
 
 
 def kernel_at(sigma: Symbol, profile: TruncationProfile, x: float, y: float,
@@ -218,13 +260,14 @@ def fit_kernel_decay(sigma: Symbol, deriv=(0, 0, 0), radii=None, directions: int
     n = sigma.dim
     target = -(2 * n + sigma.declared_class.m + sum(deriv))
 
+    rays = [_direction_offsets(r, directions) for r in radii]
+    us = np.concatenate([u for u, _ in rays])
+    vs = np.concatenate([v for _, v in rays])
+
     def max_curve(at_level: float) -> np.ndarray:
         quad = KernelQuadrature(sigma, TruncationProfile(at_level), period, spacing)
-        out = []
-        for r in radii:
-            us, vs = _direction_offsets(r, directions)
-            out.append(np.max(np.abs(quad.values(x0, us, vs, deriv=deriv))))
-        return np.array(out)
+        vals = quad.values(x0, us, vs, deriv=deriv)  # every radius in one batch
+        return np.max(np.abs(vals).reshape(len(radii), directions), axis=1)
 
     maxima = max_curve(level)
     lr, lk = np.log(np.array(radii)), np.log(maxima)
@@ -321,36 +364,25 @@ def certify_cz_commutator_kernel(sigma: Symbol, a: GridFunction, slot: int = 1,
         S = np.abs(us) + np.abs(vs) + np.abs(_wrap(us - vs, period))
         h = S / 8
         hx = lo / 8  # shared x-step so the pool stays small
-
-        if sigma.x_independent:
-            # the kernel is translation invariant: five offset sets cover
-            # every base point, only the commutator weight moves with x
-            k0 = kern(0.0, us, vs)
-            kyl, kyh = kern(0.0, us - h, vs), kern(0.0, us + h, vs)
-            kzl, kzh = kern(0.0, us, vs - h), kern(0.0, us, vs + h)
-            shared = (k0, kyl, kyh, kzl, kzh)
-        else:
-            shared = None
+        # the offsets and their y-, z-steps share one symbol matrix: one batch
+        batch = (np.concatenate([us, us - h, us + h, us, us]),
+                 np.concatenate([vs, vs, vs, vs - h, vs + h]))
+        # the kernel of an x-independent symbol is translation invariant:
+        # one batch covers every base point, only the weight moves with x
+        shared = np.split(kern(0.0, *batch), 5) if sigma.x_independent else None
 
         best_size, best_grad = 0.0, 0.0
         for xv in xpool:  # every offset sample at every base point
+            k0, kyl, kyh, kzl, kzh = (np.split(kern(xv, *batch), 5) if shared is None
+                                      else shared)
+            vals = weight(xv, us, vs) * k0
+            # d/dy: u = x - y decreases as y grows
+            gy = (weight(xv, us - h, vs) * kyl - weight(xv, us + h, vs) * kyh) / (2 * h)
+            gz = (weight(xv, us, vs - h) * kzl - weight(xv, us, vs + h) * kzh) / (2 * h)
+            # d/dx moves x with y, z fixed: u and v stay put
             if shared is not None:
-                k0, kyl, kyh, kzl, kzh = shared
-                vals = weight(xv, us, vs) * k0
-                gy = (weight(xv, us - h, vs) * kyl
-                      - weight(xv, us + h, vs) * kyh) / (2 * h)
-                gz = (weight(xv, us, vs - h) * kzl
-                      - weight(xv, us, vs + h) * kzh) / (2 * h)
-                gx = (weight(xv + hx, us, vs)
-                      - weight(xv - hx, us, vs)) * k0 / (2 * hx)
+                gx = (weight(xv + hx, us, vs) - weight(xv - hx, us, vs)) * k0 / (2 * hx)
             else:
-                vals = weight(xv, us, vs) * kern(xv, us, vs)
-                # d/dy: u = x - y decreases as y grows; same matrix as vals
-                gy = (weight(xv, us - h, vs) * kern(xv, us - h, vs)
-                      - weight(xv, us + h, vs) * kern(xv, us + h, vs)) / (2 * h)
-                gz = (weight(xv, us, vs - h) * kern(xv, us, vs - h)
-                      - weight(xv, us, vs + h) * kern(xv, us, vs + h)) / (2 * h)
-                # d/dx moves x with y, z fixed: u and v stay put
                 gx = (weight(xv + hx, us, vs) * kern(xv + hx, us, vs)
                       - weight(xv - hx, us, vs) * kern(xv - hx, us, vs)) / (2 * hx)
             gnorm = np.sqrt(np.abs(gx) ** 2 + np.abs(gy) ** 2 + np.abs(gz) ** 2)

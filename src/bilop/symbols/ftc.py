@@ -6,7 +6,9 @@ Writes sigma(x, xi, eta) - sigma(x, 0, 0) as
     sigma_j(x, xi, eta)      = int_0^1 (d_xi_j sigma)(x, t xi, t eta) dt,
     sigmatilde_j(x, xi, eta) = int_0^1 (d_eta_j sigma)(x, t xi, t eta) dt,
 
-with the t-integral evaluated by Gauss-Legendre quadrature.  Each
+with the t-integral evaluated by Gauss-Legendre quadrature.  The nodes
+are stacked on a leading axis, so the parent's partial is evaluated once
+per chunk of at most NODE_CHUNK_ENTRIES entries, not once per node.  Each
 component drops one order: declared class (m - 1, rho, delta).
 """
 from __future__ import annotations
@@ -17,6 +19,7 @@ from ..errors import InvalidInputError, ToleranceError
 from .core import Symbol, SymbolClassParams, _as_multi, _components, _pack
 
 GUARD_TOL = 1e-8
+NODE_CHUNK_ENTRIES = 2 ** 18  # bounds the stacked arrays of one parent evaluation
 
 
 def _gauss_legendre_01(q: int):
@@ -65,11 +68,16 @@ class FtcComponentSymbol(Symbol):
         coeff = self._weights * t ** tpow
 
         def integral(x, xi, eta):
-            acc = None
-            for ti, ci in zip(t, coeff):
-                val = ci * np.asarray(inner(x, _scale_freq(xi, ti, dim),
-                                            _scale_freq(eta, ti, dim)))
-                acc = val if acc is None else acc + val
+            comps = _components(x, dim) + _components(xi, dim) + _components(eta, dim)
+            shape = np.broadcast_shapes(*(c.shape for c in comps))
+            step = max(1, NODE_CHUNK_ENTRIES // max(1, int(np.prod(shape))))
+            acc = 0
+            for lo in range(0, t.size, step):
+                # the nodes on a leading axis: one parent evaluation per chunk
+                ts = t[lo:lo + step].reshape((-1,) + (1,) * len(shape))
+                val = inner(x, _scale_freq(xi, ts, dim), _scale_freq(eta, ts, dim))
+                val = np.broadcast_to(val, ts.shape[:1] + shape)
+                acc = acc + (coeff[lo:lo + step].reshape(ts.shape) * val).sum(axis=0)
             return acc
 
         return integral

@@ -14,6 +14,7 @@ from bilop.symbols import (
     symbol_catalog,
     symbol_from_expr,
 )
+from bilop.symbols import ftc
 from bilop.symbols.ftc import FtcComponentSymbol
 
 
@@ -110,6 +111,51 @@ def test_component_derivative_matches_finite_difference():
     fd = (comp.eval(x, xi + h, eta) - comp.eval(x, xi - h, eta)) / (2 * h)
     got = comp.partial(0, 1, 0)(x, xi, eta)
     assert abs(got[0] - fd[0]) < 1e-8
+
+
+def node_by_node(comp, a, b, g, x, xi, eta):
+    # one parent evaluation per Gauss-Legendre node, summed in node order
+    dim = comp.parent.dim
+    e = tuple(int(j == comp.comp) for j in range(dim))
+    bump = lambda m: tuple(np.add(m, e))
+    inner = comp.parent.partial(a, bump(b) if comp.block == "xi" else b,
+                                bump(g) if comp.block == "eta" else g)
+    scale = lambda v, t: t * v if dim == 1 else tuple(t * c for c in v)
+    acc = 0
+    for t, w in zip(*np.polynomial.legendre.leggauss(comp.quad_points)):
+        t = (t + 1) / 2
+        acc = acc + w / 2 * t ** (sum(b) + sum(g)) * np.asarray(
+            inner(x, scale(xi, t), scale(eta, t)))
+    return acc
+
+
+@pytest.mark.parametrize("chunk", [ftc.NODE_CHUNK_ENTRIES, 700])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stacked_nodes_match_node_by_node_evaluation(monkeypatch, dim, chunk):
+    # 700 entries split the 64 nodes into uneven chunks over 60 probes
+    monkeypatch.setattr(ftc, "NODE_CHUNK_ENTRIES", chunk)
+    rng = np.random.default_rng(5)
+    draw = lambda: rng.uniform(-40, 40, 60) if dim == 1 else tuple(rng.uniform(-40, 40, (2, 60)))
+    x, xi, eta = draw(), draw(), draw()
+    zero = (0,) * dim
+    one = tuple(int(j == 0) for j in range(dim))
+    for c in ftc_decompose(catalog_symbol("theta_sqrt1", dim=dim), guard=False):
+        for a, b, g in [(zero, zero, zero), (one, zero, zero), (zero, one, one)]:
+            want = node_by_node(c, a, b, g, x, xi, eta)
+            got = c.partial(a, b, g)(x, xi, eta)
+            assert got.shape == (60,)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (c.name, a, b, g)
+
+
+def test_stacked_nodes_broadcast_grid_shaped_inputs():
+    # column xi against row eta, scalar x: the leading node axis must not
+    # collide with the grid axes
+    comp = ftc_decompose(catalog_symbol("theta_sqrt1"), guard=False)[1]
+    xi, eta = np.linspace(-9, 9, 5)[:, None], np.linspace(-3, 4, 7)[None, :]
+    got = comp.eval(0.4, xi, eta)
+    assert got.shape == (5, 7)
+    assert np.allclose(got, node_by_node(comp, (0,), (0,), (0,), 0.4, xi, eta),
+                       rtol=1e-13, atol=0)
 
 
 def test_with_quad_points_refines_in_place():

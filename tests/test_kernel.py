@@ -1,11 +1,16 @@
 """Truncated-kernel quadrature: profiles, decay fits, commutator certificates."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from bilop.cli import main as cli_main
 from bilop.errors import DomainError, InvalidInputError, ToleranceError
 from bilop.grid import Grid, GridFunction
 from bilop.kernel import (
+    BLOCK_COLUMNS,
+    KernelQuadrature,
     TruncationProfile,
     certify_cz_commutator_kernel,
     cutoff_profile,
@@ -15,7 +20,13 @@ from bilop.kernel import (
     kernel_slice,
     smooth_step,
 )
-from bilop.symbols import SymbolClassParams, catalog_symbol, parse_symbol_expr, symbol_from_expr
+from bilop.symbols import (
+    Symbol,
+    SymbolClassParams,
+    catalog_symbol,
+    parse_symbol_expr,
+    symbol_from_expr,
+)
 
 L = 2 * np.pi
 PROFILE = TruncationProfile(level=128.0)
@@ -58,6 +69,101 @@ def test_smooth_step_building_block():
     assert got[3] == pytest.approx(np.exp(-1.0))
     assert np.all(np.diff(got) >= 0)
     assert abs(smooth_step(np.array([1e-3]))[0]) < 1e-300
+
+
+# ------------------------------------------------ batched contraction oracle
+
+
+def reference_values(quad, x, us, vs, deriv):
+    # the unbatched complex formula: S upcast to complex, one matmul per
+    # phase factor, the alpha = 1 phase derivative as two more passes
+    alpha, beta, gamma = deriv
+    ax = quad.axis
+    psi = quad.profile.psi(ax)
+
+    def smat(ev):
+        sig = np.asarray(ev(np.asarray(x), ax[:, None], ax[None, :]))
+        return (sig * np.ones((ax.size, ax.size)) * psi[:, None] * psi[None, :]).astype(complex)
+
+    EU = np.exp(1j * np.outer(ax, us)) * ((-1j * ax) ** beta)[:, None]
+    EV = np.exp(1j * np.outer(ax, vs)) * ((-1j * ax) ** gamma)[:, None]
+    S = smat(quad.sigma.fn)
+    vals = np.einsum("mb,mb->b", EU, S @ EV)
+    if alpha == 1:
+        vals = np.einsum("mb,mb->b", EU * (1j * ax)[:, None], S @ EV) \
+            + np.einsum("mb,mb->b", EU, S @ (EV * (1j * ax)[:, None]))
+        if quad.sigma.x_independent is not True:
+            Sx = smat(quad.sigma.partial((1,), (0,), (0,)))
+            vals = vals + np.einsum("mb,mb->b", EU, Sx @ EV)
+    return quad.spacing ** 2 / (2 * np.pi) ** 2 * vals
+
+
+def complex_plain_symbol():
+    # a plain callable (finite-difference x-derivative) with complex values
+    fn = lambda x, xi, eta: ((1 + 0.3 * np.cos(x)) * np.sqrt(1 + xi ** 2 + eta ** 2)
+                             * np.exp(1j * (xi - 2 * eta) / 7))
+    return Symbol("cplx", fn, SymbolClassParams(1.0), x_independent=False)
+
+
+@pytest.mark.parametrize("count", [1, BLOCK_COLUMNS, BLOCK_COLUMNS + 1, 330])
+@pytest.mark.parametrize("make", [lambda: catalog_symbol("sqrt1"),
+                                  lambda: catalog_symbol("theta_sqrt1"),
+                                  complex_plain_symbol],
+                         ids=["sqrt1", "theta_sqrt1", "complex"])
+def test_batched_values_match_the_unbatched_complex_formula(make, count):
+    quad = KernelQuadrature(make(), TruncationProfile(level=16.0))
+    rng = np.random.default_rng(count)
+    us, vs = rng.uniform(-L / 4, L / 4, size=(2, count))
+    for deriv in itertools.product((0, 1), repeat=3):
+        want = reference_values(quad, 0.7, us, vs, deriv)
+        got = quad.values(0.7, us, vs, deriv=deriv)
+        assert got.shape == (count,)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), deriv
+
+
+def test_values_reject_x_derivative_order_before_evaluating():
+    def fn(x, xi, eta):
+        raise AssertionError("symbol evaluated before the order check")
+
+    quad = KernelQuadrature(Symbol("never", fn, SymbolClassParams(0.0)), PROFILE)
+    with pytest.raises(InvalidInputError):
+        quad.values(0.0, [1.0], [2.0], deriv=(2, 0, 0))
+
+
+@pytest.mark.parametrize("name, deriv", [("sqrt1", (0, 0, 0)), ("theta_sqrt1", (1, 0, 0))])
+def test_batched_decay_maxima_match_one_call_per_radius(name, deriv):
+    sig = catalog_symbol(name)
+    rep = fit_kernel_decay(sig, deriv=deriv, level=32.0, stability_levels=(32.0,))
+    quad = KernelQuadrature(sig, TruncationProfile(32.0))
+    for r, got in zip(rep.radii, rep.maxima):
+        th = np.linspace(0, 2 * np.pi, 8, endpoint=False) + 0.1
+        norm = np.abs(np.cos(th)) + np.abs(np.sin(th))
+        want = np.max(np.abs(quad.values(0.0, r * np.cos(th) / norm,
+                                         r * np.sin(th) / norm, deriv=deriv)))
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+# ---------------------------------------------------------- non-finite symbols
+
+
+def test_non_finite_symbol_is_a_domain_error_in_every_kernel_check():
+    # 1/xi is infinite on the xi = 0 line of the quadrature box; the NaN
+    # values must not vanish into a maximum or an "identically zero" verdict
+    sig = symbol_from_expr("1/xi", SymbolClassParams(-1.0))
+    grid = Grid(dim=1, points_per_axis=64)
+    a = GridFunction(grid, np.sin(grid.nodes_1d()))
+    with pytest.raises(DomainError):
+        kernel_slice(sig, PROFILE, 0.0, [(1.0, 2.0)])
+    with pytest.raises(DomainError):
+        fit_kernel_decay(sig)
+    with pytest.raises(DomainError):
+        certify_cz_commutator_kernel(sig, a, samples=200)
+
+
+@pytest.mark.parametrize("args", [["certify-czk", "--samples", "200"], ["kernel-slice"],
+                                  ["fit-decay"]], ids=lambda a: a[0])
+def test_cli_kernel_checks_exit_1_on_non_finite_symbol(tmp_path, args):
+    assert cli_main([*args, "--symbol", "1/xi", "--out-dir", str(tmp_path)]) == 1
 
 
 # ---------------------------------------------------------------- kernel_at
