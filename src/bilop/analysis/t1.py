@@ -13,7 +13,9 @@ with D = -i d/dx.  The routes agree exactly on the grid once the
 unpaired highest mode of a — invisible to D — is projected out.
 
 Bounded mean oscillation of the commutator images and of their
-transpose images (1, 1) is reported per dyadic scale; plateaued
+transpose images (1, 1) is reported per dyadic scale.  The transposes
+are applied matrix-free (operator.transpose reads the commutator's
+trilinear form in another slot), so no N^3 tensor is built; plateaued
 cumulative values as the scale depth grows are the finite-grid face of
 membership in BMO.
 """
@@ -26,8 +28,8 @@ import numpy as np
 from ..errors import BudgetError, InvalidInputError, ToleranceError
 from ..grid import (GridFunction, SpectralFunction, fft_forward, fft_inverse,
                     spectral_derivative)
-from ..operator import (BilinearOperator, DenseBilinearOperator, apply,
-                        commutator, dense_tensor, make_operator, transpose)
+from ..operator import (BilinearOperator, apply, commutator, make_operator,
+                        transpose)
 from ..symbols import ftc_decompose
 from .bmo import BmoReport, bmo_norm
 
@@ -107,10 +109,8 @@ def check_t1_conditions(T: BilinearOperator, a: GridFunction,
 
     bmo = {"slot1": bmo_norm(slot1), "slot2": bmo_norm(slot2)}
     for name, com in (("slot1", com1), ("slot2", com2)):
-        dense = DenseBilinearOperator(grid, dense_tensor(com))
         for i in (1, 2):
-            img = apply(transpose(dense, i), one, one)
-            bmo[f"{name}_star{i}"] = bmo_norm(img)
+            bmo[f"{name}_star{i}"] = bmo_norm(apply(transpose(com, i), one, one))
 
     plateaued = {k: _plateaued(v) for k, v in bmo.items()}
     ok = all(plateaued.values())

@@ -79,19 +79,19 @@ def _grid(cfg) -> Grid:
                 period=float(cfg["period"]))
 
 
-def _resolve_op(cfg, T, grid):
+_OP_STEPS = {"base": (), "commutator1": ((1, "a"),), "commutator2": ((2, "a"),),
+             "iterated12": ((1, "a"), (2, "b"))}
+
+
+def _resolve_op(cfg, grid):
+    """T_sigma or a commutator of it; inputs resolve before T is built."""
     kind = str(cfg["op"])
-    if kind == "base":
-        return T
-    a = resolve_multiplier(cfg["a"], grid)
-    if kind == "commutator1":
-        return commutator(T, 1, a)
-    if kind == "commutator2":
-        return commutator(T, 2, a)
-    if kind == "iterated12":
-        b = resolve_multiplier(cfg["b"], grid)
-        return commutator(T, 1, a, 2, b)
-    raise ConfigError(f"unknown operator kind {kind!r}", path="$.op")
+    if kind not in _OP_STEPS:
+        raise ConfigError(f"unknown operator kind {kind!r}", path="$.op")
+    steps = [v for slot, key in _OP_STEPS[kind]
+             for v in (slot, resolve_multiplier(cfg[key], grid))]
+    T = make_operator(resolve_symbol(cfg), grid)
+    return commutator(T, *steps) if steps else T
 
 
 def _int_list(text) -> tuple:
@@ -105,10 +105,9 @@ def _int_list(text) -> tuple:
 
 def _run_apply(cfg):
     grid = _grid(cfg)
-    sigma = resolve_symbol(cfg)
-    T = make_operator(sigma, grid, cfg["strategy"])
     f = resolve_multiplier(cfg["f"], grid)
     g = resolve_multiplier(cfg["g"], grid)
+    T = make_operator(resolve_symbol(cfg), grid, cfg["strategy"])
     out = apply(T, f, g)
     data = {"strategy": T.strategy}
     if T.strategy == "multiplier":
@@ -174,9 +173,8 @@ def _run_certify_czk(cfg):
 
 def _run_verify_transpose(cfg):
     grid = _grid(cfg)
-    sigma = resolve_symbol(cfg)
-    T = make_operator(sigma, grid)
     a = resolve_multiplier(cfg["a"], grid)
+    T = make_operator(resolve_symbol(cfg), grid)
     result = verify_transpose_identities(T, a, trials=int(cfg["trials"]),
                                          seed=int(cfg["seed"]),
                                          tol=float(cfg["tol"]))
@@ -186,9 +184,8 @@ def _run_verify_transpose(cfg):
 
 def _run_check_t1(cfg):
     grid = _grid(cfg)
-    sigma = resolve_symbol(cfg)
-    T = make_operator(sigma, grid)
     a = resolve_multiplier(cfg["a"], grid)
+    T = make_operator(resolve_symbol(cfg), grid)
     report = check_t1_conditions(T, a, quad_points=int(cfg["quad_points"]),
                                  tol=float(cfg["tol"]))
     rows = [(name, rep.value) for name, rep in sorted(report.bmo.items())]
@@ -197,9 +194,7 @@ def _run_check_t1(cfg):
 
 def _run_wbp_scan(cfg):
     grid = _grid(cfg)
-    sigma = resolve_symbol(cfg)
-    T = make_operator(sigma, grid)
-    U = _resolve_op(cfg, T, grid)
+    U = _resolve_op(cfg, grid)
     scales = tuple(grid.period / d for d in _int_list(cfg["t_divisors"]))
     report = wbp_scan(U, order=int(cfg["order"]), scales=scales,
                       config=str(cfg["geometry"]))
@@ -210,9 +205,7 @@ def _run_wbp_scan(cfg):
 
 def _run_norm_scan(cfg):
     grid = _grid(cfg)
-    sigma = resolve_symbol(cfg)
-    T = make_operator(sigma, grid)
-    U = _resolve_op(cfg, T, grid)
+    U = _resolve_op(cfg, grid)
     ks = tuple(range(1, int(cfg["k_max"]) + 1))
     report = norm_scan(U, float(cfg["p"]), float(cfg["q"]),
                        family=str(cfg["family"]), k_values=ks,
@@ -236,12 +229,12 @@ def _run_kato_ponce(cfg):
 
 def _run_compactness(cfg):
     grid = _grid(cfg)
-    sigma = resolve_symbol(cfg)
-    T = make_operator(sigma, grid)
     a = resolve_multiplier(cfg["a"], grid)
+    bs = {kind: resolve_multiplier(cfg[key], grid)
+          for kind, key in (("smooth", "b_smooth"), ("rough", "b_rough"))}
+    T = make_operator(resolve_symbol(cfg), grid)
     probes = {}
-    for kind, key in (("smooth", "b_smooth"), ("rough", "b_rough")):
-        b = resolve_multiplier(cfg[key], grid)
+    for kind, b in bs.items():
         U = commutator(T, 1, a, 1, b)
         probes[kind] = compactness_probe(
             U, kind, family_size=int(cfg["family_size"]), p=float(cfg["p"]),
@@ -371,7 +364,7 @@ _HELP = {
     "kernel-slice": "sample the truncated kernel along an off-diagonal ray",
     "fit-decay": "fit the off-diagonal kernel decay exponent",
     "certify-czk": "sampled size/gradient certification of commutator kernels",
-    "verify-transpose": "check the four commutator/transpose identities",
+    "verify-transpose": "check commutator transposes against their defining pairings",
     "check-t1": "commutators on constants: two routes plus mean oscillation",
     "wbp-scan": "bump-pairing scaling scan (weak boundedness)",
     "norm-scan": "norm-growth ratios over a frequency family",

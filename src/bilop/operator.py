@@ -38,9 +38,17 @@ threads applying the operator, and kept for the operator's lifetime.
 Non-finite symbol values on the grid and non-finite outputs raise
 DomainError.
 
-Transposes are materialized as dense trilinear tensors, exact at small
-N, with the bilinear dual pairing <u, v> = sum_j u_j v_j dx^n (no
-conjugation).
+Each operator is read as a trilinear form Phi(h, f, g) = <T(f,g), h>
+under the bilinear dual pairing <u, v> = sum_j u_j v_j dx^n (no
+conjugation): apply leaves slot 0 open, and the transposes T^{*1}(h, g)
+and T^{*2}(f, h) leave slot 1 or 2 open, so no N^{3n} tensor is built.
+The expansion gives Phi = sum_{s,r} <w_s h, (B_{s,r} f)(C_{s,r} g)> with
+B and C the multipliers U and V, hence T^{*1}(h, g) = sum_{s,r}
+B~_{s,r}(w_s h C_{s,r} g), B~ being B read at frequency index (-k) mod N
+per axis; T^{*2} swaps the roles of U and V.  direct leaves the matching
+index of its chunked sum open.  A commutator step (slot, a) reads
+Phi(..., a x_slot, ...) - Phi(a h, f, g), recursively.  dense_tensor
+materializes the tensor at small N as the oracle of the tests.
 """
 from __future__ import annotations
 
@@ -278,6 +286,16 @@ class DenseBilinearOperator:
     tensor: np.ndarray
 
 
+@dataclass(frozen=True)
+class TransposedOperator:
+    """base with its slots permuted: slot i here is slot perm[i] of base (see _read)."""
+
+    grid: Grid
+    base: object
+    perm: tuple
+    strategy = "transpose"  # apply reads base with the slots permuted
+
+
 def _check_inputs(grid: Grid, *fs):
     for f in fs:
         if f.grid != grid:
@@ -290,55 +308,88 @@ def pairing(u: GridFunction, v: GridFunction) -> complex:
     return complex(np.sum(u.values * v.values) * u.grid.spacing ** u.grid.dim)
 
 
-def _apply_direct(op: BilinearOperator, f: GridFunction, g: GridFunction) -> GridFunction:
+def _read_direct(op: BilinearOperator, free: int, ins: dict) -> np.ndarray:
+    """The double frequency sum per node, with slot `free` of (x_j, xi_k, eta_l) open."""
     grid = op.grid
     n, M = grid.dim, grid.points_per_axis ** grid.dim
     if M ** 3 > DIRECT_BUDGET:
         raise BudgetError(
             f"direct strategy costs N^(3n) = {M ** 3} > {DIRECT_BUDGET}; "
             f"shrink N (or use the multiplier strategy)")
-    fhat = np.fft.fftn(f.values).ravel() * grid.spacing ** n
-    ghat = np.fft.fftn(g.values).ravel() * grid.spacing ** n
+    dxn = grid.spacing ** n
+    h = ins[0].ravel() if 0 in ins else np.ones(M)
+    fhat, ghat = (np.fft.fftn(ins[k]).ravel() * dxn if k in ins else np.ones(M)
+                  for k in (1, 2))
     x, xi = _flat(grid.node_mesh()), _flat(grid.frequency_mesh())
-    out = np.empty(M, dtype=complex)
+    out = np.zeros(M, dtype=complex)
     chunk = max(1, DIRECT_BUDGET // (64 * M * M))
     for start in range(0, M, chunk):
-        xs = x[:, start:start + chunk]
+        rows = slice(start, start + chunk)
+        xs = x[:, rows]
         sig = np.asarray(op.sigma.eval(_pack(xs[:, :, None, None], grid.dim),
                                        _pack(xi[:, None, :, None], grid.dim),
                                        _pack(xi[:, None, None, :], grid.dim)))
         phase = np.exp(1j * (xs.T @ xi))
-        out[start:start + chunk] = np.einsum("jkl,jk,jl->j", sig, fhat * phase, ghat * phase)
-    return GridFunction(grid, out.reshape(grid.shape) / grid.period ** (2 * n))
+        out[slice(None) if free else rows] += np.einsum(
+            "jkl,jk,jl->" + "jkl"[free], sig, h[rows, None] * fhat * phase, ghat * phase)
+    if free:  # sum_k dx^n e^{-i xi_k x_p} G_k is a forward transform
+        out = np.fft.fftn(out.reshape(grid.shape)).ravel() * dxn
+    return out.reshape(grid.shape) / grid.period ** (2 * n)
 
 
-def _apply_multiplier(op: BilinearOperator, f: GridFunction, g: GridFunction) -> GridFunction:
+def _read_multiplier(op: BilinearOperator, free: int, ins: dict) -> np.ndarray:
+    """sum_s sum_r <w_s x0, (B_sr x1)(C_sr x2)> with slot `free` open, where
+    B_sr and C_sr are the Fourier multipliers u and v of the expansion."""
     low, grid = op.lowrank(), op.grid
-    shape = (low.rank,) + grid.shape
-    axes = tuple(range(1, grid.dim + 1))
+    shape, axes = (low.rank,) + grid.shape, tuple(range(1, grid.dim + 1))
+    mult = {1: low.u.reshape(shape), 2: low.v.reshape(shape)}
     # the (N/L)^{2n} of the inverse sums cancels the dx^{2n} of fhat and ghat
-    bf = np.fft.ifftn((low.u * np.fft.fftn(f.values).ravel()).reshape(shape), axes=axes)
-    cg = np.fft.ifftn((low.v * np.fft.fftn(g.values).ravel()).reshape(shape), axes=axes)
-    terms = np.split(bf * cg, np.cumsum(low.ranks)[:-1])
-    return GridFunction(grid, sum((w.reshape(grid.shape) * t.sum(axis=0)
-                                   for w, t in zip(low.w, terms)), np.zeros(grid.shape, complex)))
+    a, b = (v if k == 0 else np.fft.ifftn(mult[k] * np.fft.fftn(v), axes=axes)
+            for k, v in sorted(ins.items()))
+    terms = a * b
+    if free == 0:
+        return sum((w.reshape(grid.shape) * t.sum(axis=0) for w, t in
+                    zip(low.w, np.split(terms, np.cumsum(low.ranks)[:-1]))),
+                   np.zeros(grid.shape, complex))
+    terms *= np.repeat(low.w, low.ranks, axis=0).reshape(shape)
+    # a multiplier's transpose is the multiplier read at index (-k) mod N per axis
+    flipped = np.roll(np.flip(mult[free], axes), 1, axes)
+    return np.fft.ifftn(np.sum(flipped * np.fft.fftn(terms, axes=axes), axis=0))
+
+
+def _read(op, free: int, ins: dict) -> np.ndarray:
+    """Read op's trilinear form Phi(x0, x1, x2) = <op(x1, x2), x0> with slot
+    `free` open: the grid array X with Phi = <X, x_free>, given the values
+    ins = {slot: array} of the two other slots.  apply reads slot 0; the
+    transposes read slots 1 and 2."""
+    if isinstance(op, TransposedOperator):
+        return _read(op.base, op.perm[free], {op.perm[k]: v for k, v in ins.items()})
+    if isinstance(op, CommutatorOperator):  # [U, a]_slot, U the earlier steps
+        (slot, a), rest = op.steps[-1], op.steps[:-1]
+        inner = CommutatorOperator(op.base, rest) if rest else op.base
+
+        def times(k):  # U's form with x_k multiplied by a
+            if k == free:
+                return a.values * _read(inner, free, ins)
+            return _read(inner, free, {**ins, k: a.values * ins[k]})
+
+        return times(slot) - times(0)
+    if isinstance(op, DenseBilinearOperator):
+        lo, hi = (ins[k].ravel() for k in sorted(ins))
+        return np.einsum("jpq,p,q->j", np.moveaxis(op.tensor, free, 0),
+                         lo, hi).reshape(op.grid.shape)
+    if op.strategy == "direct":
+        return _read_direct(op, free, ins)
+    return _read_multiplier(op, free, ins)
 
 
 def apply(op, f: GridFunction, g: GridFunction) -> GridFunction:
-    """Apply a bilinear, commutator, or dense operator to (f, g).
+    """Apply a bilinear, commutator, transposed or dense operator to (f, g).
 
     A non-finite output raises DomainError.
     """
     _check_inputs(op.grid, f, g)
-    if isinstance(op, CommutatorOperator):
-        out = commutator_apply(op, f, g)
-    elif isinstance(op, DenseBilinearOperator):
-        vals = np.einsum("jpq,p,q->j", op.tensor, f.values.ravel(), g.values.ravel())
-        out = GridFunction(op.grid, vals.reshape(op.grid.shape))
-    elif op.strategy == "direct":
-        out = _apply_direct(op, f, g)
-    else:
-        out = _apply_multiplier(op, f, g)
+    out = GridFunction(op.grid, _read(op, 0, {1: f.values, 2: g.values}))
     if not np.all(np.isfinite(out.values)):
         raise DomainError("operator output is not finite; the symbol or the "
                           "inputs are singular on this grid")
@@ -346,37 +397,36 @@ def apply(op, f: GridFunction, g: GridFunction) -> GridFunction:
 
 
 def commutator_apply(c: CommutatorOperator, f: GridFunction, g: GridFunction) -> GridFunction:
-    _check_inputs(c.grid, f, g)
-
-    def run(steps, f, g):
-        if not steps:
-            return apply(c.base, f, g)
-        slot, mult = steps[-1]
-        rest = steps[:-1]
-        if slot == 1:
-            shifted = run(rest, GridFunction(c.grid, mult.values * f.values), g)
-        else:
-            shifted = run(rest, f, GridFunction(c.grid, mult.values * g.values))
-        plain = run(rest, f, g)
-        return GridFunction(c.grid, shifted.values - mult.values * plain.values)
-
-    return run(list(c.steps), f, g)
+    """apply(c, f, g) for a commutator c."""
+    return apply(c, f, g)
 
 
-def _commute(W: np.ndarray, slot: int, mult: GridFunction) -> np.ndarray:
-    """Tensor of [T, a]_slot from the tensor W of T."""
-    a = mult.values.ravel()
-    return W * ((a[None, :, None] if slot == 1 else a[None, None, :]) - a[:, None, None])
+def transpose(op, which: int):
+    """Operator U with <op(f,g), h> = <U(h,g), f> (which=1) or <U(f,h), g> (which=2).
+
+    U reads op's trilinear form with slots 0 and `which` exchanged, so it
+    needs no tensor and no new factorization; transposing a transpose
+    composes the exchanges, and an exchange undone gives op back.
+    """
+    if which not in (1, 2):
+        raise InvalidInputError(f"which must be 1 or 2, got {which}")
+    swap = (1, 0, 2) if which == 1 else (2, 1, 0)
+    base, perm = (op.base, op.perm) if isinstance(op, TransposedOperator) else (op, (0, 1, 2))
+    perm = tuple(perm[i] for i in swap)
+    return base if perm == (0, 1, 2) else TransposedOperator(op.grid, base, perm)
 
 
 def dense_tensor(op) -> np.ndarray:
-    """Materialize W[j,p,q] with T(f,g)_j = sum W[j,p,q] f_p g_q."""
+    """Materialize W[j,p,q] with op(f,g)_j = sum W[j,p,q] f_p g_q: the small-N oracle."""
     if isinstance(op, DenseBilinearOperator):
         return op.tensor
+    if isinstance(op, TransposedOperator):
+        return np.transpose(dense_tensor(op.base), op.perm)
     if isinstance(op, CommutatorOperator):
         W = dense_tensor(op.base)
         for slot, mult in op.steps:
-            W = _commute(W, slot, mult)
+            a = mult.values.ravel()
+            W = W * ((a[None, :, None] if slot == 1 else a[None, None, :]) - a[:, None, None])
         return W
     grid = op.grid
     M = grid.points_per_axis ** grid.dim
@@ -395,57 +445,39 @@ def dense_tensor(op) -> np.ndarray:
     return W * (grid.spacing / grid.period) ** (2 * grid.dim)
 
 
-def transpose(op, which: int):
-    """Operator U with <op(f,g), h> = <U(h,g), f> (which=1) or <U(f,h), g> (which=2)."""
-    if which not in (1, 2):
-        raise InvalidInputError(f"which must be 1 or 2, got {which}")
-    grid = op.grid
-    W = dense_tensor(op)
-    axis = 1 if which == 1 else 2
-    return DenseBilinearOperator(grid, np.swapaxes(W, 0, axis))
-
-
 def verify_transpose_identities(T: BilinearOperator, a: GridFunction,
                                 trials: int = 20, seed: int = 0,
                                 tol: float = 1e-8) -> dict:
-    """Check the four commutator/transpose identities on random triples.
+    """Check the transposes of C = [T, a]_1 and [T, a]_2 on random triples
+    against their defining pairings <C(f,g), h> = <C^{*1}(h,g), f> = <C^{*2}(f,h), g>.
 
-    Residuals are weak-form: |<LHS(f,g) - RHS(f,g), h>| normalized by
-    ||f||_2 ||g||_2 ||h||_2, maximized over the random triples.
+    The residual slot{j}_transpose{i} of C = [T, a]_j is |<C(f,g), h> -
+    <C^{*i}(.,.), .>| normalized by ||f||_2 ||g||_2 ||h||_2, maximized over
+    the random triples.
     """
     if trials < 10:
         raise InvalidInputError(f"need >= 10 trials, got {trials}")
     grid = T.grid
-    W = dense_tensor(T)
-    W1 = np.swapaxes(W, 0, 1)  # T^{*1}
-    W2 = np.swapaxes(W, 0, 2)  # T^{*2}
-
-    c1 = _commute(W, 1, a)
-    c2 = _commute(W, 2, a)
-    sides = {
-        "slot1_transpose1": (np.swapaxes(c1, 0, 1), -_commute(W1, 1, a)),
-        "slot1_transpose2": (np.swapaxes(c1, 0, 2), _commute(W2, 1, a) - _commute(W2, 2, a)),
-        "slot2_transpose1": (np.swapaxes(c2, 0, 1), _commute(W1, 2, a) - _commute(W1, 1, a)),
-        "slot2_transpose2": (np.swapaxes(c2, 0, 2), -_commute(W2, 2, a)),
-    }
-
     rng = np.random.default_rng(seed)
     nodes = grid.points_per_axis ** grid.dim
     dxn = grid.spacing ** grid.dim
 
     def rand_fn():
-        return rng.standard_normal(nodes) + 1j * rng.standard_normal(nodes)
+        v = rng.standard_normal(nodes) + 1j * rng.standard_normal(nodes)
+        return GridFunction(grid, v.reshape(grid.shape))
 
-    results = dict.fromkeys(sides, 0.0)
-    diffs = {name: lhs - rhs for name, (lhs, rhs) in sides.items()}
+    coms = {j: commutator(T, j, a) for j in (1, 2)}
+    stars = {(j, i): transpose(C, i) for j, C in coms.items() for i in (1, 2)}
+    results = {f"slot{j}_transpose{i}": 0.0 for j, i in stars}
     for _ in range(trials):
-        fv, gv, hv = rand_fn(), rand_fn(), rand_fn()
-        norm = np.sqrt(np.sum(np.abs(fv) ** 2) * dxn) \
-            * np.sqrt(np.sum(np.abs(gv) ** 2) * dxn) \
-            * np.sqrt(np.sum(np.abs(hv) ** 2) * dxn)
-        for name, D in diffs.items():
-            val = np.einsum("jpq,p,q,j->", D, fv, gv, hv) * dxn
-            results[name] = max(results[name], abs(val) / norm)
+        f, g, h = rand_fn(), rand_fn(), rand_fn()
+        norm = np.prod([np.linalg.norm(u.values) for u in (f, g, h)]) * dxn ** 1.5
+        for j, C in coms.items():
+            lhs = pairing(apply(C, f, g), h)
+            for i, rhs in ((1, pairing(apply(stars[j, 1], h, g), f)),
+                           (2, pairing(apply(stars[j, 2], f, h), g))):
+                key = f"slot{j}_transpose{i}"
+                results[key] = max(results[key], abs(lhs - rhs) / norm)
 
     return {
         "residuals": results,

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bilop.cli as cli_module
 import bilop.operator as operator_module
 from bilop.cli import main as cli_main
 from bilop.errors import BudgetError, DomainError, InvalidInputError
@@ -608,3 +609,22 @@ def test_cli_apply_reports_rank_and_residual(tmp_path, capsys):
                          "--strategy", "direct")
     assert rc == 0
     assert "rank" not in json.loads(out)["data"]
+
+
+@pytest.mark.parametrize("args", [
+    ("apply", "--dim", "2", "--n", "32", "--symbol", "theta_sqrt1"),  # f=sinx is 1D
+    ("apply", "--g", "y"),
+    ("verify-transpose", "--a", "y"),
+    ("check-t1", "--a", "nosuch"),
+    ("compactness-probe", "--b-rough", "y"),
+    ("wbp-scan", "--op", "iterated12", "--b", "y"),
+    ("norm-scan", "--op", "commutator2", "--a", "y"),
+    ("norm-scan", "--op", "bogus"),
+])
+def test_cli_resolves_inputs_before_building_the_operator(tmp_path, monkeypatch, args):
+    calls = []
+    made = cli_module.make_operator
+    monkeypatch.setattr(cli_module, "make_operator",
+                        lambda *a, **k: calls.append(a) or made(*a, **k))
+    assert cli_main([*args, "--out-dir", str(tmp_path)]) == 1
+    assert calls == []
