@@ -15,9 +15,9 @@ from .kernel import (CzCertification, DecayFitReport, KernelQuadrature,
                      certify_cz_commutator_kernel, fit_kernel_decay, kernel_at,
                      kernel_slice)
 from .operator import (BilinearOperator, CommutatorOperator,
-                       DenseBilinearOperator, apply, commutator,
-                       commutator_apply, dense_tensor, make_operator, pairing,
-                       transpose, verify_transpose_identities)
+                       DenseBilinearOperator, apply, commutator, dense_tensor,
+                       make_operator, pairing, transpose,
+                       verify_transpose_identities)
 from .symbols import (FAMILY_NAMES, HONEST_BS1_NAMES, MULTIPLIER_NAMES,
                       ORDER1_NAMES, FtcComponentSymbol, SeminormEntry,
                       SeminormReport, Symbol, SymbolClassParams,

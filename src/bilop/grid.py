@@ -82,11 +82,6 @@ class GridFunction:
                 f"sample shape {v.shape} does not match grid shape {self.grid.shape}")
         object.__setattr__(self, "values", v)
 
-    @classmethod
-    def from_callable(cls, grid: Grid, fn) -> "GridFunction":
-        return cls(grid, np.asarray(fn(*grid.node_mesh()), dtype=np.complex128)
-                   * np.ones(grid.shape))
-
 
 @dataclass(frozen=True)
 class SpectralFunction:

@@ -11,10 +11,9 @@ doubling guard).  Derivative kernels multiply the integrand by (i xi),
 
 On the grid the kernel at offsets (u_b, v_b) is the bilinear form
 EU[:, b]^T S EV[:, b] of the psi-weighted symbol matrix S, kept dense,
-with the phase columns EU = e^{i xi u}, EV = e^{i eta v}.  S is real for
-every expression symbol, so S @ EV runs as one real matrix product on
-the float view of EV (a complex S, possible for a plain callable, is
-contracted as its real and imaginary parts).  Callers batch all their
+with the phase columns EU = e^{i xi u}, EV = e^{i eta v}.  S is real, so
+S @ EV runs as one real matrix product on the float view of EV; a symbol
+with complex values raises DomainError.  Callers batch all their
 offsets at one base point into one call; the offsets are contracted in
 column blocks of BLOCK_COLUMNS, so a batch never holds more than one
 block of phase matrices.  The x-derivative kernel makes one pass over S
@@ -95,8 +94,8 @@ class KernelQuadrature:
         self._psi1d = self.profile.psi(self.axis)
         self._smats = {}
 
-    def _sigma_matrix(self, x: float, x_order: int) -> tuple:
-        """psi-weighted sigma (or d_x sigma) on the box: (real part[, imaginary part])."""
+    def _sigma_matrix(self, x: float, x_order: int) -> np.ndarray:
+        """psi-weighted sigma (or d_x sigma) on the box, one real matrix."""
         if self.sigma.x_independent:
             x = 0.0  # matrix does not depend on x; share one cache slot
         key = (float(x), int(x_order))
@@ -108,17 +107,13 @@ class KernelQuadrature:
             with np.errstate(invalid="ignore"):  # inf * 0 at the box edge; raised below
                 weighted = np.broadcast_to(sig, (ax.size, ax.size)) * self._psi1d[:, None]
                 weighted *= self._psi1d[None, :]
-            if not np.all(np.isfinite(weighted)):
+            if np.iscomplexobj(weighted) or not np.all(np.isfinite(weighted)):
                 raise DomainError(
-                    f"symbol {self.sigma.name!r} is not finite on the kernel frequency "
-                    f"box |xi|, |eta| <= {ax[-1]:g} at x = {x:g}")
-            if np.iscomplexobj(weighted):
-                got = (weighted.real.copy(), weighted.imag.copy())
-            else:
-                got = (weighted,)
+                    f"symbol {self.sigma.name!r} is not real and finite on the kernel "
+                    f"frequency box |xi|, |eta| <= {ax[-1]:g} at x = {x:g}")
             while len(self._smats) >= 3:  # matrices are large at high levels
                 self._smats.pop(next(iter(self._smats)))
-            self._smats[key] = got
+            self._smats[key] = got = weighted
         return got
 
     def values(self, x: float, us, vs, deriv=(0, 0, 0)) -> np.ndarray:
@@ -158,13 +153,9 @@ class KernelQuadrature:
         return scale * vals
 
 
-def _contract(parts: tuple, E: np.ndarray) -> np.ndarray:
-    """S @ E for real parts (S.real[, S.imag]) and complex E, in real arithmetic."""
-    Ef = E.view(float)  # each complex column is two adjacent real columns
-    out = (parts[0] @ Ef).view(complex)
-    if len(parts) > 1:
-        out = out + 1j * (parts[1] @ Ef).view(complex)
-    return out
+def _contract(S: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """S @ E for real S and complex E, in real arithmetic."""
+    return (S @ E.view(float)).view(complex)  # a complex column is two real ones
 
 
 def kernel_at(sigma: Symbol, profile: TruncationProfile, x: float, y: float,

@@ -396,11 +396,6 @@ def apply(op, f: GridFunction, g: GridFunction) -> GridFunction:
     return out
 
 
-def commutator_apply(c: CommutatorOperator, f: GridFunction, g: GridFunction) -> GridFunction:
-    """apply(c, f, g) for a commutator c."""
-    return apply(c, f, g)
-
-
 def transpose(op, which: int):
     """Operator U with <op(f,g), h> = <U(h,g), f> (which=1) or <U(f,h), g> (which=2).
 

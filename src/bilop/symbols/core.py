@@ -4,9 +4,8 @@ A symbol's evaluator takes (x, xi, eta); in 1D each argument is a scalar
 or ndarray, in 2D each is a pair of those.  A symbol built from an
 expression (symbol_from_expr, which also builds the catalog) keeps its AST,
 and every partial derivative is the exact derivative of that AST.  A
-symbol built from a plain callable takes its derivatives from registered
-closed forms when available and from central finite differences
-otherwise, with step 1e-4 in space and 1e-4*(1+|xi|+|eta|) in frequency.
+symbol built from a plain callable has values only: asking it for a
+derivative of order >= 1 is an error.
 """
 from __future__ import annotations
 
@@ -16,10 +15,6 @@ import numpy as np
 
 from ..errors import InvalidInputError
 from .expr import VARIABLES_1D, VARIABLES_2D, Node, parse_symbol_expr, pretty
-
-FD_SPACE_STEP = 1e-4
-FD_FREQ_REL_STEP = 1e-4
-
 
 @dataclass(frozen=True)
 class SymbolClassParams:
@@ -55,12 +50,6 @@ def _pack(comps: tuple, dim: int):
     return comps[0] if dim == 1 else tuple(comps)
 
 
-def _shift(v, dim: int, comp: int, delta):
-    comps = list(_components(v, dim))
-    comps[comp] = comps[comp] + delta
-    return _pack(tuple(comps), dim)
-
-
 def absnorm(xi, eta, dim: int = 1):
     """1 + |xi| + |eta| with Euclidean block norms."""
     xic = _components(xi, dim)
@@ -78,18 +67,18 @@ def _broadcast_result(res, x, xi, eta, dim: int):
 
 
 class Symbol:
-    """sigma(x, xi, eta) with a declared class and a source for its partials.
+    """sigma(x, xi, eta) with a declared class.
 
-    node, when given, is the expression AST that fn evaluates; partials
-    are then its exact derivatives.  Otherwise partials maps (alpha, beta,
-    gamma) multi-index triples to evaluators with the same signature as
-    fn, and the rest are finite differences.  Orders up to 2 per variable
-    block are the supported registration range.
+    node, when given, is the expression AST that fn evaluates, and every
+    derivative is the exact derivative of that AST.  Without one, fn gives
+    values only.
     """
 
+    partials: dict = {}  # bound by perfbench/tracer.py until ROADMAP item 4
+
     def __init__(self, name: str, fn, declared_class: SymbolClassParams,
-                 dim: int = 1, partials: dict | None = None,
-                 x_independent: bool | None = None, node: Node | None = None):
+                 dim: int = 1, x_independent: bool | None = None,
+                 node: Node | None = None):
         if dim not in (1, 2):
             raise InvalidInputError(f"dim must be 1 or 2, got {dim}")
         self.name = name
@@ -97,11 +86,6 @@ class Symbol:
         self.declared_class = declared_class
         self.dim = dim
         self.x_independent = x_independent
-        norm = {}
-        for key, val in (partials or {}).items():
-            a, b, g = key
-            norm[(_as_multi(a, dim), _as_multi(b, dim), _as_multi(g, dim))] = val
-        self.partials = norm
         self.node = node
 
     def eval(self, x, xi, eta):
@@ -110,9 +94,8 @@ class Symbol:
     def partial(self, alpha=0, beta=0, gamma=0):
         """Evaluator for d^alpha_x d^beta_xi d^gamma_eta sigma.
 
-        With an AST this differentiates it exactly.  Otherwise finite
-        differences peel one order at a time (eta first, then xi, then x)
-        until a registered closed form or the base evaluator is reached.
+        Order 0 is fn; higher orders differentiate the AST exactly, and a
+        symbol without one raises InvalidInputError.
         """
         dim = self.dim
         a = _as_multi(alpha, dim)
@@ -123,58 +106,18 @@ class Symbol:
     def _partial(self, a: tuple, b: tuple, g: tuple):
         if sum(a) + sum(b) + sum(g) == 0:
             return self.fn
-        if self.node is not None:
-            node = self.node  # x first: an x-independent AST folds to Num(0) at once
-            for var, k in zip(VARIABLES_1D if self.dim == 1 else VARIABLES_2D, a + b + g):
-                for _ in range(k):
-                    node = node.diff(var)
-            return _ast_evaluator(node, self.dim)
-        hit = self.partials.get((a, b, g))
-        if hit is not None:
-            return hit
-        for comp in reversed(range(self.dim)):
-            if g[comp] > 0:
-                inner = self._partial(a, b, _dec(g, comp))
-                return _fd_freq(inner, self.dim, block="eta", comp=comp)
-        for comp in reversed(range(self.dim)):
-            if b[comp] > 0:
-                inner = self._partial(a, _dec(b, comp), g)
-                return _fd_freq(inner, self.dim, block="xi", comp=comp)
-        for comp in reversed(range(self.dim)):
-            if a[comp] > 0:
-                inner = self._partial(_dec(a, comp), b, g)
-                return _fd_space(inner, self.dim, comp=comp)
-        raise AssertionError("unreachable")
+        if self.node is None:
+            raise InvalidInputError(
+                f"symbol {self.name!r} is a plain callable: it has values but no "
+                f"derivatives; build it from an expression")
+        node = self.node  # x first: an x-independent AST folds to Num(0) at once
+        for var, k in zip(VARIABLES_1D if self.dim == 1 else VARIABLES_2D, a + b + g):
+            for _ in range(k):
+                node = node.diff(var)
+        return _ast_evaluator(node, self.dim)
 
 
-def _dec(t: tuple, comp: int) -> tuple:
-    out = list(t)
-    out[comp] -= 1
-    return tuple(out)
-
-
-def _fd_freq(inner, dim: int, block: str, comp: int):
-    def deriv(x, xi, eta):
-        h = FD_FREQ_REL_STEP * absnorm(xi, eta, dim)
-        if block == "xi":
-            hi = inner(x, _shift(xi, dim, comp, h), eta)
-            lo = inner(x, _shift(xi, dim, comp, -h), eta)
-        else:
-            hi = inner(x, xi, _shift(eta, dim, comp, h))
-            lo = inner(x, xi, _shift(eta, dim, comp, -h))
-        return (np.asarray(hi) - np.asarray(lo)) / (2 * h)
-
-    return deriv
-
-
-def _fd_space(inner, dim: int, comp: int):
-    def deriv(x, xi, eta):
-        h = FD_SPACE_STEP
-        hi = inner(_shift(x, dim, comp, h), xi, eta)
-        lo = inner(_shift(x, dim, comp, -h), xi, eta)
-        return (np.asarray(hi) - np.asarray(lo)) / (2 * h)
-
-    return deriv
+_fd_freq = _fd_space = None  # bound by perfbench/tracer.py until ROADMAP item 4
 
 
 def symbol_from_expr(expr, declared_class: SymbolClassParams, dim: int = 1,

@@ -17,7 +17,7 @@ from bilop.analysis import (
 from bilop.errors import DomainError, InvalidInputError
 from bilop.grid import Grid, GridFunction
 from bilop.operator import commutator, make_operator
-from bilop.symbols import Symbol, catalog_symbol
+from bilop.symbols import SymbolClassParams, catalog_symbol, symbol_from_expr
 
 L = 2 * np.pi
 
@@ -74,13 +74,11 @@ def test_t1_reports_grid_resolution():
 
 
 def test_t1_non_finite_decomposition_route_is_an_error_not_unavailable():
-    # sigma is finite, but its registered xi-partial (which the FTC route
-    # integrates) is not: the route must end the check, not be skipped
+    # sigma is finite on the grid, but its [xi] FTC component (the integral
+    # of d_xi sigma = sign(xi)/(2 sqrt|xi|) along t xi) is not: the route
+    # must end the check, not be skipped
     grid = Grid(dim=1, points_per_axis=32)
-    base = catalog_symbol("sqrt1")
-    nan = lambda x, xi, eta: np.full(np.broadcast_shapes(*map(np.shape, (x, xi, eta))), np.nan)
-    sigma = Symbol("nan_partial", base.fn, base.declared_class,
-                   partials={((0,), (1,), (0,)): nan}, x_independent=True)
+    sigma = symbol_from_expr("sqrt(abs(xi))", SymbolClassParams(1.0))
     with pytest.raises(DomainError):
         check_t1_conditions(make_operator(sigma, grid), sin_multiplier(grid))
 

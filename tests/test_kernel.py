@@ -98,18 +98,10 @@ def reference_values(quad, x, us, vs, deriv):
     return quad.spacing ** 2 / (2 * np.pi) ** 2 * vals
 
 
-def complex_plain_symbol():
-    # a plain callable (finite-difference x-derivative) with complex values
-    fn = lambda x, xi, eta: ((1 + 0.3 * np.cos(x)) * np.sqrt(1 + xi ** 2 + eta ** 2)
-                             * np.exp(1j * (xi - 2 * eta) / 7))
-    return Symbol("cplx", fn, SymbolClassParams(1.0), x_independent=False)
-
-
 @pytest.mark.parametrize("count", [1, BLOCK_COLUMNS, BLOCK_COLUMNS + 1, 330])
 @pytest.mark.parametrize("make", [lambda: catalog_symbol("sqrt1"),
-                                  lambda: catalog_symbol("theta_sqrt1"),
-                                  complex_plain_symbol],
-                         ids=["sqrt1", "theta_sqrt1", "complex"])
+                                  lambda: catalog_symbol("theta_sqrt1")],
+                         ids=["sqrt1", "theta_sqrt1"])
 def test_batched_values_match_the_unbatched_complex_formula(make, count):
     quad = KernelQuadrature(make(), TruncationProfile(level=16.0))
     rng = np.random.default_rng(count)
@@ -128,6 +120,22 @@ def test_values_reject_x_derivative_order_before_evaluating():
     quad = KernelQuadrature(Symbol("never", fn, SymbolClassParams(0.0)), PROFILE)
     with pytest.raises(InvalidInputError):
         quad.values(0.0, [1.0], [2.0], deriv=(2, 0, 0))
+
+
+def test_values_reject_a_complex_symbol():
+    fn = lambda x, xi, eta: np.sqrt(1 + xi ** 2 + eta ** 2) * np.exp(1j * (xi - 2 * eta) / 7)
+    quad = KernelQuadrature(Symbol("cplx", fn, SymbolClassParams(1.0)), TruncationProfile(16.0))
+    with pytest.raises(DomainError, match="'cplx'"):
+        quad.values(0.0, [1.0], [2.0])
+
+
+def test_x_derivative_of_a_plain_x_dependent_symbol_is_refused():
+    theta = catalog_symbol("theta_sqrt1")
+    plain = Symbol("plain", theta.fn, theta.declared_class, x_independent=False)
+    quad = KernelQuadrature(plain, TruncationProfile(16.0))
+    assert np.all(np.isfinite(quad.values(0.0, [1.0], [2.0])))
+    with pytest.raises(InvalidInputError, match="'plain'"):
+        quad.values(0.0, [1.0], [2.0], deriv=(1, 0, 0))
 
 
 @pytest.mark.parametrize("name, deriv", [("sqrt1", (0, 0, 0)), ("theta_sqrt1", (1, 0, 0))])

@@ -24,7 +24,6 @@ from bilop.operator import (
     DenseBilinearOperator,
     apply,
     commutator,
-    commutator_apply,
     dense_tensor,
     make_operator,
     pairing,
@@ -286,7 +285,7 @@ def test_commutator_first_slot_definition():
     a = GridFunction(grid, np.sin(grid.nodes_1d()))
     f, g = random_pair(grid, seed=10)
     C = commutator(T, 1, a)
-    got = commutator_apply(C, f, g).values
+    got = apply(C, f, g).values
     af = GridFunction(grid, a.values * f.values)
     want = apply(T, af, g).values - a.values * apply(T, f, g).values
     assert np.max(np.abs(got - want)) < 1e-12
@@ -298,7 +297,7 @@ def test_commutator_second_slot_definition():
     a = GridFunction(grid, np.cos(grid.nodes_1d()))
     f, g = random_pair(grid, seed=11)
     C = commutator(T, 2, a)
-    got = commutator_apply(C, f, g).values
+    got = apply(C, f, g).values
     ag = GridFunction(grid, a.values * g.values)
     want = apply(T, f, ag).values - a.values * apply(T, f, g).values
     assert np.max(np.abs(got - want)) < 1e-12
@@ -311,7 +310,7 @@ def test_iterated_commutator_equals_nested_expansion():
     a = GridFunction(grid, np.sin(x))
     b = GridFunction(grid, np.cos(2 * x))
     f, g = random_pair(grid, seed=12)
-    got = commutator_apply(commutator(T, 1, a, 2, b), f, g).values
+    got = apply(commutator(T, 1, a, 2, b), f, g).values
 
     def inner(ff, gg):
         aff = GridFunction(grid, a.values * ff.values)
@@ -327,7 +326,7 @@ def test_commutator_with_constant_multiplier_vanishes():
     T = make_operator(catalog_symbol("sqrt1"), grid)
     c = GridFunction(grid, np.full(32, 2.5))
     f, g = random_pair(grid, seed=13)
-    out = commutator_apply(commutator(T, 1, c), f, g)
+    out = apply(commutator(T, 1, c), f, g)
     assert np.max(np.abs(out.values)) < 1e-12
 
 
@@ -341,16 +340,6 @@ def test_commutator_validates_slot_and_grid():
     wrong = GridFunction(other, np.sin(other.nodes_1d()))
     with pytest.raises(InvalidInputError):
         commutator(T, 1, wrong)
-
-
-def test_apply_accepts_commutators_uniformly():
-    # apply() dispatches on operator kind, so commutators run through it too
-    grid = Grid(dim=1, points_per_axis=16)
-    T = make_operator(catalog_symbol("sqrt1"), grid)
-    a = GridFunction(grid, np.sin(grid.nodes_1d()))
-    f, g = random_pair(grid, seed=14)
-    C = commutator(T, 1, a)
-    assert np.array_equal(apply(C, f, g).values, commutator_apply(C, f, g).values)
 
 
 def test_expression_symbol_operator_round_trip():

@@ -387,42 +387,17 @@ def test_sqrt1_second_order_partials_in_2d_are_exact():
         assert np.all(sig.partial(alpha, (1, 0), (0, 1))(x, xi, eta) == 0)
 
 
-def fd_twin(sig, partials=None):
-    # same pointwise values, but no AST: forces the finite-difference
-    # fallback in partial() wherever partials registers nothing
-    return Symbol(sig.name + "_fd", sig.fn, sig.declared_class, dim=sig.dim,
-                  partials=partials, x_independent=sig.x_independent)
-
-
-def rel_err(a, b):
-    scale = np.maximum(np.abs(b), 1.0)
-    return np.max(np.abs(a - b) / scale)
-
-
-@pytest.mark.parametrize("name", ["sqrt1", "theta_sqrt1", "cm0"])
-@pytest.mark.parametrize("deriv", [(0, 1, 0), (0, 0, 1), (0, 2, 0), (0, 1, 1), (1, 0, 0), (1, 1, 0)])
-def test_finite_differences_agree_with_closed_forms(name, deriv):
-    sig = catalog_symbol(name)
-    twin = fd_twin(sig)
-    rng = np.random.default_rng(11)
-    x = rng.uniform(0, 2 * np.pi, 60)
-    xi = rng.uniform(-20, 20, 60)
-    eta = rng.uniform(-20, 20, 60)
-    exact = sig.partial(*deriv)(x, xi, eta)
-    approx = twin.partial(*deriv)(x, xi, eta)
-    assert rel_err(approx, exact) < 1e-4
-
-
-def test_finite_differences_agree_in_2d():
-    sig = catalog_symbol("theta_sqrt1", dim=2)
-    twin = fd_twin(sig)
-    rng = np.random.default_rng(3)
-    pts = [tuple(rng.uniform(-15, 15, 40) for _ in range(2)) for _ in range(3)]
-    x = tuple(rng.uniform(0, 2 * np.pi, 40) for _ in range(2))
-    for deriv in [((0, 0), (1, 0), (0, 0)), ((0, 0), (0, 0), (0, 1)), ((1, 0), (0, 0), (0, 0))]:
-        exact = sig.partial(*deriv)(x, pts[1], pts[2])
-        approx = twin.partial(*deriv)(x, pts[1], pts[2])
-        assert rel_err(approx, exact) < 1e-4, deriv
+@pytest.mark.parametrize("dim", [1, 2])
+def test_plain_callable_symbol_has_values_but_no_derivatives(dim):
+    sig = catalog_symbol("theta_sqrt1", dim)
+    plain = Symbol("plain", sig.fn, sig.declared_class, dim=dim)
+    x, xi, eta = _probe_points(dim)
+    np.testing.assert_array_equal(plain.eval(x, xi, eta), sig.eval(x, xi, eta))
+    assert plain.partial() is sig.fn
+    zero, one = (0,) * dim, (1,) + (0,) * (dim - 1)
+    for deriv in ((one, zero, zero), (zero, one, zero), (zero, zero, one)):
+        with pytest.raises(InvalidInputError, match="'plain'"):
+            plain.partial(*deriv)
 
 
 def test_bad_linear_partials_are_signs_off_axis():
@@ -433,20 +408,6 @@ def test_bad_linear_partials_are_signs_off_axis():
     x = np.zeros(2)
     assert np.allclose(sig.partial(0, 1, 0)(x, xi, eta), np.sign(xi))
     assert np.allclose(sig.partial(0, 0, 1)(x, xi, eta), np.sign(eta))
-
-
-def test_mixed_partial_resolves_through_registered_first_orders():
-    # partial() peels one order at a time, so a mixed derivative of a symbol
-    # with only first-order registrations still lands within FD accuracy
-    first = {key: _SQRT1_PARTIALS_1D[key] for key in (((0,), (1,), (0,)), ((0,), (0,), (1,)))}
-    sig = fd_twin(catalog_symbol("sqrt1"), partials=first)
-    x = np.array([0.0])
-    xi = np.array([2.0])
-    eta = np.array([1.0])
-    got = sig.partial(0, 1, 1)(x, xi, eta)
-    w = 1.0 + 4.0 + 1.0
-    want = -2.0 * 1.0 / w**1.5
-    assert abs(got[0] - want) < 1e-6
 
 
 # ------------------------------------------------------ expression symbols
