@@ -167,24 +167,12 @@ def eval_at(f: GridFunction, *coords) -> np.ndarray:
     g = f.grid
     if len(coords) != g.dim:
         raise InvalidInputError(f"need {g.dim} coordinate arrays, got {len(coords)}")
-    coeff = np.fft.fftn(f.values)  # raw DFT, inverse needs 1/N^n
-    xi = g.frequencies_1d().copy()
-    # symmetrize the unpaired mode so real samples interpolate to real values
-    pts = [np.asarray(c, dtype=float) for c in coords]
-    out_shape = np.broadcast(*[p for p in pts]).shape if g.dim > 1 else pts[0].shape
-    n = g.points_per_axis
-    if g.dim == 1:
-        ph = np.exp(1j * np.outer(pts[0].ravel(), xi))
-        half = n // 2
-        ph[:, half] = np.cos(pts[0].ravel() * xi[half])
-        vals = ph @ coeff / n
-        return vals.reshape(pts[0].shape)
-    p0 = np.broadcast_to(pts[0], out_shape).ravel()
-    p1 = np.broadcast_to(pts[1], out_shape).ravel()
-    ph0 = np.exp(1j * np.outer(p0, xi))
-    ph1 = np.exp(1j * np.outer(p1, xi))
-    half = n // 2
-    ph0[:, half] = np.cos(p0 * xi[half])
-    ph1[:, half] = np.cos(p1 * xi[half])
-    vals = np.einsum("pk,pl,kl->p", ph0, ph1, coeff) / n ** 2
-    return vals.reshape(out_shape)
+    pts = np.broadcast_arrays(*[np.asarray(c, dtype=float) for c in coords])
+    xi, half = g.frequencies_1d(), g.points_per_axis // 2
+    vals = np.fft.fftn(f.values)  # raw DFT, inverse needs 1/N^n
+    for axis, p in enumerate(pts):  # contract one frequency axis per coordinate
+        ph = np.exp(1j * np.outer(p.ravel(), xi))
+        # symmetrize the unpaired mode so real samples interpolate to real values
+        ph[:, half] = np.cos(p.ravel() * xi[half])
+        vals = ph @ vals if axis == 0 else np.einsum("pk,pk...->p...", ph, vals)
+    return vals.reshape(pts[0].shape) / g.points_per_axis ** g.dim

@@ -31,10 +31,9 @@ columns (exact); the SVD of Q^H S is cut where its tail falls below the
 same relative bound.  S is evaluated in row blocks of at most
 FACTOR_BUDGET entries: once if it fits in one block, else once per
 sketch round and once for Q^H S.  A sketch wider than FACTOR_BUDGET / M
-raises BudgetError.  make_operator finds the skeleton when it picks the
-strategy; the factors (and, for an explicit strategy, the skeleton) are
-computed on the first multiplier apply under a lock shared by the
-threads applying the operator, and kept for the operator's lifetime.
+raises BudgetError.  Construction builds the expansion: it resolves the
+strategy, finds the skeleton and factors each S_s, so an operator is a
+finished immutable value and a BudgetError raises from make_operator.
 Non-finite symbol values on the grid and non-finite outputs raise
 DomainError.
 
@@ -52,7 +51,6 @@ materializes the tensor at small N as the oracle of the tests.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,9 +80,10 @@ def _flat(mesh) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LowRank:
-    """sigma(x_j, xi_k, eta_l) ~ sum_s w[s, j] sum_{r in block s} u[r, k] v[r, l],
-    u and v of shape (rank, M) in blocks of sizes ranks; residual and
-    x_residual are the worst held-out frequency and node residuals."""
+    """sigma(x_j, xi_k, eta_l) ~ sum_r w[r, j] u[r, k] v[r, l], u, v and w of
+    shape (rank, M) in blocks of sizes ranks, one block per skeleton node s,
+    w[r] being node s's x-weight A[:, s] repeated on each row of its block;
+    residual and x_residual are the worst held-out frequency and node residuals."""
 
     u: np.ndarray
     v: np.ndarray
@@ -99,7 +98,7 @@ class LowRank:
 
     @property
     def x_rank(self) -> int:
-        return self.w.shape[0]
+        return len(self.ranks)
 
 
 def _values(sigma: Symbol, grid: Grid, x, xi, eta) -> np.ndarray:
@@ -195,7 +194,6 @@ def _factorize(sigma: Symbol, grid: Grid, node: int):
 
 def _expand(sigma: Symbol, grid: Grid, skeleton) -> LowRank:
     """The multiplier expansion of sigma; BudgetError above the x-rank cap."""
-    skeleton = skeleton or _skeleton(sigma, grid)
     if skeleton is None:
         raise BudgetError(
             f"symbol {sigma.name!r} has x-rank above M/8 = "
@@ -204,44 +202,44 @@ def _expand(sigma: Symbol, grid: Grid, skeleton) -> LowRank:
     P, A, x_residual = skeleton
     parts = [_factorize(sigma, grid, p) for p in P]
     u, v = (np.concatenate([p[i] for p in parts] + [np.empty((0, len(A)))]) for i in (0, 1))
-    return LowRank(u, v, A.T, tuple(len(p[0]) for p in parts),
+    ranks = tuple(len(p[0]) for p in parts)
+    return LowRank(u, v, np.repeat(A.T, ranks, axis=0), ranks,
                    max((p[2] for p in parts), default=0.0), x_residual)
 
 
 @dataclass(frozen=True)
 class BilinearOperator:
+    """T_sigma; strategy None resolves to multiplier unless the x-rank exceeds
+    M / 8.  A multiplier operator holds its expansion from construction on."""
+
     sigma: Symbol
     grid: Grid
-    strategy: str
-    skeleton: tuple | None = field(default=None, repr=False, compare=False)
-    _factors: LowRank | None = field(default=None, init=False, repr=False, compare=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, init=False,
-                                  repr=False, compare=False)
+    strategy: str | None
+    _expansion: LowRank | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
+        if self.sigma.dim != self.grid.dim:
+            raise InvalidInputError(
+                f"symbol dim {self.sigma.dim} does not match grid dim {self.grid.dim}")
+        if self.strategy not in (None, *STRATEGIES):
             raise InvalidInputError(
                 f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
+        skeleton = None if self.strategy == "direct" else _skeleton(self.sigma, self.grid)
+        if self.strategy is None:
+            object.__setattr__(self, "strategy", "multiplier" if skeleton else "direct")
+        if self.strategy == "multiplier":
+            object.__setattr__(self, "_expansion", _expand(self.sigma, self.grid, skeleton))
 
     def lowrank(self) -> LowRank:
-        """The multiplier strategy's expansion of sigma, computed on first use."""
+        """The multiplier strategy's expansion of sigma."""
         if self.strategy != "multiplier":
             raise InvalidInputError("only the multiplier strategy factors its symbol")
-        with self._lock:
-            if self._factors is None:
-                object.__setattr__(self, "_factors", _expand(self.sigma, self.grid, self.skeleton))
-        return self._factors
+        return self._expansion
 
 
 def make_operator(sigma: Symbol, grid: Grid, strategy: str | None = None) -> BilinearOperator:
     """Build T_sigma; unspecified, the strategy is multiplier unless the x-rank
     exceeds M / 8."""
-    if sigma.dim != grid.dim:
-        raise InvalidInputError(
-            f"symbol dim {sigma.dim} does not match grid dim {grid.dim}")
-    if strategy is None:
-        skeleton = _skeleton(sigma, grid)
-        return BilinearOperator(sigma, grid, "multiplier" if skeleton else "direct", skeleton)
     return BilinearOperator(sigma, grid, strategy)
 
 
@@ -326,9 +324,8 @@ def _read_direct(op: BilinearOperator, free: int, ins: dict) -> np.ndarray:
     for start in range(0, M, chunk):
         rows = slice(start, start + chunk)
         xs = x[:, rows]
-        sig = np.asarray(op.sigma.eval(_pack(xs[:, :, None, None], grid.dim),
-                                       _pack(xi[:, None, :, None], grid.dim),
-                                       _pack(xi[:, None, None, :], grid.dim)))
+        sig = _values(op.sigma, grid, xs[:, :, None, None], xi[:, None, :, None],
+                      xi[:, None, None, :])
         phase = np.exp(1j * (xs.T @ xi))
         out[slice(None) if free else rows] += np.einsum(
             "jkl,jk,jl->" + "jkl"[free], sig, h[rows, None] * fhat * phase, ghat * phase)
@@ -346,12 +343,9 @@ def _read_multiplier(op: BilinearOperator, free: int, ins: dict) -> np.ndarray:
     # the (N/L)^{2n} of the inverse sums cancels the dx^{2n} of fhat and ghat
     a, b = (v if k == 0 else np.fft.ifftn(mult[k] * np.fft.fftn(v), axes=axes)
             for k, v in sorted(ins.items()))
-    terms = a * b
+    terms = a * b * low.w.reshape(shape)
     if free == 0:
-        return sum((w.reshape(grid.shape) * t.sum(axis=0) for w, t in
-                    zip(low.w, np.split(terms, np.cumsum(low.ranks)[:-1]))),
-                   np.zeros(grid.shape, complex))
-    terms *= np.repeat(low.w, low.ranks, axis=0).reshape(shape)
+        return terms.sum(axis=0)
     # a multiplier's transpose is the multiplier read at index (-k) mod N per axis
     flipped = np.roll(np.flip(mult[free], axes), 1, axes)
     return np.fft.ifftn(np.sum(flipped * np.fft.fftn(terms, axes=axes), axis=0))
@@ -431,9 +425,7 @@ def dense_tensor(op) -> np.ndarray:
     x, xi = _flat(grid.node_mesh()), _flat(grid.frequency_mesh())
     W = np.empty((M, M, M), dtype=complex)
     for j in range(M):
-        sig = np.asarray(op.sigma.eval(_pack(x[:, j], grid.dim),
-                                       _pack(xi[:, :, None], grid.dim),
-                                       _pack(xi[:, None, :], grid.dim)))
+        sig = _values(op.sigma, grid, x[:, j], xi[:, :, None], xi[:, None, :])
         phase = np.exp(1j * (x[:, j] @ xi))
         W[j] = np.fft.fftn((sig * phase[:, None] * phase[None, :])
                            .reshape(grid.shape * 2)).reshape(M, M)

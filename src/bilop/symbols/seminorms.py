@@ -14,6 +14,10 @@ a value is non-finite, or when m_20 - m_15 is above a roundoff floor and
 exceeds INCREMENT_RATIO_CUTOFF times m_15 - m_10: a power or logarithmic
 singularity keeps its increments (ratio 2^5p or 1), while a bounded
 symbol settles (ratio 2^-5p for a Hoelder-p limit), however steeply.
+
+The probes of all shells are stacked into (shells, samples) arrays, so each
+derivative is evaluated once for every shell, and sigma once for every
+near_zero scale.
 """
 from __future__ import annotations
 
@@ -23,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import InvalidInputError
-from ..parallel import thread_map
 from .core import Symbol, _pack, absnorm
 
 GROWTH_SLOPE_THRESHOLD = 0.2
@@ -79,14 +82,14 @@ def _block_indices(dim: int, max_order: int):
 
 
 def _shell_probes(rng, s: int, samples: int, dim: int, period: float):
-    """Probe points with max component magnitude log-uniform in [2^s, 2^(s+1))."""
+    """Probe points (x, (xi, eta)) of shapes (samples, dim) and (samples, 2 dim),
+    with max frequency component magnitude log-uniform in [2^s, 2^(s+1))."""
     r = 2.0 ** (s + rng.uniform(0.0, 1.0, size=samples))
     w = rng.uniform(-1.0, 1.0, size=(samples, 2 * dim))
     peak = np.max(np.abs(w), axis=1)
     peak[peak == 0] = 1.0
     z = w * (r / peak)[:, None]
-    x = rng.uniform(0.0, period, size=(samples, dim))
-    return tuple(_pack(tuple(v.T), dim) for v in (x, z[:, :dim], z[:, dim:]))
+    return rng.uniform(0.0, period, size=(samples, dim)), z
 
 
 def _growth_slope(maxima: np.ndarray) -> float:
@@ -97,20 +100,19 @@ def _growth_slope(maxima: np.ndarray) -> float:
 
 
 def _near_zero(sigma: Symbol, rng, samples: int, period: float) -> NearZeroEntry:
-    """Order-0 maxima on paths to xi = 0, eta = 0 and the origin, per scale 2^-k."""
+    """Order-0 maxima on paths to xi = 0, eta = 0 and the origin, one row per
+    scale 2^-k, all scales in one evaluation."""
     dim = sigma.dim
     x = _pack(tuple(rng.uniform(0.0, period, size=(dim, 3 * samples))), dim)
     z = rng.uniform(-1.0, 1.0, size=(2, dim, 3 * samples))
     z /= np.max(np.abs(z), axis=1, keepdims=True)  # max-norm 1 per block
     shrink = np.repeat([[1, 0], [0, 1], [1, 1]], samples, axis=0).T[:, None, :]
-    maxima = []
-    for k in range(AXIS_DEPTH + 1):
-        xi, eta = (_pack(tuple(v), dim) for v in z * 2.0 ** (-k * shrink))
-        with np.errstate(all="ignore"):
-            vals = np.abs(np.asarray(sigma.eval(x, xi, eta))) \
-                * absnorm(xi, eta, dim) ** -sigma.declared_class.m
-        maxima.append(float(np.max(vals)) if np.all(np.isfinite(vals)) else np.inf)
-    m = np.array(maxima)
+    k = np.arange(AXIS_DEPTH + 1)[:, None, None, None]
+    xi, eta = (_pack(tuple(v), dim) for v in np.moveaxis(z * 2.0 ** (-k * shrink), 0, 2))
+    with np.errstate(all="ignore"):
+        vals = np.abs(np.asarray(sigma.eval(x, xi, eta))) \
+            * absnorm(xi, eta, dim) ** -sigma.declared_class.m
+    m = np.where(np.isfinite(vals).all(axis=1), vals.max(axis=1), np.inf)
     finite = bool(np.isfinite(m).all())
     with np.errstate(all="ignore"):
         last, before = m[-1] - m[-6], m[-6] - m[-11]  # m_20 - m_15, m_15 - m_10
@@ -118,7 +120,7 @@ def _near_zero(sigma: Symbol, rng, samples: int, period: float) -> NearZeroEntry
     singular = not finite or (last > INCREMENT_FLOOR * np.max(m)
                               and last > INCREMENT_RATIO_CUTOFF * before)
     zero = (0,) * dim
-    return NearZeroEntry(zero, zero, zero, ratio=float(np.max(m)), shell_max=tuple(maxima),
+    return NearZeroEntry(zero, zero, zero, ratio=float(np.max(m)), shell_max=tuple(m.tolist()),
                          slope=_growth_slope(m) if finite else float("nan"),
                          verdict="singular" if singular else "bounded",
                          increment_ratio=increment_ratio)
@@ -138,40 +140,31 @@ def estimate_seminorms(sigma: Symbol, max_order: int = 2, box: float = 8192.0,
     shells = tuple((2.0 ** s, 2.0 ** (s + 1)) for s in range(s_max + 1))
 
     rng = np.random.default_rng(seed)
-    probes = [_shell_probes(rng, s, samples, dim, period) for s in range(s_max + 1)]
+    x, z = (np.stack(v) for v in zip(*(_shell_probes(rng, s, samples, dim, period)
+                                        for s in range(s_max + 1))))
+    # one (shells, samples) array per coordinate component
+    x, xi, eta = (_pack(tuple(np.moveaxis(v, 2, 0)), dim)
+                  for v in (x, z[..., :dim], z[..., dim:]))
+    weight = absnorm(xi, eta, dim)
 
     cls = sigma.declared_class
     blocks = _block_indices(dim, max_order)
-    triples = [(a, b, g) for a in blocks for b in blocks for g in blocks]
-    evaluators = {t: sigma.partial(*t) for t in triples}
-
-    def shell_maxima(probe):
-        x, xi, eta = probe
-        weight = absnorm(xi, eta, dim)
-        out = {}
-        for (a, b, g), ev in evaluators.items():
-            expo = cls.m + cls.delta * sum(a) - cls.rho * (sum(b) + sum(g))
-            with np.errstate(all="ignore"):
-                vals = np.abs(np.asarray(ev(x, xi, eta))) * weight ** (-expo)
-            finite = np.isfinite(vals)
-            out[(a, b, g)] = (float(np.max(vals[finite])) if finite.any() else np.nan,
-                              bool(finite.all()))
-        return out
-
-    per_shell = thread_map(shell_maxima, probes)
-
     entries = []
-    for t in triples:
-        maxima = np.array([per_shell[s][t][0] for s in range(s_max + 1)])
-        clean = all(per_shell[s][t][1] for s in range(s_max + 1))
-        if not clean or not np.all(np.isfinite(maxima)):
-            entries.append(SeminormEntry(*t, ratio=float("nan"), slope=float("nan"),
+    for a, b, g in itertools.product(blocks, repeat=3):
+        expo = cls.m + cls.delta * sum(a) - cls.rho * (sum(b) + sum(g))
+        with np.errstate(all="ignore"):
+            vals = np.abs(np.asarray(sigma.partial(a, b, g)(x, xi, eta))) * weight ** (-expo)
+        finite = np.isfinite(vals)
+        maxima = np.where(finite.any(axis=1),
+                          np.where(finite, vals, -np.inf).max(axis=1), np.nan)
+        if not finite.all():
+            entries.append(SeminormEntry(a, b, g, ratio=float("nan"), slope=float("nan"),
                                          verdict="indeterminate",
                                          shell_max=tuple(maxima)))
             continue
         slope = _growth_slope(maxima)
         verdict = "growing" if slope > GROWTH_SLOPE_THRESHOLD else "bounded"
-        entries.append(SeminormEntry(*t, ratio=float(np.max(maxima)), slope=slope,
+        entries.append(SeminormEntry(a, b, g, ratio=float(np.max(maxima)), slope=slope,
                                      verdict=verdict, shell_max=tuple(maxima)))
 
     return SeminormReport(symbol=sigma.name,

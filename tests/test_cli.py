@@ -1,0 +1,82 @@
+"""Command line: every subcommand end to end at a small size, and config documents."""
+
+import json
+
+import pytest
+
+from bilop.cli import SUBCOMMANDS
+from bilop.cli import main as cli_main
+
+# (subcommand, small-size flags, exit code, verdict)
+SMOKE = [
+    ("apply", ["--n", "16"], 0, "complete"),
+    ("kernel-slice", ["--level", "32", "--count", "4"], 0, "complete"),
+    ("fit-decay", ["--count", "8"], 0, "BOUNDED"),
+    ("certify-czk", ["--samples", "200"], 0, "BOUNDED"),
+    ("verify-transpose", ["--n", "16", "--trials", "10"], 0, "PASS"),
+    ("check-t1", ["--n", "32"], 0, "PASS"),
+    ("wbp-scan", ["--n", "1024"], 0, "PASS"),
+    ("norm-scan", ["--n", "256", "--k-max", "32"], 2, "GROWING"),
+    ("kato-ponce", ["--n", "64", "--k-max", "8"], 0, "PASS"),
+    ("compactness-probe", ["--n", "128"], 0, "consistent with compactness"),
+    ("decompose", ["--probes", "100"], 0, "PASS"),
+    ("seminorms", ["--samples", "100", "--box", "64", "--max-order", "1"], 0, "BOUNDED"),
+    ("calderon-demo", ["--n", "64", "--k-max", "8"], 0, "PASS"),
+    ("converse-check", ["--n", "128", "--centers", "8"], 0, "PASS"),
+]
+
+
+def test_smoke_cases_cover_every_subcommand():
+    assert {name for name, *_ in SMOKE} | {"list-catalog"} == set(SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("name,args,rc,verdict", SMOKE, ids=[c[0] for c in SMOKE])
+def test_subcommand_runs_to_its_verdict(tmp_path, capsys, name, args, rc, verdict):
+    assert cli_main([name, *args, "--out-dir", str(tmp_path)]) == rc
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["operation"], payload["verdict"]) == (name, verdict)
+    assert any(tmp_path.iterdir())
+
+
+def test_list_catalog_prints_the_listing(capsys):
+    assert cli_main(["list-catalog"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("symbols (dim=1):")
+    assert "multipliers:" in out and "families:" in out
+
+
+def _seminorms_with(tmp_path, document):
+    path = tmp_path / "config.json"
+    path.write_text(document if isinstance(document, str) else json.dumps(document))
+    return cli_main(["seminorms", "--config", str(path), "--out-dir", str(tmp_path)])
+
+
+def test_config_document_for_its_own_operation_is_applied(tmp_path, capsys):
+    doc = {"operation": "seminorms", "samples": 100, "box": 64.0, "max_order": 1}
+    assert _seminorms_with(tmp_path, doc) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert (config["samples"], config["box"], config["max_order"]) == (100, 64.0, 1)
+
+
+@pytest.mark.parametrize("document", [
+    {"samples": 100, "nosuch": 1},        # unknown key
+    {"operation": "apply"},               # another operation's document
+    [1, 2],                               # not an object
+    "{not json",                          # not JSON
+], ids=["unknown-key", "wrong-operation", "non-object", "invalid-json"])
+def test_bad_config_document_exits_1(tmp_path, capsys, document):
+    assert _seminorms_with(tmp_path, document) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_unreadable_config_exits_1(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert cli_main(["seminorms", "--config", str(missing), "--out-dir", str(tmp_path)]) == 1
+    assert "cannot read config" in capsys.readouterr().err
+
+
+def test_unknown_flag_exits_1(capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli_main(["seminorms", "--no-such-flag", "1"])
+    assert stop.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -219,6 +219,18 @@ def test_eval_at_2d(grid2d):
     assert np.max(np.abs(got - np.cos(px + 2 * py))) < 1e-12
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_eval_at_keeps_real_samples_real_off_grid(dim):
+    # the unpaired -N/2 mode is read as a cosine; as e^{i xi x} it would
+    # add an imaginary part wherever x is off the grid
+    grid = Grid(dim=dim, points_per_axis=16)
+    f = random_function(grid, seed=dim, complex_values=False)
+    coords = [np.array([[0.05], [2.3], [4.41]]), np.array([0.7, 1.9, 3.3, 6.1])][:dim]
+    got = eval_at(f, *coords)
+    assert got.shape == np.broadcast_shapes(*(c.shape for c in coords))
+    assert np.max(np.abs(got.imag)) < 1e-12 * np.max(np.abs(got))
+
+
 def test_grid_validation():
     with pytest.raises(InvalidInputError):
         Grid(dim=3, points_per_axis=8)

@@ -313,6 +313,20 @@ def test_certificate_scales_linearly_in_multiplier():
     assert np.allclose(np.array(c2.grad_sup), 2 * np.array(c1.grad_sup), rtol=1e-12)
 
 
+def test_x_dependent_certificate_path_matches_the_shared_kernel_path():
+    # +0*x makes the AST depend on x but not its values: the per-base-point
+    # kernels and the two-step x-gradient must give sqrt1's sups
+    grid = Grid(dim=1, points_per_axis=64)
+    a = GridFunction(grid, np.sin(grid.nodes_1d()))
+    sig = symbol_from_expr("sqrt(1+xi^2+eta^2)+0*x", SymbolClassParams(1.0))
+    assert not sig.x_independent
+    got = certify_cz_commutator_kernel(sig, a, samples=200, level=32.0)
+    want = certify_cz_commutator_kernel(catalog_symbol("sqrt1"), a, samples=200, level=32.0)
+    assert got.verdict == want.verdict
+    assert np.allclose(got.size_sup, want.size_sup, rtol=1e-12, atol=0)
+    assert np.allclose(got.grad_sup, want.grad_sup, rtol=1e-12, atol=0)
+
+
 def test_certificate_slot_validation():
     grid = Grid(dim=1, points_per_axis=64)
     a = GridFunction(grid, np.sin(grid.nodes_1d()))

@@ -166,11 +166,9 @@ def test_strategy_names_are_closed():
 
 def test_multiplier_strategy_refuses_x_rank_over_the_cap():
     grid = Grid(dim=1, points_per_axis=64)
-    T = make_operator(symbol_from_expr("cos(x*xi)", SymbolClassParams(0.0)), grid,
-                      strategy="multiplier")
-    f, g = random_pair(grid, seed=21)
     with pytest.raises(BudgetError, match="x-rank above M/8 = 8"):
-        apply(T, f, g)
+        make_operator(symbol_from_expr("cos(x*xi)", SymbolClassParams(0.0)), grid,
+                      strategy="multiplier")
 
 
 # ------------------------------------------------------------------ budgets
@@ -450,10 +448,8 @@ def test_symbol_over_the_factor_budget_is_refused(monkeypatch):
     monkeypatch.setattr(operator_module, "FACTOR_BUDGET", 2 ** 14)  # rank <= 64 at N=256
     grid = Grid(dim=1, points_per_axis=256)
     sigma = symbol_from_expr("(xi-eta)/sqrt(1+(xi-eta)^2)", SymbolClassParams(0.0))
-    T = make_operator(sigma, grid)
-    f, g = random_pair(grid, seed=18)
     with pytest.raises(BudgetError, match="residual"):
-        apply(T, f, g)
+        make_operator(sigma, grid)
 
 
 # ------------------------------------- x-dependent symbols: skeleton expansion
@@ -555,6 +551,17 @@ def test_singular_symbol_is_refused_by_every_strategy():
     for strategy in STRATEGIES:
         with pytest.raises(DomainError):
             apply(make_operator(sigma, grid, strategy), f, g)
+
+
+def test_direct_strategy_names_the_non_finite_symbol():
+    # the symbol check runs before the frequency sum, as in the multiplier path
+    grid = Grid(dim=1, points_per_axis=64)
+    sigma = symbol_from_expr("1/xi", SymbolClassParams(-1.0))
+    f, g = random_pair(grid, seed=19)
+    with pytest.raises(DomainError, match="symbol '1/xi' is not finite on the 64-point grid"):
+        apply(make_operator(sigma, grid, "direct"), f, g)
+    with pytest.raises(DomainError, match="symbol '1/xi' is not finite"):
+        dense_tensor(make_operator(sigma, Grid(dim=1, points_per_axis=8), "direct"))
 
 
 def test_non_finite_dense_and_commutator_outputs_are_refused():
