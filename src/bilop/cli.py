@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -118,7 +119,7 @@ def _run_apply(cfg):
                 values=out.values)
     flat = out.values.ravel()
     table = (("index", "re", "im"),
-             [(i, v.real, v.imag) for i, v in enumerate(flat)])
+             list(zip(range(flat.size), flat.real.tolist(), flat.imag.tolist())))
     return "complete", data, table
 
 
@@ -378,7 +379,9 @@ _HELP = {
 }
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The bilop parser, built once per process (parse_args leaves it unchanged)."""
     parser = _Parser(prog="bilop",
                      description="spectral bilinear-operator toolkit")
     sub = parser.add_subparsers(dest="subcommand", required=True,
@@ -452,9 +455,9 @@ def main(argv=None) -> int:
         if name == "list-catalog":
             print("\n".join(data["listing"]))
             return 0
-        payload = envelope(name, cfg, verdict, data)
-        print(json.dumps(payload, indent=2))
-        write_report(cfg["out_dir"], name, cfg.get("seed", 0), payload,
+        text = json.dumps(envelope(name, cfg, verdict, data), indent=2)
+        print(text)
+        write_report(cfg["out_dir"], name, cfg.get("seed", 0), text,
                      table=table, basename=cfg.get("out"))
         return 0 if verdict in PASS_VERDICTS else 2
     except SymbolParseError as e:

@@ -15,8 +15,11 @@ with the phase columns EU = e^{i xi u}, EV = e^{i eta v}.  S is real, so
 S @ EV runs as one real matrix product on the float view of EV; a symbol
 with complex values raises DomainError.  Callers batch all their
 offsets at one base point into one call; the offsets are contracted in
-column blocks of BLOCK_COLUMNS, so a batch never holds more than one
-block of phase matrices.  The x-derivative kernel makes one pass over S
+blocks of BLOCK_COLUMNS, so a batch never holds more than one block of
+phase matrices.  Within a block each distinct u and v is exponentiated
+once and S multiplies each distinct v column once, so a caller that
+repeats offsets (certification's y- and z-steps) keeps the repeats
+side by side.  The x-derivative kernel makes one pass over S
 for both phase derivatives, on [EV, i eta EV] side by side, plus one
 over d_x sigma.  A symbol with a non-finite value anywhere on the
 frequency box raises DomainError.
@@ -134,21 +137,24 @@ class KernelQuadrature:
         vals = np.empty(us.size, dtype=complex)
         for lo in range(0, us.size, BLOCK_COLUMNS):
             blk = slice(lo, lo + BLOCK_COLUMNS)
-            EU = np.exp(1j * np.outer(ax, us[blk]))
-            EV = np.exp(1j * np.outer(ax, vs[blk]))
+            uq, iu = np.unique(us[blk], return_inverse=True)
+            vq, iv = np.unique(vs[blk], return_inverse=True)
+            EU = np.exp(1j * np.outer(ax, uq))
+            EV = np.exp(1j * np.outer(ax, vq))
             if beta:
-                EU = EU * ((-1j * ax) ** beta)[:, None]
+                EU *= ((-1j * ax) ** beta)[:, None]
             if gamma:
-                EV = EV * ((-1j * ax) ** gamma)[:, None]
+                EV *= ((-1j * ax) ** gamma)[:, None]
+            EU = EU[:, iu]
             if alpha == 1:
                 width = EV.shape[1]
                 W = _contract(S0, np.concatenate([EV, EV * dphase], axis=1))
-                got = np.einsum("mb,mb->b", EU * dphase, W[:, :width]) \
-                    + np.einsum("mb,mb->b", EU, W[:, width:])
+                got = np.einsum("mb,mb->b", EU * dphase, W[:, iv]) \
+                    + np.einsum("mb,mb->b", EU, W[:, width + iv])
                 if Sx is not None:
-                    got = got + np.einsum("mb,mb->b", EU, _contract(Sx, EV))
+                    got = got + np.einsum("mb,mb->b", EU, _contract(Sx, EV)[:, iv])
             else:
-                got = np.einsum("mb,mb->b", EU, _contract(S0, EV))
+                got = np.einsum("mb,mb->b", EU, _contract(S0, EV)[:, iv])
             vals[blk] = got
         return scale * vals
 
@@ -355,16 +361,18 @@ def certify_cz_commutator_kernel(sigma: Symbol, a: GridFunction, slot: int = 1,
         S = np.abs(us) + np.abs(vs) + np.abs(_wrap(us - vs, period))
         h = S / 8
         hx = lo / 8  # shared x-step so the pool stays small
-        # the offsets and their y-, z-steps share one symbol matrix: one batch
-        batch = (np.concatenate([us, us - h, us + h, us, us]),
-                 np.concatenate([vs, vs, vs, vs - h, vs + h]))
+        # the offsets and their y-, z-steps share one symbol matrix: one
+        # batch, each sample's five offsets side by side so that its
+        # repeated u and v land in one contraction block
+        batch = (np.stack([us, us - h, us + h, us, us], axis=1).ravel(),
+                 np.stack([vs, vs, vs, vs - h, vs + h], axis=1).ravel())
         # the kernel of an x-independent symbol is translation invariant:
         # one batch covers every base point, only the weight moves with x
-        shared = np.split(kern(0.0, *batch), 5) if sigma.x_independent else None
+        shared = kern(0.0, *batch).reshape(-1, 5).T if sigma.x_independent else None
 
         best_size, best_grad = 0.0, 0.0
         for xv in xpool:  # every offset sample at every base point
-            k0, kyl, kyh, kzl, kzh = (np.split(kern(xv, *batch), 5) if shared is None
+            k0, kyl, kyh, kzl, kzh = (kern(xv, *batch).reshape(-1, 5).T if shared is None
                                       else shared)
             vals = weight(xv, us, vs) * k0
             # d/dy: u = x - y decreases as y grows

@@ -6,30 +6,39 @@ data} and written to an append-only file named
     {subcommand}-{timestamp}-{seedhash}.json
 
 so scans from different runs can sit side by side and be compared.
-Numpy scalars and arrays are converted to plain Python; complex values
-become {"re": ..., "im": ...} objects.
+Numpy scalars and arrays are converted to plain Python, arrays in bulk
+through ``tolist``; complex values become {"re": ..., "im": ...}
+objects and non-finite floats the strings "nan", "inf" and "-inf".
+A command encodes its envelope once, as indented JSON: it prints that
+text, and ``write_report`` writes the same text to the file.
 """
 from __future__ import annotations
 
 import csv
 import dataclasses
 import hashlib
-import json
+import math
 import time
 from pathlib import Path
 
 import numpy as np
 
 
+def _real_lists(arr: np.ndarray):
+    """A real array as nested lists; non-finite entries become strings."""
+    vals = arr.tolist()
+    return vals if np.isfinite(arr).all() else to_jsonable(vals)
+
+
 def to_jsonable(obj):
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
-        if np.isnan(obj):
+        if math.isfinite(obj):
+            return obj
+        if math.isnan(obj):
             return "nan"
-        if np.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        return obj
+        return "inf" if obj > 0 else "-inf"
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
     if isinstance(obj, (np.integer,)):
@@ -40,8 +49,17 @@ def to_jsonable(obj):
         z = complex(obj)
         return {"re": to_jsonable(z.real), "im": to_jsonable(z.imag)}
     if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()] if obj.dtype.kind == "c" \
-            else to_jsonable(obj.tolist())
+        kind = obj.dtype.kind
+        if kind in "biuf":
+            return _real_lists(obj)
+        if kind == "c":
+            if obj.ndim == 0:
+                return to_jsonable(obj.item())
+            if obj.ndim > 1:
+                return [to_jsonable(row) for row in obj]
+            return [{"re": re, "im": im}
+                    for re, im in zip(_real_lists(obj.real), _real_lists(obj.imag))]
+        return to_jsonable(obj.tolist())
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: to_jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}
@@ -79,18 +97,19 @@ def _fresh_path(directory: Path, base: str, ext: str) -> Path:
     return path
 
 
-def write_report(directory, subcommand: str, seed, payload: dict,
+def write_report(directory, subcommand: str, seed, text: str,
                  table=None, basename: str | None = None) -> list:
-    """Write payload JSON (and optional CSV table); return written paths.
+    """Write the encoded envelope (and optional CSV table); return written paths.
 
-    table: (header_row, rows) with each row a (key, value) pair.
+    text: the envelope's JSON text, as the command printed it.
+    table: (header_row, rows), each row a sequence of cells.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     base = basename or report_basename(subcommand, seed)
     paths = []
     jpath = _fresh_path(directory, base, ".json")
-    jpath.write_text(json.dumps(payload, indent=2, sort_keys=False) + "\n")
+    jpath.write_text(text + "\n")
     paths.append(jpath)
     if table is not None:
         header, rows = table
@@ -98,7 +117,6 @@ def write_report(directory, subcommand: str, seed, payload: dict,
         with open(cpath, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for row in rows:
-                writer.writerow([to_jsonable(c) for c in row])
+            writer.writerows([to_jsonable(c) for c in row] for row in rows)
         paths.append(cpath)
     return paths

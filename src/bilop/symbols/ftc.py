@@ -13,6 +13,8 @@ component drops one order: declared class (m - 1, rho, delta).
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..errors import InvalidInputError, ToleranceError
@@ -22,9 +24,13 @@ GUARD_TOL = 1e-8
 NODE_CHUNK_ENTRIES = 2 ** 18  # bounds the stacked arrays of one parent evaluation
 
 
+@functools.cache
 def _gauss_legendre_01(q: int):
+    """Nodes and weights on [0, 1], computed once per q and shared read-only."""
     t, w = np.polynomial.legendre.leggauss(q)
-    return (t + 1.0) / 2.0, w / 2.0
+    nodes, weights = (t + 1.0) / 2.0, w / 2.0
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _scale_freq(v, t, dim: int):

@@ -80,3 +80,25 @@ def test_unknown_flag_exits_1(capsys):
         cli_main(["seminorms", "--no-such-flag", "1"])
     assert stop.value.code == 1
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_printed_envelope_is_the_report_file_text(tmp_path, capsys):
+    assert cli_main(["apply", "--n", "16", "--out-dir", str(tmp_path), "--out", "run"]) == 0
+    printed = capsys.readouterr().out
+    assert (tmp_path / "run.json").read_text() == printed
+    values = json.loads(printed)["data"]["values"]
+    rows = (tmp_path / "run.csv").read_text().splitlines()
+    assert rows[0] == "index,re,im" and len(rows) == len(values) + 1
+    assert rows[1] == f"0,{values[0]['re']!r},{values[0]['im']!r}"
+
+
+def test_one_process_keeps_no_flags_between_runs(tmp_path, capsys):
+    # the parser is shared by every run in a process; a flag of one run
+    # must not become the default of the next
+    configs = []
+    for argv in (["apply", "--n", "64"], ["apply"]):
+        assert cli_main([*argv, "--out-dir", str(tmp_path)]) == 0
+        configs.append(json.loads(capsys.readouterr().out)["config"])
+    assert (configs[0]["n"], configs[1]["n"]) == (64, SUBCOMMANDS["apply"][0]["n"])
+    assert {k: v for k, v in configs[0].items() if k != "n"} == \
+        {k: v for k, v in configs[1].items() if k != "n"}

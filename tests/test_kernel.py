@@ -113,6 +113,27 @@ def test_batched_values_match_the_unbatched_complex_formula(make, count):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), deriv
 
 
+@pytest.mark.parametrize("make", [lambda: catalog_symbol("sqrt1"),
+                                  lambda: catalog_symbol("theta_sqrt1")],
+                         ids=["sqrt1", "theta_sqrt1"])
+def test_repeated_offsets_match_the_unbatched_complex_formula(make):
+    # certification's batch: each sample with its y- and z-steps side by
+    # side, so repeated u and v share columns; shuffled, the repeats fall
+    # in different blocks
+    quad = KernelQuadrature(make(), TruncationProfile(level=16.0))
+    rng = np.random.default_rng(5)
+    us, vs = rng.uniform(-L / 4, L / 4, size=(2, 66))
+    h = rng.uniform(0.01, 0.1, size=66)
+    us = np.stack([us, us - h, us + h, us, us], axis=1).ravel()
+    vs = np.stack([vs, vs, vs, vs - h, vs + h], axis=1).ravel()
+    order = rng.permutation(us.size)
+    for deriv in itertools.product((0, 1), repeat=3):
+        for u, v in ((us, vs), (us[order], vs[order])):
+            want = reference_values(quad, 0.7, u, v, deriv)
+            got = quad.values(0.7, u, v, deriv=deriv)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), deriv
+
+
 def test_values_reject_x_derivative_order_before_evaluating():
     def fn(x, xi, eta):
         raise AssertionError("symbol evaluated before the order check")

@@ -2,8 +2,6 @@
 
 import json
 import sys
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -419,31 +417,6 @@ def test_row_blocked_factorization_matches_one_block(monkeypatch):
     assert np.max(np.abs(blocked - whole)) <= 1e-12 * np.max(np.abs(whole))
 
 
-def test_threads_sharing_an_operator_factor_it_once(monkeypatch):
-    monkeypatch.setenv("BILOP_THREADS", "4")
-    grid = Grid(dim=1, points_per_axis=128)
-    sigma = symbol_from_expr("sqrt(1+xi^2+eta^2)", SymbolClassParams(1.0))
-    inner, calls, lock = sigma.fn, [], threading.Lock()
-
-    def counted(x, xi, eta):
-        with lock:
-            calls.append(np.size(xi))
-        time.sleep(0.05)  # widen the window in which a second factorization could start
-        return inner(x, xi, eta)
-
-    sigma.fn = counted
-    T = make_operator(sigma, grid)
-    pairs = [random_pair(grid, seed=s) for s in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        outs = thread_map(lambda pair: apply(T, *pair).values, pairs)
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(calls) == 1
-    assert np.array_equal(outs[3], apply(T, *pairs[3]).values)
-
-
 def test_symbol_over_the_factor_budget_is_refused(monkeypatch):
     monkeypatch.setattr(operator_module, "FACTOR_BUDGET", 2 ** 14)  # rank <= 64 at N=256
     grid = Grid(dim=1, points_per_axis=256)
@@ -501,38 +474,37 @@ def test_undeclared_x_independence_is_measured():
     assert (low.x_rank, low.rank) == (1, make_operator(sqrt1, grid).lowrank().rank)
 
 
-def test_commutator_threads_compute_the_skeleton_once(monkeypatch):
+@pytest.mark.parametrize("expr", ["sqrt(1+xi^2+eta^2)", "(2+sin(x))*sqrt(1+xi^2+eta^2)"],
+                         ids=["x-independent", "x-dependent"])
+def test_threaded_applies_share_one_finished_expansion(monkeypatch, expr):
+    # an operator is finished at construction: concurrent applies of it and
+    # of its commutator read one expansion and never evaluate the symbol
     monkeypatch.setenv("BILOP_THREADS", "4")
     grid = Grid(dim=1, points_per_axis=128)
-    calls, lock = [], threading.Lock()
+    sigma = symbol_from_expr(expr, SymbolClassParams(1.0))
+    inner, calls = sigma.fn, []
 
-    def counted_symbol():
-        sigma = symbol_from_expr("(2+sin(x))*sqrt(1+xi^2+eta^2)", SymbolClassParams(1.0))
-        inner = sigma.fn
+    def counted(x, xi, eta):
+        calls.append(np.size(xi))
+        return inner(x, xi, eta)
 
-        def counted(x, xi, eta):
-            with lock:
-                calls.append(np.shape(x))
-            time.sleep(0.05)  # widen the window in which a second expansion could start
-            return inner(x, xi, eta)
-
-        sigma.fn = counted
-        return sigma
-
+    sigma.fn = counted
+    T = make_operator(sigma, grid, "multiplier")
+    C = commutator(T, 1, GridFunction(grid, np.sin(grid.nodes_1d())))
+    low, built = T.lowrank(), len(calls)
+    assert built > 0
     pairs = [random_pair(grid, seed=s) for s in range(8)]
-    a = GridFunction(grid, np.sin(grid.nodes_1d()))
-    apply(make_operator(counted_symbol(), grid, "multiplier"), *pairs[0])
-    sequential, calls[:] = len(calls), []
-    C = commutator(make_operator(counted_symbol(), grid, "multiplier"), 1, a)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        outs = thread_map(lambda pair: apply(C, *pair).values, pairs)
-    finally:
-        sys.setswitchinterval(interval)
-    assert calls.count((128, 1)) == 1  # the x-sample: every node, X_SAMPLE pairs
-    assert len(calls) == sequential
-    assert np.array_equal(outs[3], apply(C, *pairs[3]).values)
+    for op in (T, C):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            outs = thread_map(lambda pair, op=op: apply(op, *pair).values, pairs)
+        finally:
+            sys.setswitchinterval(interval)
+        for out, pair in zip(outs, pairs):
+            assert np.array_equal(out, apply(op, *pair).values)
+    assert T.lowrank() is low
+    assert len(calls) == built
 
 
 def test_only_the_multiplier_strategy_is_factored():
