@@ -5,10 +5,11 @@ decided on a grid.  What can be measured, in the spirit of the
 Frechet-Kolmogorov criterion, is (i) a uniform bound on output norms,
 (ii) a translation-equicontinuity curve h -> sup_i ||u_i(.+h) - u_i||_r
 over a random input family, and (iii) greedy epsilon-covering counts of
-the output set.  The verdict is purely comparative: a smooth,
-compactly supported multiplier should dominate a rough bounded one in
-both measures on the same inputs, and the strongest statement the
-probe ever makes is "consistent with compactness".
+the output set, all taken over the family stacked into one array.  The
+verdict is purely comparative: a smooth, compactly supported multiplier
+should dominate a rough bounded one in both measures on the same inputs,
+and the strongest statement the probe ever makes is "consistent with
+compactness".
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidInputError
-from ..grid import lp_norm, translate
+from ..grid import lp_norm, lp_norms
 from ..operator import apply
 from ..parallel import thread_map
 from .scans import check_holder, family_member
@@ -38,12 +39,17 @@ class CompactnessProbe:
     outputs: tuple = ()     # raw output functions, kept for paired comparison
 
 
-def _greedy_covering_count(outputs, eps: float, r: float) -> int:
-    centers = []
-    for u in outputs:
-        if all(lp_norm(type(u)(u.grid, u.values - c.values), r) > eps for c in centers):
-            centers.append(u)
-    return len(centers)
+def _greedy_covering_counts(grid, stack: np.ndarray, r: float, scale: float) -> dict:
+    """Greedy covering count of the stacked outputs at each eps fraction of scale."""
+    distances = np.array([lp_norms(grid, stack - u, r) for u in stack])
+    counts = {}
+    for frac in EPS_FRACTIONS:
+        centers = []
+        for i, row in enumerate(distances):
+            if np.all(row[centers] > frac * scale):
+                centers.append(i)
+        counts[frac] = len(centers)
+    return counts
 
 
 def compactness_probe(U, multiplier_kind: str, family_size: int = 50,
@@ -71,21 +77,13 @@ def compactness_probe(U, multiplier_kind: str, family_size: int = 50,
         return apply(U, f, g)
 
     outputs = thread_map(output_at, range(family_size))
-    norms = tuple(lp_norm(u, r) for u in outputs)
+    stack = np.stack([u.values for u in outputs])
+    norms = tuple(lp_norms(grid, stack, r).tolist())
     max_norm = float(max(norms))
-
-    curve = []
-    for s in shifts:
-        shift = (s,) * grid.dim if grid.dim > 1 else s
-        worst = 0.0
-        for u in outputs:
-            moved = translate(u, shift)
-            worst = max(worst, lp_norm(type(u)(grid, moved.values - u.values), r))
-        curve.append(worst)
-
-    covering = {}
-    for frac in EPS_FRACTIONS:
-        covering[frac] = _greedy_covering_count(outputs, frac * max_norm, r)
+    axes = tuple(range(1, grid.dim + 1))
+    curve = [float(np.max(lp_norms(grid, np.roll(stack, -s, axis=axes) - stack, r)))
+             for s in shifts]
+    covering = _greedy_covering_counts(grid, stack, r, max_norm)
 
     return CompactnessProbe(multiplier_kind=multiplier_kind,
                             family_size=family_size, triple=(p, q, r),
@@ -119,9 +117,9 @@ def compare_probes(smooth: CompactnessProbe, rough: CompactnessProbe) -> Compact
                           zip(smooth.equicontinuity, rough.equicontinuity))
     r = smooth.triple[2]
     scale = max(smooth.max_norm, rough.max_norm)
-    shared = {frac: (_greedy_covering_count(smooth.outputs, frac * scale, r),
-                     _greedy_covering_count(rough.outputs, frac * scale, r))
-              for frac in EPS_FRACTIONS}
+    counts = [_greedy_covering_counts(p.outputs[0].grid, np.stack([u.values for u in p.outputs]),
+                                      r, scale) for p in (smooth, rough)]
+    shared = {frac: (counts[0][frac], counts[1][frac]) for frac in EPS_FRACTIONS}
     covering_halved = shared[0.2][0] <= shared[0.2][1] / 2
     ok = curve_dominated and covering_halved
     verdict = "consistent with compactness" if ok else "inconclusive"

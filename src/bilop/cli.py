@@ -34,7 +34,7 @@ from .operator import (apply, commutator, make_operator,
                        verify_transpose_identities)
 from .reports import envelope, write_report
 from .symbols import (FAMILY_NAMES, MULTIPLIER_NAMES, SymbolClassParams,
-                      catalog_symbol, estimate_seminorms, ftc_decompose,
+                      estimate_seminorms, ftc_decompose,
                       multiplier_function, parse_symbol_expr,
                       reconstruction_residual, symbol_catalog,
                       symbol_from_expr)
@@ -55,8 +55,9 @@ class _Parser(argparse.ArgumentParser):
 def resolve_symbol(cfg):
     name = str(cfg["symbol"])
     dim = int(cfg["dim"])
-    if name in symbol_catalog(dim):
-        return catalog_symbol(name, dim)
+    catalog = symbol_catalog(dim)
+    if name in catalog:
+        return catalog[name]
     params = SymbolClassParams(float(cfg["m"]), float(cfg["rho"]), float(cfg["delta"]))
     return symbol_from_expr(name, params, dim=dim)
 
@@ -303,8 +304,8 @@ def _run_converse(cfg):
 def _run_list_catalog(cfg):
     dim = int(cfg["dim"])
     lines = [f"symbols (dim={dim}):"]
-    for name in sorted(symbol_catalog(dim)):
-        c = catalog_symbol(name, dim).declared_class
+    for name, sym in sorted(symbol_catalog(dim).items()):
+        c = sym.declared_class
         lines.append(f"  {name} (m={c.m:g}, rho={c.rho:g}, delta={c.delta:g})")
     lines.append("multipliers:")
     lines.extend(f"  {name}" for name in sorted(MULTIPLIER_NAMES))

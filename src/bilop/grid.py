@@ -111,13 +111,18 @@ def fft_inverse(F: SpectralFunction) -> GridFunction:
 
 
 def lp_norm(f: GridFunction, p) -> float:
+    return float(lp_norms(f.grid, f.values, p))
+
+
+def lp_norms(grid: Grid, values, p) -> np.ndarray:
+    """L^p norms over the trailing grid axes of a stack of sampled functions."""
+    axes = tuple(range(-grid.dim, 0))
     if p == np.inf or p == "inf":
-        return float(np.max(np.abs(f.values)))
+        return np.max(np.abs(values), axis=axes)
     p = float(p)
     if p < 1:
         raise InvalidExponentError(f"exponent must be >= 1 or inf, got {p}")
-    g = f.grid
-    return float((np.sum(np.abs(f.values) ** p) * g.spacing ** g.dim) ** (1.0 / p))
+    return (np.sum(np.abs(values) ** p, axis=axes) * grid.spacing ** grid.dim) ** (1.0 / p)
 
 
 def fractional_derivative(f: GridFunction, alpha: float) -> GridFunction:

@@ -11,18 +11,18 @@ doubling guard).  Derivative kernels multiply the integrand by (i xi),
 
 On the grid the kernel at offsets (u_b, v_b) is the bilinear form
 EU[:, b]^T S EV[:, b] of the psi-weighted symbol matrix S, kept dense,
-with the phase columns EU = e^{i xi u}, EV = e^{i eta v}.  S is real, so
-S @ EV runs as one real matrix product on the float view of EV; a symbol
-with complex values raises DomainError.  Callers batch all their
-offsets at one base point into one call; the offsets are contracted in
-blocks of BLOCK_COLUMNS, so a batch never holds more than one block of
-phase matrices.  Within a block each distinct u and v is exponentiated
-once and S multiplies each distinct v column once, so a caller that
-repeats offsets (certification's y- and z-steps) keeps the repeats
-side by side.  The x-derivative kernel makes one pass over S
-for both phase derivatives, on [EV, i eta EV] side by side, plus one
-over d_x sigma.  A symbol with a non-finite value anywhere on the
-frequency box raises DomainError.
+with the phase columns EU = e^{i xi u}, EV = e^{i eta v}.  S is real,
+so S @ EV runs as one real matrix product on the float view of EV; a
+symbol with complex values raises DomainError.  S is built on every
+call, so callers batch all their offsets at one base point into one
+call; the offsets are contracted in blocks of BLOCK_COLUMNS, so a batch
+never holds more than one block of phase matrices.  Within a block each
+distinct u and v is exponentiated once and S multiplies each distinct v
+column once, so a caller that repeats offsets (certification's y- and
+z-steps) keeps the repeats side by side.  The x-derivative kernel makes
+one pass over S for both phase derivatives, on [EV, i eta EV] side by
+side, plus one over d_x sigma.  A symbol with a non-finite value
+anywhere on the frequency box raises DomainError.
 
 Decay fits and Calderon-Zygmund certification of commutator kernels
 K_slot = (a(y or z) - a(x)) K_N live here too.
@@ -77,10 +77,9 @@ def _wrap(u, period: float):
 
 
 class KernelQuadrature:
-    """Shared trapezoid grid for batched kernel evaluation (1D symbols).
+    """Trapezoid rule for batched kernel evaluation (1D symbols).
 
-    The symbol matrix over the frequency box is cached per base point x,
-    so slices and decay fits reuse it across many (y, z) offsets.
+    Stateless: each ``values`` call builds its own psi-weighted symbol matrix.
     """
 
     def __init__(self, sigma: Symbol, profile: TruncationProfile,
@@ -95,29 +94,20 @@ class KernelQuadrature:
         half += half % 2  # even count so the doubled-spacing grid subsamples
         self.axis = np.arange(-half, half + 1) * self.spacing
         self._psi1d = self.profile.psi(self.axis)
-        self._smats = {}
 
     def _sigma_matrix(self, x: float, x_order: int) -> np.ndarray:
         """psi-weighted sigma (or d_x sigma) on the box, one real matrix."""
-        if self.sigma.x_independent:
-            x = 0.0  # matrix does not depend on x; share one cache slot
-        key = (float(x), int(x_order))
-        got = self._smats.get(key)
-        if got is None:
-            ax = self.axis
-            ev = self.sigma.partial((x_order,), (0,), (0,)) if x_order else self.sigma.fn
-            sig = np.asarray(ev(np.asarray(x), ax[:, None], ax[None, :]))
-            with np.errstate(invalid="ignore"):  # inf * 0 at the box edge; raised below
-                weighted = np.broadcast_to(sig, (ax.size, ax.size)) * self._psi1d[:, None]
-                weighted *= self._psi1d[None, :]
-            if np.iscomplexobj(weighted) or not np.all(np.isfinite(weighted)):
-                raise DomainError(
-                    f"symbol {self.sigma.name!r} is not real and finite on the kernel "
-                    f"frequency box |xi|, |eta| <= {ax[-1]:g} at x = {x:g}")
-            while len(self._smats) >= 3:  # matrices are large at high levels
-                self._smats.pop(next(iter(self._smats)))
-            self._smats[key] = got = weighted
-        return got
+        ax = self.axis
+        ev = self.sigma.partial((x_order,), (0,), (0,)) if x_order else self.sigma.fn
+        sig = np.asarray(ev(np.asarray(x), ax[:, None], ax[None, :]))
+        with np.errstate(invalid="ignore"):  # inf * 0 at the box edge; raised below
+            weighted = np.broadcast_to(sig, (ax.size, ax.size)) * self._psi1d[:, None]
+            weighted *= self._psi1d[None, :]
+        if np.iscomplexobj(weighted) or not np.all(np.isfinite(weighted)):
+            raise DomainError(
+                f"symbol {self.sigma.name!r} is not real and finite on the kernel "
+                f"frequency box |xi|, |eta| <= {ax[-1]:g} at x = {x:g}")
+        return weighted
 
     def values(self, x: float, us, vs, deriv=(0, 0, 0)) -> np.ndarray:
         """K_N-derivative values at offsets u = x - y, v = x - z (batched)."""
@@ -319,7 +309,10 @@ def certify_cz_commutator_kernel(sigma: Symbol, a: GridFunction, slot: int = 1,
     controls kernel variation at scales commensurate with S, and the
     truncated kernel's instantaneous slope carries a cutoff ripple whose
     frequency grows with the truncation level, so a proportional
-    macroscopic step is the quantity that stabilizes.
+    macroscopic step is the quantity that stabilizes.  Samples are drawn
+    as (octave, sample) arrays; each base point takes one quadrature batch
+    over every octave (one at x = 0 serves all base points of an
+    x-independent symbol) and one interpolation of a.
     """
     if slot not in (1, 2):
         raise InvalidInputError(f"slot must be 1 or 2, got {slot}")
@@ -338,59 +331,50 @@ def certify_cz_commutator_kernel(sigma: Symbol, a: GridFunction, slot: int = 1,
     quad = KernelQuadrature(sigma, TruncationProfile(level), period, spacing)
     n = 1
     per_octave = samples // octave_count
-    # one shared pool of base points: few enough that each symbol matrix is
-    # built once per octave, shared so octave sups see the same x statistics
+    # one shared pool of base points, so octave sups see the same x statistics
     xpool = rng.uniform(0, period, size=8)
+    lo = base_radius * 2.0 ** np.arange(octave_count)
+    draws = np.array([(rng.uniform(np.log(l), np.log(2 * l), size=per_octave),
+                       rng.uniform(0, 2 * np.pi, size=per_octave)) for l in lo])
+    r, th = np.exp(draws[:, 0]), draws[:, 1]  # (octave, sample)
+    cu, sv = np.cos(th), np.sin(th)
+    norm = np.abs(cu) + np.abs(sv)
+    us, vs = r * cu / norm, r * sv / norm
+    S = np.abs(us) + np.abs(vs) + np.abs(_wrap(us - vs, period))
+    h = S / 8
+    hx = lo[:, None] / 8  # one x-step per octave, shared by its samples
+    # each sample's five offsets side by side, so that its repeated u and v
+    # land in one contraction block
+    batch = (np.stack([us, us - h, us + h, us, us], axis=-1).ravel(),
+             np.stack([vs, vs, vs, vs - h, vs + h], axis=-1).ravel())
+    off = us if slot == 1 else vs
+    iy, iz = ((3, 4), (0, 0)) if slot == 1 else ((0, 0), (3, 4))  # stepped weight rows
 
-    def weight(xv, us, vs):
-        ax = eval_at(a, np.asarray(xv) % period)
-        off = us if slot == 1 else vs
-        return eval_at(a, (xv - off) % period) - ax
+    def k_at(xv):
+        """K at the five offsets, then at the offsets from x + hx and from x - hx."""
+        k = np.moveaxis(quad.values(xv, *batch).reshape(*us.shape, 5), -1, 0)
+        if sigma.x_independent:  # translation invariant: K(x +- hx) = K(x)
+            return (*k, k[0], k[0])
+        return (*k, *(np.array([quad.values(xv + sgn * dx, u, v) for dx, u, v
+                                in zip(hx[:, 0], us, vs)]) for sgn in (1, -1)))
 
-    def kern(xv, us, vs):
-        return quad.values(float(xv), us, vs)
-
-    size_sup, grad_sup, octaves = [], [], []
-    for o in range(octave_count):
-        lo, hi = base_radius * 2 ** o, base_radius * 2 ** (o + 1)
-        r = np.exp(rng.uniform(np.log(lo), np.log(hi), size=per_octave))
-        th = rng.uniform(0, 2 * np.pi, size=per_octave)
-        cu, sv = np.cos(th), np.sin(th)
-        norm = np.abs(cu) + np.abs(sv)
-        us, vs = r * cu / norm, r * sv / norm
-        S = np.abs(us) + np.abs(vs) + np.abs(_wrap(us - vs, period))
-        h = S / 8
-        hx = lo / 8  # shared x-step so the pool stays small
-        # the offsets and their y-, z-steps share one symbol matrix: one
-        # batch, each sample's five offsets side by side so that its
-        # repeated u and v land in one contraction block
-        batch = (np.stack([us, us - h, us + h, us, us], axis=1).ravel(),
-                 np.stack([vs, vs, vs, vs - h, vs + h], axis=1).ravel())
-        # the kernel of an x-independent symbol is translation invariant:
-        # one batch covers every base point, only the weight moves with x
-        shared = kern(0.0, *batch).reshape(-1, 5).T if sigma.x_independent else None
-
-        best_size, best_grad = 0.0, 0.0
-        for xv in xpool:  # every offset sample at every base point
-            k0, kyl, kyh, kzl, kzh = (kern(xv, *batch).reshape(-1, 5).T if shared is None
-                                      else shared)
-            vals = weight(xv, us, vs) * k0
-            # d/dy: u = x - y decreases as y grows
-            gy = (weight(xv, us - h, vs) * kyl - weight(xv, us + h, vs) * kyh) / (2 * h)
-            gz = (weight(xv, us, vs - h) * kzl - weight(xv, us, vs + h) * kzh) / (2 * h)
-            # d/dx moves x with y, z fixed: u and v stay put
-            if shared is not None:
-                gx = (weight(xv + hx, us, vs) - weight(xv - hx, us, vs)) * k0 / (2 * hx)
-            else:
-                gx = (weight(xv + hx, us, vs) * kern(xv + hx, us, vs)
-                      - weight(xv - hx, us, vs) * kern(xv - hx, us, vs)) / (2 * hx)
-            gnorm = np.sqrt(np.abs(gx) ** 2 + np.abs(gy) ** 2 + np.abs(gz) ** 2)
-            best_size = max(best_size, float(np.max(np.abs(vals) * S ** (2 * n))))
-            best_grad = max(best_grad, float(np.max(gnorm * S ** (2 * n + 1))))
-
-        size_sup.append(best_size)
-        grad_sup.append(best_grad)
-        octaves.append((float(lo), float(hi)))
+    shared = k_at(0.0) if sigma.x_independent else None
+    size_sup = grad_sup = np.zeros(octave_count)
+    for xv in xpool:
+        k0, kyl, kyh, kzl, kzh, kxh, kxl = shared or k_at(float(xv))
+        # rows of w: a(x' - o) - a(x') at (x', o) = (x, off), (x +- hx, off), (x, off -+ h)
+        at = xv + np.stack([0 * hx, hx, -hx])
+        reads = np.concatenate([at - off, xv - np.stack([off - h, off + h])])
+        got = eval_at(a, np.concatenate([at.ravel(), reads.ravel()]) % period)
+        w = got[at.size:].reshape(reads.shape) - got[:at.size].reshape(at.shape)[[0, 1, 2, 0, 0]]
+        # d/dy: u = x - y decreases as y grows; d/dx moves x with y, z fixed
+        gy = (w[iy[0]] * kyl - w[iy[1]] * kyh) / (2 * h)
+        gz = (w[iz[0]] * kzl - w[iz[1]] * kzh) / (2 * h)
+        gx = (w[1] * kxh - w[2] * kxl) / (2 * hx)
+        gnorm = np.sqrt(np.abs(gx) ** 2 + np.abs(gy) ** 2 + np.abs(gz) ** 2)
+        size_sup = np.maximum(size_sup, np.max(np.abs(w[0] * k0) * S ** (2 * n), axis=1))
+        grad_sup = np.maximum(grad_sup, np.max(gnorm * S ** (2 * n + 1), axis=1))
+    octaves = [(float(l), float(2 * l)) for l in lo]
 
     def stable(sups):
         top, bot = max(sups), min(sups)
@@ -400,6 +384,7 @@ def certify_cz_commutator_kernel(sigma: Symbol, a: GridFunction, slot: int = 1,
 
     verdict = "BOUNDED" if stable(size_sup) and stable(grad_sup) else "FAILED"
     return CzCertification(slot=slot, octaves=tuple(octaves),
-                           size_sup=tuple(size_sup), grad_sup=tuple(grad_sup),
+                           size_sup=tuple(size_sup.tolist()),
+                           grad_sup=tuple(grad_sup.tolist()),
                            samples=per_octave * octave_count, level=level,
                            verdict=verdict)

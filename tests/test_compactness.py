@@ -4,7 +4,7 @@ import pytest
 
 from bilop.analysis import compactness_probe, compare_probes
 from bilop.errors import InvalidInputError
-from bilop.grid import Grid, lp_norm, translate
+from bilop.grid import Grid, GridFunction, lp_norm, translate
 from bilop.operator import apply, commutator, make_operator
 from bilop.symbols import catalog_symbol, multiplier_function
 
@@ -98,6 +98,31 @@ def test_probe_norms_match_direct_recomputation(paired_probes):
     for u, reported in zip(smooth.outputs, smooth.output_norms):
         assert lp_norm(u, 2.0) == pytest.approx(reported, rel=1e-12)
     assert smooth.max_norm == pytest.approx(max(smooth.output_norms))
+
+
+def test_2d_probe_matches_per_output_recomputation():
+    # on a 2D grid the shift runs along both axes at once
+    grid = Grid(dim=2, points_per_axis=16)
+    x1, x2 = grid.node_mesh()
+    T = make_operator(catalog_symbol("sqrt1", dim=2), grid)
+    a = GridFunction(grid, np.sin(x1) * np.cos(x2))
+    b = GridFunction(grid, np.exp(np.cos(x1 + x2)))
+    probe = compactness_probe(commutator(T, 1, a, 1, b), "smooth", family_size=50,
+                              mode_budget=4)
+    assert probe.shifts == (1, 2)
+    for u, reported in zip(probe.outputs, probe.output_norms):
+        assert lp_norm(u, 2.0) == pytest.approx(reported, rel=1e-12)
+    for s, reported in zip(probe.shifts, probe.equicontinuity):
+        worst = max(lp_norm(GridFunction(grid, translate(u, (s, s)).values - u.values), 2.0)
+                    for u in probe.outputs)
+        assert worst == pytest.approx(reported, rel=1e-12)
+    for frac, count in probe.covering.items():
+        centers = []
+        for u in probe.outputs:
+            if all(lp_norm(GridFunction(grid, u.values - c.values), 2.0) > frac * probe.max_norm
+                   for c in centers):
+                centers.append(u)
+        assert count == len(centers), frac
 
 
 def test_identity_symbol_commutator_outputs_are_rounding_dust():

@@ -12,6 +12,7 @@ from bilop.grid import (
     fft_inverse,
     fractional_derivative,
     lp_norm,
+    lp_norms,
     spectral_derivative,
     translate,
 )
@@ -190,6 +191,43 @@ def test_lp_norm_rejects_exponent_below_one(grid):
     f = random_function(grid)
     with pytest.raises(InvalidExponentError):
         lp_norm(f, 0.5)
+
+
+EXPONENTS = [1, 2, 3.5, 4, np.inf]
+
+
+def reference_lp_norm(f, p):
+    # the single-function formula lp_norm had before it delegated to lp_norms
+    if p == np.inf or p == "inf":
+        return float(np.max(np.abs(f.values)))
+    p = float(p)
+    g = f.grid
+    return float((np.sum(np.abs(f.values) ** p) * g.spacing ** g.dim) ** (1.0 / p))
+
+
+@pytest.mark.parametrize("p", EXPONENTS)
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)])
+def test_lp_norm_keeps_the_single_function_formula(dim, n, p):
+    grid = Grid(dim=dim, points_per_axis=n)
+    for seed in range(4):
+        f = random_function(grid, seed=seed)
+        assert lp_norm(f, p) == reference_lp_norm(f, p)
+
+
+@pytest.mark.parametrize("p", EXPONENTS)
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)])
+def test_stacked_lp_norms_match_each_row(dim, n, p):
+    grid = Grid(dim=dim, points_per_axis=n)
+    rows = [random_function(grid, seed=seed) for seed in range(5)]
+    got = lp_norms(grid, np.stack([f.values for f in rows]), p)
+    assert got.shape == (5,)
+    want = np.array([lp_norm(f, p) for f in rows])
+    assert np.all(np.abs(got - want) <= 1e-15 * want)
+
+
+def test_lp_norms_rejects_exponent_below_one(grid):
+    with pytest.raises(InvalidExponentError):
+        lp_norms(grid, np.ones((3, 64)), 0.5)
 
 
 # --------------------------------------------------------------- evaluation

@@ -7,7 +7,7 @@ import pytest
 
 from bilop.cli import main as cli_main
 from bilop.errors import DomainError, InvalidInputError, ToleranceError
-from bilop.grid import Grid, GridFunction
+from bilop.grid import Grid, GridFunction, eval_at
 from bilop.kernel import (
     BLOCK_COLUMNS,
     KernelQuadrature,
@@ -25,6 +25,7 @@ from bilop.symbols import (
     SymbolClassParams,
     catalog_symbol,
     parse_symbol_expr,
+    multiplier_function,
     symbol_from_expr,
 )
 
@@ -346,6 +347,98 @@ def test_x_dependent_certificate_path_matches_the_shared_kernel_path():
     assert got.verdict == want.verdict
     assert np.allclose(got.size_sup, want.size_sup, rtol=1e-12, atol=0)
     assert np.allclose(got.grad_sup, want.grad_sup, rtol=1e-12, atol=0)
+
+
+def reference_certificate(sigma, a, slot, samples, level, seed=0, octave_count=3):
+    """The per-octave certification loop: a weight closure that interpolates
+    a twice per call (14 times per base point), a kernel batch per octave
+    and base point, and a separate x-gradient formula for an x-independent
+    symbol.  Returns the (size_sup, grad_sup) lists."""
+    period = a.grid.period
+    base_radius = period / 256
+    rng = np.random.default_rng(seed)
+    quad = KernelQuadrature(sigma, TruncationProfile(level), period)
+    per_octave = samples // octave_count
+    xpool = rng.uniform(0, period, size=8)
+
+    def weight(xv, us, vs):
+        ax = eval_at(a, np.asarray(xv) % period)
+        off = us if slot == 1 else vs
+        return eval_at(a, (xv - off) % period) - ax
+
+    def kern(xv, us, vs):
+        return quad.values(float(xv), us, vs)
+
+    size_sup, grad_sup = [], []
+    for o in range(octave_count):
+        lo, hi = base_radius * 2 ** o, base_radius * 2 ** (o + 1)
+        r = np.exp(rng.uniform(np.log(lo), np.log(hi), size=per_octave))
+        th = rng.uniform(0, 2 * np.pi, size=per_octave)
+        cu, sv = np.cos(th), np.sin(th)
+        norm = np.abs(cu) + np.abs(sv)
+        us, vs = r * cu / norm, r * sv / norm
+        S = np.abs(us) + np.abs(vs) + np.abs(wrap(us - vs))
+        h = S / 8
+        hx = lo / 8
+        batch = (np.stack([us, us - h, us + h, us, us], axis=1).ravel(),
+                 np.stack([vs, vs, vs, vs - h, vs + h], axis=1).ravel())
+        shared = kern(0.0, *batch).reshape(-1, 5).T if sigma.x_independent else None
+        best_size, best_grad = 0.0, 0.0
+        for xv in xpool:
+            k0, kyl, kyh, kzl, kzh = (kern(xv, *batch).reshape(-1, 5).T if shared is None
+                                      else shared)
+            vals = weight(xv, us, vs) * k0
+            gy = (weight(xv, us - h, vs) * kyl - weight(xv, us + h, vs) * kyh) / (2 * h)
+            gz = (weight(xv, us, vs - h) * kzl - weight(xv, us, vs + h) * kzh) / (2 * h)
+            if shared is not None:
+                gx = (weight(xv + hx, us, vs) - weight(xv - hx, us, vs)) * k0 / (2 * hx)
+            else:
+                gx = (weight(xv + hx, us, vs) * kern(xv + hx, us, vs)
+                      - weight(xv - hx, us, vs) * kern(xv - hx, us, vs)) / (2 * hx)
+            gnorm = np.sqrt(np.abs(gx) ** 2 + np.abs(gy) ** 2 + np.abs(gz) ** 2)
+            best_size = max(best_size, float(np.max(np.abs(vals) * S ** 2)))
+            best_grad = max(best_grad, float(np.max(gnorm * S ** 3)))
+        size_sup.append(best_size)
+        grad_sup.append(best_grad)
+    return size_sup, grad_sup
+
+
+@pytest.mark.parametrize("name, level", [("sqrt1", 128.0), ("theta_sqrt1", 64.0)])
+@pytest.mark.parametrize("mult", ["sinx", "bump"])
+def test_batched_certificate_matches_the_per_octave_loop(name, level, mult):
+    a = multiplier_function(mult, Grid(dim=1, points_per_axis=64))
+    sigma = catalog_symbol(name)
+    for slot in (1, 2):
+        cert = certify_cz_commutator_kernel(sigma, a, slot=slot, samples=200, level=level)
+        size_sup, grad_sup = reference_certificate(sigma, a, slot, 200, level)
+        assert np.allclose(cert.size_sup, size_sup, rtol=1e-12, atol=0), slot
+        assert np.allclose(cert.grad_sup, grad_sup, rtol=1e-12, atol=0), slot
+
+
+@pytest.mark.parametrize("name, level, values_calls", [("sqrt1", 128.0, 1),
+                                                        ("theta_sqrt1", 64.0, 8 * (1 + 2 * 3))])
+def test_certificate_batches_each_base_point(monkeypatch, name, level, values_calls):
+    # one quadrature batch per base point (one in total for an x-independent
+    # symbol) plus one per octave and x-step direction, and one
+    # interpolation of a per base point
+    import bilop.kernel as kernel
+
+    calls = {"values": 0, "eval_at": 0}
+    values, interp = KernelQuadrature.values, kernel.eval_at
+
+    def counted_values(self, *args, **kwargs):
+        calls["values"] += 1
+        return values(self, *args, **kwargs)
+
+    def counted_eval_at(*args):
+        calls["eval_at"] += 1
+        return interp(*args)
+
+    monkeypatch.setattr(KernelQuadrature, "values", counted_values)
+    monkeypatch.setattr(kernel, "eval_at", counted_eval_at)
+    a = multiplier_function("sinx", Grid(dim=1, points_per_axis=64))
+    certify_cz_commutator_kernel(catalog_symbol(name), a, samples=200, level=level)
+    assert calls == {"values": values_calls, "eval_at": 8}
 
 
 def test_certificate_slot_validation():
