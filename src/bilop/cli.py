@@ -26,7 +26,7 @@ import numpy as np
 from .analysis import (calderon_scan, check_t1_conditions,
                        compactness_probe, compare_probes, converse_check,
                        holder_r, kato_ponce_check, norm_scan, wbp_scan)
-from .errors import BilopError, ConfigError, SymbolParseError
+from .errors import BilopError, ConfigError, DomainError, SymbolParseError
 from .grid import Grid, GridFunction, lp_norm
 from .kernel import (TruncationProfile, certify_cz_commutator_kernel,
                      fit_kernel_decay, kernel_slice)
@@ -72,7 +72,10 @@ def resolve_multiplier(spec: str, grid: Grid) -> GridFunction:
     if extra:
         raise ConfigError(
             f"multiplier may only use {sorted(env)}, found {sorted(extra)}")
-    vals = np.asarray(node.eval(env)) * np.ones(grid.shape)
+    with np.errstate(all="ignore"):  # a non-finite sample is raised below
+        vals = np.asarray(node.eval(env)) * np.ones(grid.shape)
+    if not np.all(np.isfinite(vals)):
+        raise DomainError(f"multiplier {spec!r} is not finite on the grid")
     return GridFunction(grid, vals.astype(complex))
 
 

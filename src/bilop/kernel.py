@@ -9,20 +9,29 @@ spacing 0.25 is alias-safe for torus offsets (verified by the built-in
 doubling guard).  Derivative kernels multiply the integrand by (i xi),
 (i eta) monomials and differentiate sigma in x.
 
-On the grid the kernel at offsets (u_b, v_b) is the bilinear form
-EU[:, b]^T S EV[:, b] of the psi-weighted symbol matrix S, kept dense,
-with the phase columns EU = e^{i xi u}, EV = e^{i eta v}.  S is real,
-so S @ EV runs as one real matrix product on the float view of EV; a
-symbol with complex values raises DomainError.  S is built on every
-call, so callers batch all their offsets at one base point into one
-call; the offsets are contracted in blocks of BLOCK_COLUMNS, so a batch
-never holds more than one block of phase matrices.  Within a block each
-distinct u and v is exponentiated once and S multiplies each distinct v
-column once, so a caller that repeats offsets (certification's y- and
-z-steps) keeps the repeats side by side.  The x-derivative kernel makes
-one pass over S for both phase derivatives, on [EV, i eta EV] side by
-side, plus one over d_x sigma.  A symbol with a non-finite value
-anywhere on the frequency box raises DomainError.
+On the grid the kernel at offsets (u_b, v_b) is EU[:, b]^T S EV[:, b],
+with S = sigma (or d_x sigma) on the box, raw, and the cutoff on the
+phases: EU = psi(xi) (-i xi)^beta e^{i xi u}, EV likewise in eta.  The
+axis is symmetric and S is real, so every phase column has
+G(-t) = conj G(t), and for each row k
+
+    sum_l S[k,l] G_l = S[k,0] G_0 + sum_{l>0} (S[k,l] + S[k,-l]) Re G_l
+                                        + i (S[k,l] - S[k,-l]) Im G_l;
+
+the same identity pairs the rows +-xi against the complex W = S G.  Both
+contractions are thus real products over the half-axis t >= 0, and the
+exponentials are taken there only.  S is never held whole: sigma is
+evaluated on ROW_BLOCK paired rows (+t_k, -t_k) at a time, folded over
++-eta, contracted, folded over +-xi into the offsets and dropped.  The
+eta phases of the distinct v are computed once per call while they fit
+PHASE_BUDGET real entries; past it the offsets are split by v into
+chunks, and sigma is streamed again for each chunk.  Each offset gathers
+its u and v columns, so no distinct-u x distinct-v table is built.
+Memory is O(ROW_BLOCK L + PHASE_BUDGET) for an axis of length L, at any
+level and for any number of offsets.  The x-derivative kernel adds
+i(xi + eta) to the phase: one pass contracts [G, i eta G] side by side,
+plus one of d_x sigma against G.  A symbol that is complex or not finite
+anywhere on the box raises DomainError, whichever block holds the value.
 
 Decay fits and Calderon-Zygmund certification of commutator kernels
 K_slot = (a(y or z) - a(x)) K_N live here too.
@@ -39,7 +48,8 @@ from .symbols.core import Symbol
 
 GUARD_REL_TOL = 1e-6
 DEFAULT_SPACING = 0.25
-BLOCK_COLUMNS = 128  # offsets per contraction; bounds the phase matrices
+ROW_BLOCK = 32  # frequency rows a side per block of sigma
+PHASE_BUDGET = 1 << 21  # real entries of eta phases held at once
 
 
 def smooth_step(s):
@@ -79,7 +89,9 @@ def _wrap(u, period: float):
 class KernelQuadrature:
     """Trapezoid rule for batched kernel evaluation (1D symbols).
 
-    Stateless: each ``values`` call builds its own psi-weighted symbol matrix.
+    Stateless: each ``values`` call streams sigma through paired row blocks
+    and keeps no block, so its memory is O(ROW_BLOCK L + PHASE_BUDGET) for
+    an axis of length L, at any level and for any number of offsets.
     """
 
     def __init__(self, sigma: Symbol, profile: TruncationProfile,
@@ -93,21 +105,9 @@ class KernelQuadrature:
         half = int(np.ceil(2 * profile.level / self.spacing))
         half += half % 2  # even count so the doubled-spacing grid subsamples
         self.axis = np.arange(-half, half + 1) * self.spacing
-        self._psi1d = self.profile.psi(self.axis)
-
-    def _sigma_matrix(self, x: float, x_order: int) -> np.ndarray:
-        """psi-weighted sigma (or d_x sigma) on the box, one real matrix."""
-        ax = self.axis
-        ev = self.sigma.partial((x_order,), (0,), (0,)) if x_order else self.sigma.fn
-        sig = np.asarray(ev(np.asarray(x), ax[:, None], ax[None, :]))
-        with np.errstate(invalid="ignore"):  # inf * 0 at the box edge; raised below
-            weighted = np.broadcast_to(sig, (ax.size, ax.size)) * self._psi1d[:, None]
-            weighted *= self._psi1d[None, :]
-        if np.iscomplexobj(weighted) or not np.all(np.isfinite(weighted)):
-            raise DomainError(
-                f"symbol {self.sigma.name!r} is not real and finite on the kernel "
-                f"frequency box |xi|, |eta| <= {ax[-1]:g} at x = {x:g}")
-        return weighted
+        self._half = self.axis[half:]  # 0, h, ..., the frequencies t >= 0
+        self._weight = self.profile.psi(self._half)
+        self._weight[0] *= 0.5  # the +-t folds count t = 0 twice
 
     def values(self, x: float, us, vs, deriv=(0, 0, 0)) -> np.ndarray:
         """K_N-derivative values at offsets u = x - y, v = x - z (batched)."""
@@ -116,42 +116,76 @@ class KernelQuadrature:
             raise InvalidInputError("x-derivative order must be 0 or 1")
         us = np.atleast_1d(np.asarray(us, dtype=float))
         vs = np.atleast_1d(np.asarray(vs, dtype=float))
-        ax = self.axis
-        h = self.spacing
-        scale = h * h / (2 * np.pi) ** 2
-        S0 = self._sigma_matrix(x, 0)
-        Sx = None
+        dx = None
         if alpha == 1 and self.sigma.x_independent is not True:
-            Sx = self._sigma_matrix(x, 1)
-        dphase = (1j * ax)[:, None]  # d/dx of the phase: i(xi + eta)
+            dx = self.sigma.partial((1,), (0,), (0,))
+        vq, iv = np.unique(vs, return_inverse=True)
+        width = max(1, PHASE_BUDGET // (2 * (1 + alpha) * self._half.size))
         vals = np.empty(us.size, dtype=complex)
-        for lo in range(0, us.size, BLOCK_COLUMNS):
-            blk = slice(lo, lo + BLOCK_COLUMNS)
-            uq, iu = np.unique(us[blk], return_inverse=True)
-            vq, iv = np.unique(vs[blk], return_inverse=True)
-            EU = np.exp(1j * np.outer(ax, uq))
-            EV = np.exp(1j * np.outer(ax, vq))
-            if beta:
-                EU *= ((-1j * ax) ** beta)[:, None]
-            if gamma:
-                EV *= ((-1j * ax) ** gamma)[:, None]
-            EU = EU[:, iu]
+        for lo in range(0, vq.size, width):  # one pass over sigma per chunk of v
+            mine = np.flatnonzero((iv >= lo) & (iv < lo + width))
+            vals[mine] = self._stream(x, dx, us[mine], vq[lo:lo + width],
+                                      iv[mine] - lo, deriv)
+        return self.spacing ** 2 / (2 * np.pi) ** 2 * vals
+
+    def _stream(self, x, dx, us, vq, iv, deriv):
+        """The sum over the box for offsets (us, vq[iv]), row block by row block."""
+        alpha, beta, gamma = deriv
+        t, w, n = self._half, self._weight, vq.size
+        G = self._eta_phases(vq, gamma, alpha)
+        uq, iu = np.unique(us, return_inverse=True)
+        got = np.zeros(us.size, dtype=complex)
+        for lo in range(0, t.size, ROW_BLOCK):
+            tk = t[lo:lo + ROW_BLOCK]
+            W = self._fold_eta(self.sigma.fn, x, tk, G)
+            F = _phase(tk, w[lo:lo + ROW_BLOCK] * (-1j * tk) ** beta, uq)
+            if alpha == 1:  # d/dx of the phase is i(xi + eta)
+                SG, W = W[..., :n], W[..., n:]  # S G, then S (i eta G)
+                if dx is not None:
+                    W = W + self._fold_eta(dx, x, tk, G[..., :n])
+                got += _fold_xi(F * (1j * tk)[:, None], SG, iu, iv)
+            got += _fold_xi(F, W, iu, iv)
+        return got
+
+    def _eta_phases(self, vq, gamma, alpha):
+        """Real and imaginary parts of G = psi (-i eta)^gamma e^{i eta v} on t >= 0,
+        with i eta G beside it when alpha = 1."""
+        t, w = self._half, self._weight
+        amp = w * (-1j * t) ** gamma
+        G = np.empty((2, t.size, (1 + alpha) * vq.size))
+        for lo in range(0, t.size, ROW_BLOCK):
+            rows = slice(lo, lo + ROW_BLOCK)
+            E = _phase(t[rows], amp[rows], vq)
             if alpha == 1:
-                width = EV.shape[1]
-                W = _contract(S0, np.concatenate([EV, EV * dphase], axis=1))
-                got = np.einsum("mb,mb->b", EU * dphase, W[:, iv]) \
-                    + np.einsum("mb,mb->b", EU, W[:, width + iv])
-                if Sx is not None:
-                    got = got + np.einsum("mb,mb->b", EU, _contract(Sx, EV)[:, iv])
-            else:
-                got = np.einsum("mb,mb->b", EU, _contract(S0, EV)[:, iv])
-            vals[blk] = got
-        return scale * vals
+                E = np.concatenate([E, E * (1j * t[rows])[:, None]], axis=1)
+            G[0, rows], G[1, rows] = E.real, E.imag
+        return G
+
+    def _fold_eta(self, ev, x, tk, G):
+        """W = S G on the rows xi = +tk (W[0]) and -tk (W[1]), folded over +-eta."""
+        t = self._half
+        xi = np.stack([tk, -tk])[:, :, None, None]
+        sig = np.asarray(ev(np.asarray(x), xi, np.stack([t, -t])))
+        if np.iscomplexobj(sig) or not np.all(np.isfinite(sig)):
+            raise DomainError(
+                f"symbol {self.sigma.name!r} is not real and finite on the kernel "
+                f"frequency box |xi|, |eta| <= {t[-1]:g} at x = {x:g}")
+        sig = np.broadcast_to(sig, (2, tk.size, 2, t.size))
+        even = sig[:, :, 0] + sig[:, :, 1]
+        odd = sig[:, :, 0] - sig[:, :, 1]
+        return (even @ G[0]) + 1j * (odd @ G[1])
 
 
-def _contract(S: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """S @ E for real S and complex E, in real arithmetic."""
-    return (S @ E.view(float)).view(complex)  # a complex column is two real ones
+def _phase(t, amp, offsets) -> np.ndarray:
+    """amp e^{i t offset}: one row per frequency, one column per offset."""
+    return np.exp(1j * np.outer(t, offsets)) * amp[:, None]
+
+
+def _fold_xi(F, W, iu, iv) -> np.ndarray:
+    """sum over +-xi of F W per offset, for F(-xi) = conj F(xi)."""
+    even, odd = W[0] + W[1], W[0] - W[1]
+    return np.einsum("kb,kb->b", F.real[:, iu], even[:, iv]) \
+        + 1j * np.einsum("kb,kb->b", F.imag[:, iu], odd[:, iv])
 
 
 def kernel_at(sigma: Symbol, profile: TruncationProfile, x: float, y: float,

@@ -102,3 +102,13 @@ def test_one_process_keeps_no_flags_between_runs(tmp_path, capsys):
     assert (configs[0]["n"], configs[1]["n"]) == (64, SUBCOMMANDS["apply"][0]["n"])
     assert {k: v for k, v in configs[0].items() if k != "n"} == \
         {k: v for k, v in configs[1].items() if k != "n"}
+
+
+@pytest.mark.parametrize("args", [["certify-czk", "--samples", "200"],
+                                  ["norm-scan", "--op", "commutator1", "--n", "64", "--k-max", "4"]],
+                         ids=lambda a: a[0])
+def test_non_finite_multiplier_exits_1(tmp_path, capsys, args):
+    # log(x) is -inf at the node x = 0
+    assert cli_main([*args, "--a", "log(x)", "--out-dir", str(tmp_path)]) == 1
+    assert "multiplier 'log(x)' is not finite" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())

@@ -1,15 +1,19 @@
 """Truncated-kernel quadrature: profiles, decay fits, commutator certificates."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bilop.cli import main as cli_main
 from bilop.errors import DomainError, InvalidInputError, ToleranceError
 from bilop.grid import Grid, GridFunction, eval_at
 from bilop.kernel import (
-    BLOCK_COLUMNS,
+    PHASE_BUDGET,
+    ROW_BLOCK,
     KernelQuadrature,
     TruncationProfile,
     certify_cz_commutator_kernel,
@@ -99,7 +103,7 @@ def reference_values(quad, x, us, vs, deriv):
     return quad.spacing ** 2 / (2 * np.pi) ** 2 * vals
 
 
-@pytest.mark.parametrize("count", [1, BLOCK_COLUMNS, BLOCK_COLUMNS + 1, 330])
+@pytest.mark.parametrize("count", [1, 128, 129, 330])
 @pytest.mark.parametrize("make", [lambda: catalog_symbol("sqrt1"),
                                   lambda: catalog_symbol("theta_sqrt1")],
                          ids=["sqrt1", "theta_sqrt1"])
@@ -133,6 +137,125 @@ def test_repeated_offsets_match_the_unbatched_complex_formula(make):
             want = reference_values(quad, 0.7, u, v, deriv)
             got = quad.values(0.7, u, v, deriv=deriv)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), deriv
+
+
+# odd in xi, odd in eta, odd in both, and odd with an x-dependent factor:
+# the odd halves of the +-xi and +-eta folds, which even symbols never reach
+ODD_SYMBOLS = {
+    "xi": lambda: catalog_symbol("xi"),
+    "eta": lambda: catalog_symbol("eta"),
+    "bad_xieta": lambda: catalog_symbol("bad_xieta"),
+    "theta_xi_eta2": lambda: symbol_from_expr("(2+sin(x))*xi*eta^2/(1+xi^2+eta^2)",
+                                              SymbolClassParams(1.0)),
+}
+
+
+def _assert_matches_reference(quad, x, us, vs, deriv, chunk=1024):
+    want = np.concatenate([reference_values(quad, x, us[lo:lo + chunk], vs[lo:lo + chunk], deriv)
+                           for lo in range(0, us.size, chunk)])
+    got = quad.values(x, us, vs, deriv=deriv)
+    assert got.shape == us.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), deriv
+
+
+@pytest.mark.parametrize("name", ODD_SYMBOLS)
+def test_odd_symbols_match_the_unbatched_complex_formula(name):
+    # level 16: 129 rows a side, so the row loop makes several blocks and
+    # the last one is partial
+    quad = KernelQuadrature(ODD_SYMBOLS[name](), TruncationProfile(level=16.0))
+    rows = quad.axis.size // 2 + 1
+    assert rows > 2 * ROW_BLOCK and rows % ROW_BLOCK
+    us, vs = np.random.default_rng(11).uniform(-L / 4, L / 4, size=(2, 40))
+    for deriv in itertools.product((0, 1), repeat=3):
+        _assert_matches_reference(quad, 0.7, us, vs, deriv)
+
+
+@pytest.mark.parametrize("name", ["bad_xieta", "theta_xi_eta2"])
+def test_offsets_past_the_phase_budget_match_the_unbatched_complex_formula(name):
+    # more distinct v than one chunk of eta phases holds, even at alpha = 0:
+    # sigma is streamed once per chunk, and a u repeated across chunks is
+    # gathered in each
+    quad = KernelQuadrature(ODD_SYMBOLS[name](), TruncationProfile(level=8.0))
+    count = PHASE_BUDGET // (2 * (quad.axis.size // 2 + 1)) + 37
+    rng = np.random.default_rng(12)
+    vs = rng.uniform(-L / 4, L / 4, size=count)
+    us = rng.choice(rng.uniform(-L / 4, L / 4, size=50), size=count)
+    for deriv in itertools.product((0, 1), repeat=3):
+        _assert_matches_reference(quad, 2.3, us, vs, deriv)
+
+
+_XI_BLOCKS = ("xi", "xi^2", "xi^3", "sin(xi)", "cos(xi/3)", "1/(1+xi^2)",
+              "xi/(1+xi^2)", "sqrt(1+xi^2)", "exp(-xi^2/50)")
+_X_FACTORS = ("1", "(2+sin(x))", "exp(cos(x))")
+
+
+@st.composite
+def mixed_parity_symbols(draw):
+    """Sums of c * a(x) * A(xi) * B(eta), A and B each even, odd or neither."""
+    terms = draw(st.lists(st.tuples(st.sampled_from(("1", "1.5", "2", "3")),
+                                    st.sampled_from(_X_FACTORS),
+                                    st.sampled_from(_XI_BLOCKS),
+                                    st.sampled_from(_XI_BLOCKS)), min_size=1, max_size=3))
+    return " + ".join(f"{c}*{a}*({u})*({w.replace('xi', 'eta')})" for c, a, u, w in terms)
+
+
+@settings(max_examples=25, deadline=None)
+@given(expr=mixed_parity_symbols(), level=st.integers(8, 16),
+       deriv=st.sampled_from(list(itertools.product((0, 1), repeat=3))),
+       seed=st.integers(0, 99))
+def test_random_mixed_parity_symbols_match_the_unbatched_complex_formula(expr, level, deriv, seed):
+    quad = KernelQuadrature(symbol_from_expr(expr, SymbolClassParams(3.0)),
+                            TruncationProfile(float(level)))
+    rng = np.random.default_rng(seed)
+    us, vs = rng.uniform(-L / 4, L / 4, size=(2, 12))
+    _assert_matches_reference(quad, rng.uniform(0, L), us, vs, deriv)
+
+
+def _traced_peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name, deriv, samples", [("theta_sqrt1", (1, 0, 0), None),
+                                                  ("sqrt1", (0, 0, 0), 630)],
+                         ids=["theta_sqrt1-dx", "certification-batch"])
+def test_values_memory_is_bounded_at_level_256(name, deriv, samples):
+    # L = 4097 frequencies a side: a dense symbol matrix alone is 134 MB
+    quad = KernelQuadrature(catalog_symbol(name), TruncationProfile(level=256.0))
+    assert quad.axis.size == 4097
+    rng = np.random.default_rng(3)
+    if samples is None:  # a decay fit's batch: 11 radii x 8 directions
+        us, vs = rng.uniform(-L / 8, L / 8, size=(2, 88))
+    else:  # certification's batch: each sample with its y- and z-steps
+        u, v = rng.uniform(-L / 16, L / 16, size=(2, samples))
+        h = rng.uniform(0.001, 0.01, size=samples)
+        us = np.stack([u, u - h, u + h, u, u], axis=1).ravel()
+        vs = np.stack([v, v, v, v - h, v + h], axis=1).ravel()
+        assert us.size == 3150
+    peak = _traced_peak_mb(lambda: quad.values(0.4, us, vs, deriv=deriv))
+    assert peak < 32, f"{peak:.1f} MB"
+
+
+@pytest.mark.parametrize("expr", ["1/(xi-250)", "1/(eta-250)"])
+def test_non_finite_values_in_the_outer_rows_or_columns_are_a_domain_error(expr):
+    # at level 128 the box reaches |xi|, |eta| = 256: the pole at 250 lies in
+    # a late row block (xi) or in the outer columns of every block (eta)
+    sig = symbol_from_expr(expr, SymbolClassParams(-1.0))
+    quad = KernelQuadrature(sig, PROFILE)
+    assert 250 / quad.spacing // ROW_BLOCK >= 3
+    grid = Grid(dim=1, points_per_axis=64)
+    a = GridFunction(grid, np.sin(grid.nodes_1d()))
+    with np.errstate(divide="ignore"):
+        with pytest.raises(DomainError, match="not real and finite"):
+            quad.values(0.0, [0.3, 1.0], [0.5, -2.0])
+        with pytest.raises(DomainError):
+            fit_kernel_decay(sig)
+        with pytest.raises(DomainError):
+            certify_cz_commutator_kernel(sig, a, samples=200)
 
 
 def test_values_reject_x_derivative_order_before_evaluating():
