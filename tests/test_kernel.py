@@ -123,8 +123,8 @@ def test_batched_values_match_the_unbatched_complex_formula(make, count):
                          ids=["sqrt1", "theta_sqrt1"])
 def test_repeated_offsets_match_the_unbatched_complex_formula(make):
     # certification's batch: each sample with its y- and z-steps side by
-    # side, so repeated u and v share columns; shuffled, the repeats fall
-    # in different blocks
+    # side, so repeated u and v share phase columns; shuffled, the repeats
+    # lie far apart in the batch
     quad = KernelQuadrature(make(), TruncationProfile(level=16.0))
     rng = np.random.default_rng(5)
     us, vs = rng.uniform(-L / 4, L / 4, size=(2, 66))
