@@ -19,11 +19,10 @@ from .operator import (BilinearOperator, CommutatorOperator,
                        make_operator, pairing, transpose,
                        verify_transpose_identities)
 from .symbols import (FAMILY_NAMES, HONEST_BS1_NAMES, MULTIPLIER_NAMES,
-                      ORDER1_NAMES, FtcComponentSymbol, SeminormEntry,
-                      SeminormReport, Symbol, SymbolClassParams,
-                      catalog_symbol, estimate_seminorms, ftc_decompose,
-                      multiplier_function, parse_symbol_expr, pretty,
-                      reconstruction_residual, symbol_catalog,
+                      ORDER1_NAMES, SeminormEntry, SeminormReport, Symbol,
+                      SymbolClassParams, catalog_symbol, estimate_seminorms,
+                      ftc_decompose, multiplier_function, parse_symbol_expr,
+                      pretty, reconstruction_residual, symbol_catalog,
                       symbol_from_expr)
 
 __version__ = "0.1.0"

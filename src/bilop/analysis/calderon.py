@@ -21,7 +21,7 @@ from ..grid import Grid, GridFunction, fractional_derivative, lp_norm, spectral_
 from ..operator import apply, commutator, make_operator
 from ..symbols import catalog_symbol
 from .bumps import bump
-from .scans import _fit_slope, family_member
+from .scans import _fit_slope, _ladder, family_member
 
 
 def calderon_demo(a: GridFunction, f: GridFunction) -> GridFunction:
@@ -58,13 +58,12 @@ def calderon_scan(a: GridFunction, k_values=tuple(range(1, 65)),
                   family: str = "modulated-bump", seed: int = 0) -> CalderonScanReport:
     """Commutator-to-Lipschitz ratio across the frequency ladder."""
     grid = a.grid
-    ratios = []
-    for k in k_values:
-        f = family_member(family, grid, int(k), seed=seed)
-        ratios.append(calderon_ratio(a, f))
+    k_values = _ladder(k_values)
+    ratios = [calderon_ratio(a, family_member(family, grid, k, seed=seed))
+              for k in k_values]
     slope = _fit_slope(k_values, ratios)
     ok = slope < 0.2 and max(ratios) < 10.0
-    return CalderonScanReport(k_values=tuple(int(k) for k in k_values),
+    return CalderonScanReport(k_values=k_values,
                               ratios=tuple(ratios), slope=slope,
                               verdict="PASS" if ok else "FAILED")
 
@@ -86,6 +85,8 @@ def converse_check(a: GridFunction, width: float | None = None,
     grid = a.grid
     if grid.dim != 1:
         raise InvalidInputError("the converse check is one-dimensional")
+    if center_count < 1:
+        raise InvalidInputError(f"need >= 1 center, got {center_count}")
     L = grid.period
     if width is None:
         width = L / 32

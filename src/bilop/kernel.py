@@ -278,6 +278,8 @@ def fit_kernel_decay(sigma: Symbol, deriv=(0, 0, 0), radii=None, directions: int
         raise InvalidInputError("radii must span at least 3 octaves")
     if max(radii) >= period / 4 or min(radii) <= 0:
         raise InvalidInputError("radii must lie in (0, L/4)")
+    if directions < 1:
+        raise InvalidInputError(f"need >= 1 direction, got {directions}")
     n = sigma.dim
     target = -(2 * n + sigma.declared_class.m + sum(deriv))
 
@@ -352,6 +354,9 @@ def certify_cz_commutator_kernel(sigma: Symbol, a: GridFunction, slot: int = 1,
         raise InvalidInputError(f"slot must be 1 or 2, got {slot}")
     if samples < 200:
         raise InvalidInputError(f"need >= 200 samples, got {samples}")
+    if not 2 <= octave_count <= samples:
+        raise InvalidInputError(f"need >= 2 octaves of >= 1 sample, got {octave_count} octaves "
+                                f"for {samples} samples")
     grid = a.grid
     if grid.dim != 1:
         raise InvalidInputError("certification is implemented for 1D")

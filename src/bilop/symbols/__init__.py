@@ -1,7 +1,7 @@
 from .core import Symbol, SymbolClassParams, symbol_from_expr, absnorm
 from .expr import parse_symbol_expr, pretty
 from .seminorms import SeminormEntry, SeminormReport, estimate_seminorms
-from .ftc import FtcComponentSymbol, ftc_decompose, reconstruction_residual
+from .ftc import ftc_decompose, reconstruction_residual
 from .catalog import (FAMILY_NAMES, HONEST_BS1_NAMES, MULTIPLIER_NAMES,
                       ORDER1_NAMES, catalog_symbol, multiplier_function,
                       symbol_catalog)
@@ -10,7 +10,7 @@ __all__ = [
     "Symbol", "SymbolClassParams", "symbol_from_expr", "absnorm",
     "parse_symbol_expr", "pretty",
     "SeminormEntry", "SeminormReport", "estimate_seminorms",
-    "FtcComponentSymbol", "ftc_decompose", "reconstruction_residual",
+    "ftc_decompose", "reconstruction_residual",
     "FAMILY_NAMES", "HONEST_BS1_NAMES", "MULTIPLIER_NAMES", "ORDER1_NAMES",
     "catalog_symbol", "multiplier_function", "symbol_catalog",
 ]

@@ -1,11 +1,11 @@
 """Symbols sigma(x, xi, eta): evaluation, declared class, derivatives.
 
 A symbol's evaluator takes (x, xi, eta); in 1D each argument is a scalar
-or ndarray, in 2D each is a pair of those.  A symbol built from an
-expression (symbol_from_expr, which also builds the catalog) keeps its AST,
-and every partial derivative is the exact derivative of that AST.  A
-symbol built from a plain callable has values only: asking it for a
-derivative of order >= 1 is an error.
+or ndarray, in 2D each is a pair of those.  A symbol built by
+symbol_from_expr (the catalog and the FTC components of ftc.py too) keeps
+its AST, and every partial derivative is the exact derivative of that AST.
+A symbol built from a plain callable has values only: a derivative of
+order >= 1, or an FTC component, of it is an error.
 """
 from __future__ import annotations
 
@@ -98,23 +98,22 @@ class Symbol:
         symbol without one raises InvalidInputError.
         """
         dim = self.dim
-        a = _as_multi(alpha, dim)
-        b = _as_multi(beta, dim)
-        g = _as_multi(gamma, dim)
-        return self._partial(a, b, g)
-
-    def _partial(self, a: tuple, b: tuple, g: tuple):
-        if sum(a) + sum(b) + sum(g) == 0:
+        orders = _as_multi(alpha, dim) + _as_multi(beta, dim) + _as_multi(gamma, dim)
+        if not any(orders):
             return self.fn
-        if self.node is None:
-            raise InvalidInputError(
-                f"symbol {self.name!r} is a plain callable: it has values but no "
-                f"derivatives; build it from an expression")
-        node = self.node  # x first: an x-independent AST folds to Num(0) at once
-        for var, k in zip(VARIABLES_1D if self.dim == 1 else VARIABLES_2D, a + b + g):
+        node = _require_ast(self)  # x first: an x-independent AST folds to Num(0) at once
+        for var, k in zip(VARIABLES_1D if dim == 1 else VARIABLES_2D, orders):
             for _ in range(k):
                 node = node.diff(var)
-        return _ast_evaluator(node, self.dim)
+        return _ast_evaluator(node, dim)
+
+
+def _require_ast(sym: Symbol) -> Node:
+    if sym.node is None:
+        raise InvalidInputError(
+            f"symbol {sym.name!r} is a plain callable: it has values but no "
+            f"derivatives; build it from an expression")
+    return sym.node
 
 
 _fd_freq = _fd_space = None  # bound by perfbench/tracer.py until ROADMAP item 4

@@ -4,11 +4,14 @@ Writes sigma(x, xi, eta) - sigma(x, 0, 0) as
 
     sum_j xi_j * sigma_j + sum_j eta_j * sigmatilde_j,
     sigma_j(x, xi, eta)      = int_0^1 (d_xi_j sigma)(x, t xi, t eta) dt,
-    sigmatilde_j(x, xi, eta) = int_0^1 (d_eta_j sigma)(x, t xi, t eta) dt,
+    sigmatilde_j(x, xi, eta) = int_0^1 (d_eta_j sigma)(x, t xi, t eta) dt.
 
-with the t-integral evaluated by Gauss-Legendre quadrature.  The nodes
-are stacked on a leading axis, so the parent's partial is evaluated once
-per chunk of at most NODE_CHUNK_ENTRIES entries, not once per node.  Each
+Each component is an expression symbol whose AST is one Quad node over
+the parent's exact partial, so it has exact derivatives of every order:
+an x-derivative passes under the integral, a frequency derivative adds a
+factor t.  The t-integral is Gauss-Legendre quadrature with the nodes
+stacked on a leading axis, so the integrand is evaluated once per chunk
+of at most NODE_CHUNK_ENTRIES entries, not once per node.  Each
 component drops one order: declared class (m - 1, rho, delta).
 """
 from __future__ import annotations
@@ -18,10 +21,11 @@ import functools
 import numpy as np
 
 from ..errors import InvalidInputError, ToleranceError
-from .core import Symbol, SymbolClassParams, _as_multi, _components, _pack
+from .core import Symbol, SymbolClassParams, _pack, _require_ast, symbol_from_expr
+from .expr import VARIABLES_1D, VARIABLES_2D, Node, _is
 
 GUARD_TOL = 1e-8
-NODE_CHUNK_ENTRIES = 2 ** 18  # bounds the stacked arrays of one parent evaluation
+NODE_CHUNK_ENTRIES = 2 ** 18  # bounds the stacked arrays of one integrand evaluation
 
 
 @functools.cache
@@ -33,68 +37,54 @@ def _gauss_legendre_01(q: int):
     return nodes, weights
 
 
-def _scale_freq(v, t, dim: int):
-    comps = _components(v, dim)
-    return _pack(tuple(t * c for c in comps), dim)
+class Quad(Node):
+    """int_0^1 t^power * integrand(x, t xi, t eta) dt by q-node Gauss-Legendre.
+
+    The integrand is evaluated at scaled frequencies, not at the caller's
+    environment, so it is not a child: the outer DAG sees a leaf.  Quad is
+    not in the grammar and pretty() refuses it, so its symbols are named.
+    """
+
+    def __init__(self, integrand: Node, power: int, q: int):
+        self.integrand = integrand
+        self.power = int(power)
+        self.q = int(q)
+
+    def free_vars(self):
+        return self.integrand.free_vars()
+
+    def apply(self, env):
+        t, w = _gauss_legendre_01(self.q)
+        coeff = w * t ** self.power
+        shape = np.broadcast_shapes(*(np.shape(v) for v in env.values()))
+        step = max(1, NODE_CHUNK_ENTRIES // max(1, int(np.prod(shape))))
+        acc = 0
+        for lo in range(0, t.size, step):
+            # the nodes on a leading axis: one integrand evaluation per chunk
+            ts = t[lo:lo + step].reshape((-1,) + (1,) * len(shape))
+            scaled = {k: ts * v if k.startswith(("xi", "eta")) else v
+                      for k, v in env.items()}
+            val = np.broadcast_to(self.integrand.eval(scaled), ts.shape[:1] + shape)
+            acc = acc + (coeff[lo:lo + step].reshape(ts.shape) * val).sum(axis=0)
+        return acc
+
+    def derivative(self, var):
+        inner = self.integrand.diff(var)
+        power = self.power + var.startswith(("xi", "eta"))  # d/dxi of f(t xi) is t f'
+        return inner if _is(inner, 0) else Quad(inner, power, self.q)
+
+    def __repr__(self):
+        return f"Quad({self.integrand!r},{self.power},{self.q})"
 
 
-class FtcComponentSymbol(Symbol):
-    """One sigma_j / sigmatilde_j factor; derivatives integrate the parent's."""
-
-    def __init__(self, parent: Symbol, block: str, comp: int, quad_points: int):
-        self.parent = parent
-        self.block = block
-        self.comp = comp
-        self.quad_points = int(quad_points)
-        self._nodes, self._weights = _gauss_legendre_01(self.quad_points)
-        pc = parent.declared_class
-        tag = ("xi" if block == "xi" else "eta") + (str(comp + 1) if parent.dim > 1 else "")
-        super().__init__(
-            name=f"{parent.name}[{tag}]",
-            fn=self._make_integral((0,) * parent.dim, (0,) * parent.dim,
-                                   (0,) * parent.dim),
-            declared_class=SymbolClassParams(pc.m - 1, pc.rho, pc.delta),
-            dim=parent.dim,
-            x_independent=parent.x_independent,
-        )
-
-    def _make_integral(self, a: tuple, b: tuple, g: tuple):
-        dim = self.parent.dim
-        e = [0] * dim
-        e[self.comp] = 1
-        if self.block == "xi":
-            b_in = tuple(np.add(b, e))
-            g_in = g
-        else:
-            b_in = b
-            g_in = tuple(np.add(g, e))
-        inner = self.parent._partial(a, b_in, g_in)
-        tpow = sum(b) + sum(g)
-        t = self._nodes
-        coeff = self._weights * t ** tpow
-
-        def integral(x, xi, eta):
-            comps = _components(x, dim) + _components(xi, dim) + _components(eta, dim)
-            shape = np.broadcast_shapes(*(c.shape for c in comps))
-            step = max(1, NODE_CHUNK_ENTRIES // max(1, int(np.prod(shape))))
-            acc = 0
-            for lo in range(0, t.size, step):
-                # the nodes on a leading axis: one parent evaluation per chunk
-                ts = t[lo:lo + step].reshape((-1,) + (1,) * len(shape))
-                val = inner(x, _scale_freq(xi, ts, dim), _scale_freq(eta, ts, dim))
-                val = np.broadcast_to(val, ts.shape[:1] + shape)
-                acc = acc + (coeff[lo:lo + step].reshape(ts.shape) * val).sum(axis=0)
-            return acc
-
-        return integral
-
-    def _partial(self, a: tuple, b: tuple, g: tuple):
-        if sum(a) + sum(b) + sum(g) == 0:
-            return self.fn
-        return self._make_integral(a, b, g)
-
-    def with_quad_points(self, q: int) -> "FtcComponentSymbol":
-        return FtcComponentSymbol(self.parent, self.block, self.comp, q)
+def _split(sigma: Symbol, q: int) -> list:
+    """sigma_j then sigmatilde_j, each the Quad of the parent's exact partial."""
+    node = _require_ast(sigma)
+    pc = sigma.declared_class
+    params = SymbolClassParams(pc.m - 1, pc.rho, pc.delta)
+    freqs = (VARIABLES_1D if sigma.dim == 1 else VARIABLES_2D)[sigma.dim:]
+    return [symbol_from_expr(Quad(node.diff(var), 0, q), params, dim=sigma.dim,
+                             name=f"{sigma.name}[{var}]") for var in freqs]
 
 
 def ftc_decompose(sigma: Symbol, quad_points: int = 64, guard: bool = True,
@@ -108,18 +98,15 @@ def ftc_decompose(sigma: Symbol, quad_points: int = 64, guard: bool = True,
     if quad_points < 16:
         raise InvalidInputError(f"quad_points must be >= 16, got {quad_points}")
     dim = sigma.dim
-    comps = [FtcComponentSymbol(sigma, "xi", j, quad_points) for j in range(dim)]
-    comps += [FtcComponentSymbol(sigma, "eta", j, quad_points) for j in range(dim)]
+    comps = _split(sigma, quad_points)
     if guard:
         rng = np.random.default_rng(0)
         x = rng.uniform(0, period, size=guard_samples)
         z = rng.uniform(-guard_box, guard_box, size=(guard_samples, 2 * dim))
         xp = _pack((x, *rng.uniform(0, period, size=(dim - 1, guard_samples))), dim)
         xip, etap = _pack(tuple(z[:, :dim].T), dim), _pack(tuple(z[:, dim:].T), dim)
-        for c in comps:
-            fine = c.with_quad_points(2 * quad_points)
-            v1 = np.asarray(c.eval(xp, xip, etap))
-            v2 = np.asarray(fine.eval(xp, xip, etap))
+        for c, fine in zip(comps, _split(sigma, 2 * quad_points)):
+            v1, v2 = c.eval(xp, xip, etap), fine.eval(xp, xip, etap)
             gap = np.abs(v1 - v2)
             worst = int(np.argmax(gap))
             if gap[worst] > GUARD_TOL:
@@ -135,6 +122,8 @@ def reconstruction_residual(sigma: Symbol, components: list, probes: int = 200,
                             box: float = 64.0, seed: int = 1,
                             period: float = 2 * np.pi) -> float:
     """max |sum_j (xi_j sigma_j + eta_j sigmatilde_j) - (sigma - sigma(x,0,0))|."""
+    if probes < 1 or not box > 0:
+        raise InvalidInputError(f"need >= 1 probe in a box of positive size, got {probes} in {box}")
     dim = sigma.dim
     rng = np.random.default_rng(seed)
     z = rng.uniform(-box, box, size=(probes, 2 * dim))

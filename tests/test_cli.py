@@ -112,3 +112,30 @@ def test_non_finite_multiplier_exits_1(tmp_path, capsys, args):
     assert cli_main([*args, "--a", "log(x)", "--out-dir", str(tmp_path)]) == 1
     assert "multiplier 'log(x)' is not finite" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+# flags that leave a check nothing to decide on: one k value, one octave,
+# no probes, centers or directions, or a probe box that is a point
+REFUSED = [
+    ["norm-scan", "--k-max", "1"], ["norm-scan", "--k-max", "0"],
+    ["kato-ponce", "--k-max", "1"], ["kato-ponce", "--k-max", "0"],
+    ["calderon-demo", "--k-max", "1"], ["calderon-demo", "--k-max", "0"],
+    ["certify-czk", "--octaves", "1", "--samples", "200"],
+    ["certify-czk", "--symbol", "bad_xieta", "--octaves", "1", "--samples", "200"],
+    ["certify-czk", "--octaves", "0"],
+    ["certify-czk", "--octaves", "300", "--samples", "200"],
+    ["converse-check", "--centers", "0"],
+    ["fit-decay", "--directions", "0"],
+    ["decompose", "--probes", "0"], ["decompose", "--box", "-64"],
+    ["decompose", "--box", "0"],
+]
+
+
+@pytest.mark.parametrize("args", REFUSED, ids=[" ".join(a) for a in REFUSED])
+def test_degenerate_flags_exit_1_with_an_error_line(tmp_path, capsys, args):
+    # an uncaught exception would escape main here instead of a return of 1
+    assert cli_main([*args, "--out-dir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("bilop: error:")
+    assert "Traceback" not in captured.err + captured.out
+    assert not any(tmp_path.iterdir())

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bilop.errors import InvalidInputError, ToleranceError
 from bilop.symbols import (
+    Symbol,
     SymbolClassParams,
     catalog_symbol,
     estimate_seminorms,
@@ -15,7 +18,11 @@ from bilop.symbols import (
     symbol_from_expr,
 )
 from bilop.symbols import ftc
-from bilop.symbols.ftc import FtcComponentSymbol
+from bilop.symbols.expr import VARIABLES_1D, VARIABLES_2D
+
+
+def frequency_names(dim):
+    return (VARIABLES_1D if dim == 1 else VARIABLES_2D)[dim:]
 
 
 def manual_reconstruction_gap(sigma, comps, seed=2, box=64.0, probes=200):
@@ -65,12 +72,16 @@ def test_reconstruction_residual_small_for_whole_catalog(dim):
 
 def test_component_count_and_layout():
     comps = ftc_decompose(catalog_symbol("sqrt1"))
-    assert len(comps) == 2
+    assert [c.name for c in comps] == ["sqrt1[xi]", "sqrt1[eta]"]
     comps2 = ftc_decompose(catalog_symbol("sqrt1", dim=2))
-    assert len(comps2) == 4
-    assert [c.block for c in comps2] == ["xi", "xi", "eta", "eta"]
-    assert [c.comp for c in comps2] == [0, 1, 0, 1]
-    assert all(isinstance(c, FtcComponentSymbol) for c in comps2)
+    assert [c.name for c in comps2] == ["sqrt1[xi1]", "sqrt1[xi2]", "sqrt1[eta1]", "sqrt1[eta2]"]
+    # each component is an expression symbol: one Quad node over the parent's partial
+    assert all(isinstance(c.node, ftc.Quad) and c.dim == 2 for c in comps2)
+    # sigma = sqrt(1 + |xi|^2 + |eta|^2) is symmetric, so the blocks mirror each other
+    x, xi, eta = (0.3, 0.1), (2.0, -1.0), (0.5, 4.0)
+    swap = lambda c, v: c.eval(x, v[1], v[0])
+    for j in range(2):
+        assert comps2[j].eval(x, xi, eta) == pytest.approx(swap(comps2[2 + j], (xi, eta)), rel=1e-14)
 
 
 def test_components_drop_one_order():
@@ -113,16 +124,16 @@ def test_component_derivative_matches_finite_difference():
     assert abs(got[0] - fd[0]) < 1e-8
 
 
-def node_by_node(comp, a, b, g, x, xi, eta):
-    # one parent evaluation per Gauss-Legendre node, summed in node order
-    dim = comp.parent.dim
-    e = tuple(int(j == comp.comp) for j in range(dim))
-    bump = lambda m: tuple(np.add(m, e))
-    inner = comp.parent.partial(a, bump(b) if comp.block == "xi" else b,
-                                bump(g) if comp.block == "eta" else g)
+def node_by_node(parent, var, q, a, b, g, x, xi, eta):
+    # d^(a,b,g) of the parent's var-component with q nodes: one parent
+    # evaluation per Gauss-Legendre node, summed in node order
+    dim = parent.dim
+    names = VARIABLES_1D if dim == 1 else VARIABLES_2D
+    orders = np.add(a + b + g, [int(v == var) for v in names])
+    inner = parent.partial(*(tuple(orders[k * dim:(k + 1) * dim]) for k in range(3)))
     scale = lambda v, t: t * v if dim == 1 else tuple(t * c for c in v)
     acc = 0
-    for t, w in zip(*np.polynomial.legendre.leggauss(comp.quad_points)):
+    for t, w in zip(*np.polynomial.legendre.leggauss(q)):
         t = (t + 1) / 2
         acc = acc + w / 2 * t ** (sum(b) + sum(g)) * np.asarray(
             inner(x, scale(xi, t), scale(eta, t)))
@@ -139,9 +150,10 @@ def test_stacked_nodes_match_node_by_node_evaluation(monkeypatch, dim, chunk):
     x, xi, eta = draw(), draw(), draw()
     zero = (0,) * dim
     one = tuple(int(j == 0) for j in range(dim))
-    for c in ftc_decompose(catalog_symbol("theta_sqrt1", dim=dim), guard=False):
+    sigma = catalog_symbol("theta_sqrt1", dim=dim)
+    for c, var in zip(ftc_decompose(sigma, guard=False), frequency_names(dim)):
         for a, b, g in [(zero, zero, zero), (one, zero, zero), (zero, one, one)]:
-            want = node_by_node(c, a, b, g, x, xi, eta)
+            want = node_by_node(sigma, var, 64, a, b, g, x, xi, eta)
             got = c.partial(a, b, g)(x, xi, eta)
             assert got.shape == (60,)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (c.name, a, b, g)
@@ -150,23 +162,117 @@ def test_stacked_nodes_match_node_by_node_evaluation(monkeypatch, dim, chunk):
 def test_stacked_nodes_broadcast_grid_shaped_inputs():
     # column xi against row eta, scalar x: the leading node axis must not
     # collide with the grid axes
-    comp = ftc_decompose(catalog_symbol("theta_sqrt1"), guard=False)[1]
+    sigma = catalog_symbol("theta_sqrt1")
+    comp = ftc_decompose(sigma, guard=False)[1]
     xi, eta = np.linspace(-9, 9, 5)[:, None], np.linspace(-3, 4, 7)[None, :]
     got = comp.eval(0.4, xi, eta)
     assert got.shape == (5, 7)
-    assert np.allclose(got, node_by_node(comp, (0,), (0,), (0,), 0.4, xi, eta),
+    assert np.allclose(got, node_by_node(sigma, "eta", 64, (0,), (0,), (0,), 0.4, xi, eta),
                        rtol=1e-13, atol=0)
 
 
-def test_with_quad_points_refines_in_place():
-    comp = ftc_decompose(catalog_symbol("sqrt1"))[0]
-    finer = comp.with_quad_points(128)
-    assert finer.quad_points == 128
-    assert finer.block == comp.block and finer.comp == comp.comp
+def test_doubling_quad_points_refines_the_same_component():
+    sigma = catalog_symbol("sqrt1")
+    comp = ftc_decompose(sigma)[0]
+    finer = ftc_decompose(sigma, quad_points=128)[0]
+    assert finer.name == comp.name == "sqrt1[xi]"
+    assert (finer.node.q, comp.node.q) == (128, 64)
     x = np.array([1.0])
     xi = np.array([5.0])
     eta = np.array([3.0])
     assert abs(comp.eval(x, xi, eta)[0] - finer.eval(x, xi, eta)[0]) < 1e-10
+
+
+# x-factors, xi-factors and eta-factors of separable terms c*a(x)*A(xi)*B(eta)
+_FACTORS = {
+    1: (("1", "sin(x)", "exp(cos(2*x))", "2+sin(x)^2"),
+        ("1", "xi", "sqrt(1+xi^2)", "exp(-xi^2/9)", "xi/(1+xi^2)"),
+        ("1", "eta", "sqrt(4+eta^2)", "cos(eta/3)", "1/(2+eta^2)")),
+    2: (("1", "sin(x1)", "cos(x2)", "exp(sin(x1+x2))"),
+        ("1", "xi1", "sqrt(1+xi1^2+xi2^2)", "exp(-(xi1^2+xi2^2)/9)", "xi2/(1+xi1^2)"),
+        ("1", "eta2", "sqrt(4+eta1^2+eta2^2)", "cos(eta1/3)", "eta1/(2+eta2^2)")),
+}
+
+
+@st.composite
+def separable_sums(draw, dim):
+    xs, xis, etas = _FACTORS[dim]
+    terms = [f"{draw(st.sampled_from(('1', '-0.5', '2.5')))}*{draw(st.sampled_from(xs))}"
+             f"*{draw(st.sampled_from(xis))}*{draw(st.sampled_from(etas))}"
+             for _ in range(draw(st.integers(1, 3)))]
+    return "+".join(terms)
+
+
+def _orders_up_to_two(dim):
+    names = VARIABLES_1D if dim == 1 else VARIABLES_2D
+    pairs = [(i, j) for i in range(len(names)) for j in range(i, len(names))]
+    out = []
+    for hit in [()] + [(i,) for i in range(len(names))] + pairs:
+        m = np.bincount(np.array(hit, dtype=int), minlength=len(names))
+        out.append(tuple(tuple(int(v) for v in m[k * dim:(k + 1) * dim]) for k in range(3)))
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(dim=st.sampled_from((1, 2)), data=st.data(), seed=st.integers(0, 99))
+def test_component_partials_match_node_by_node_on_separable_sums(dim, data, seed):
+    # the Quad derivative rule (x passes under the integral, a frequency adds
+    # a power of t) against the direct node sum of the parent's partial
+    sigma = symbol_from_expr(data.draw(separable_sums(dim)), SymbolClassParams(1.0), dim=dim)
+    rng = np.random.default_rng(seed)
+    draw = lambda: rng.uniform(-20, 20, 12) if dim == 1 else tuple(rng.uniform(-20, 20, (2, 12)))
+    x, xi, eta = draw(), draw(), draw()
+    comps = ftc_decompose(sigma, quad_points=16, guard=False)
+    triples = data.draw(st.lists(st.sampled_from(_orders_up_to_two(dim)), min_size=1,
+                                 max_size=4))
+    for c, var in zip(comps, frequency_names(dim)):
+        for a, b, g in triples:
+            want = node_by_node(sigma, var, 16, a, b, g, x, xi, eta)
+            got = c.partial(a, b, g)(x, xi, eta)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (c.name, a, b, g)
+
+
+def test_component_of_a_component():
+    # sigma = xi^3 + 2 eta^2: sigma[xi] = xi^2, and (xi^2)[xi] = xi, exactly
+    # for Gauss-Legendre on polynomial integrands
+    sigma = symbol_from_expr("xi^3+2*eta^2", SymbolClassParams(3.0), name="p")
+    comp_xi, comp_eta = ftc_decompose(sigma)
+    nested = ftc_decompose(comp_xi)
+    assert [c.name for c in nested] == ["p[xi][xi]", "p[xi][eta]"]
+    assert nested[0].declared_class.m == 1.0
+    rng = np.random.default_rng(4)
+    x, xi, eta = rng.uniform(0, 6, 30), rng.uniform(-30, 30, 30), rng.uniform(-30, 30, 30)
+    assert np.allclose(comp_eta.eval(x, xi, eta), 2 * eta, rtol=1e-14, atol=0)
+    assert np.allclose(nested[0].eval(x, xi, eta), xi, rtol=1e-14, atol=0)
+    assert np.allclose(nested[0].partial(0, 1, 0)(x, xi, eta), 1.0, rtol=1e-14, atol=0)
+    assert np.all(nested[1].eval(x, xi, eta) == 0)
+    # an x-dependent parent: the nested Quad against the node sum of the component
+    comp = ftc_decompose(catalog_symbol("theta_sqrt1"))[1]
+    inner = ftc_decompose(comp)[0]
+    for a, b, g in [((0,), (0,), (0,)), ((1,), (0,), (1,))]:
+        want = node_by_node(comp, "xi", 64, a, b, g, x, xi, eta)
+        got = inner.partial(a, b, g)(x, xi, eta)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert reconstruction_residual(comp, ftc_decompose(comp, quad_points=128)) < 1e-8
+
+
+def test_x_independence_is_read_from_the_component_expression():
+    # d_xi (sin(x) + xi) = 1: the xi-component is the constant 1, free of x
+    sigma = symbol_from_expr("sin(x)+xi", SymbolClassParams(1.0))
+    comp_xi, comp_eta = ftc_decompose(sigma)
+    assert sigma.x_independent is False
+    assert comp_xi.x_independent is True and comp_eta.x_independent is True
+    x, xi, eta = np.linspace(0, 6, 9), np.linspace(-40, 40, 9), np.linspace(5, -5, 9)
+    assert np.allclose(comp_xi.eval(x, xi, eta), 1.0, rtol=1e-14, atol=0)
+    assert np.all(comp_xi.partial(1, 0, 0)(x, xi, eta) == 0)
+    assert np.all(comp_eta.eval(x, xi, eta) == 0)
+
+
+def test_plain_callable_parent_is_refused_by_name():
+    sqrt1 = catalog_symbol("sqrt1")
+    plain = Symbol("plain sqrt1", sqrt1.fn, sqrt1.declared_class)
+    with pytest.raises(InvalidInputError, match="'plain sqrt1' is a plain callable"):
+        ftc_decompose(plain)
 
 
 def test_quad_points_floor():
