@@ -117,8 +117,7 @@ def _run_apply(cfg):
     data = {"strategy": T.strategy}
     if T.strategy == "multiplier":
         low = T.lowrank()
-        data.update(rank=low.rank, residual=low.residual, x_rank=low.x_rank,
-                    x_residual=low.x_residual)
+        data.update(rank=low.rank, residual=low.residual, x_rank=low.x_rank)
     data.update(l2_norm=lp_norm(out, 2), linf_norm=lp_norm(out, np.inf),
                 values=out.values)
     flat = out.values.ravel()

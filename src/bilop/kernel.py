@@ -4,10 +4,11 @@
                    sigma(x, xi, eta) psi(xi/N) psi(eta/N) d xi d eta
 
 with the smooth cutoff psi built from h(s) = e^{-1/s} [s>0].  The
-frequency integral runs on a trapezoid grid over [-2N, 2N]^{2n};
-spacing 0.25 is alias-safe for torus offsets (verified by the built-in
-doubling guard).  Derivative kernels multiply the integrand by (i xi),
-(i eta) monomials and differentiate sigma in x.
+frequency integral runs on a trapezoid grid over [-2N, 2N]^{2n}; only
+kernel_at checks, by a doubling guard, that spacing 0.25 is alias-safe
+for torus offsets: kernel_slice, fit_kernel_decay and the CZ
+certification do not.  Derivative kernels multiply the integrand by
+(i xi), (i eta) monomials and differentiate sigma in x.
 
 On the grid the kernel at offsets (u_b, v_b) is EU[:, b]^T S EV[:, b],
 with S = sigma (or d_x sigma) on the box, raw, and the cutoff on the
@@ -116,9 +117,8 @@ class KernelQuadrature:
             raise InvalidInputError("x-derivative order must be 0 or 1")
         us = np.atleast_1d(np.asarray(us, dtype=float))
         vs = np.atleast_1d(np.asarray(vs, dtype=float))
-        dx = None
-        if alpha == 1 and self.sigma.x_independent is not True:
-            dx = self.sigma.partial((1,), (0,), (0,))
+        dx = (self.sigma.partial((1,), (0,), (0,))
+              if alpha == 1 and not self.sigma.x_independent else None)
         vq, iv = np.unique(vs, return_inverse=True)
         width = max(1, PHASE_BUDGET // (2 * (1 + alpha) * self._half.size))
         vals = np.empty(us.size, dtype=complex)

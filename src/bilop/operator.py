@@ -4,38 +4,27 @@
                   fhat(xi_k) ghat(eta_l) e^{i x_j (xi_k + eta_l)}
 
 "direct" evaluates the double frequency sum per node, at cost N^{3n}; it
-is the reference oracle.  "multiplier" expands sigma over skeleton nodes
-x_P of the flattened mesh (M = N^n points) as a short sum of x-weighted
-low-rank Fourier multipliers, S_s[k, l] = sigma(x_{P_s}, xi_k, eta_l):
+is the reference oracle.  "multiplier" reads an exact x-expansion off
+sigma's AST, as in Coifman-Meyer's reduction to elementary products
+a(x) b(xi, eta), and factors each frequency part (M = N^n mesh points):
 
-    sigma(x_j, ., .) ~ sum_s A[j, s] S_s,   S_s ~ sum_r U_{s,r} V_{s,r}^T
-    T(f,g) = sum_s A[:, s] sum_r ifftn(U_{s,r} fftn f) ifftn(V_{s,r} fftn g)
+    sigma(x_j, xi, eta) = sum_s w_s[j] S_s(xi, eta),   S_s ~ sum_r U_{s,r} V_{s,r}^T
+    T(f,g) = sum_s w_s sum_r ifftn(U_{s,r} fftn f) ifftn(V_{s,r} fftn g)
 
-Skeleton: sigma is sampled at every node and X_SAMPLE frequency pairs
-(seed SKETCH_SEED); the samples' left singular vectors U are cut at
-X_RTOL relative to the largest, P is picked by discrete empirical
-interpolation (DEIM, Chaturantabut-Sorensen 2010) and A = U (U[P])^{-1}.
-Two held-out nodes outside P are checked on the full frequency grid in
-row blocks of at most FACTOR_BUDGET entries; while one misses X_RTOL
-(relative to the largest row checked), its worst frequency pair joins
-the samples.  x-dependence confined to a few nodes and a few
-frequencies can escape both samples.  A declared x-independent symbol
-skips this (P = node 0, A = 1).  Above an x-rank of M / 8, direct is cheaper: make_operator
-selects it and an explicit multiplier strategy raises BudgetError.
+_separate multiplies out sums, negations, products, positive integer
+powers, quotients by a single term a b and Quad (FTC) nodes, grouping
+terms by x-factor.  A factor mixing x with a frequency, a plain callable
+not declared x-independent, or over M / 8 groups leaves no expansion:
+make_operator selects direct; an explicit multiplier raises BudgetError.
 
 Each S_s is factored by an adaptive randomized range finder (Halko,
-Martinsson and Tropp, arXiv:0909.4061) with a fixed seed.  Its Gaussian
-sketch doubles in width until a held-out probe W gives
-||(S - Q Q^H S) W|| <= FACTOR_RTOL ||S W||, or until it spans all M
-columns (exact); the SVD of Q^H S is cut where its tail falls below the
-same relative bound.  S is evaluated in row blocks of at most
-FACTOR_BUDGET entries: once if it fits in one block, else once per
-sketch round and once for Q^H S.  A sketch wider than FACTOR_BUDGET / M
-raises BudgetError.  Construction builds the expansion: it resolves the
-strategy, finds the skeleton and factors each S_s, so an operator is a
-finished immutable value and a BudgetError raises from make_operator.
-Non-finite symbol values on the grid and non-finite outputs raise
-DomainError.
+Martinsson and Tropp, arXiv:0909.4061) with a fixed seed: the Gaussian
+sketch doubles until a held-out probe W gives ||(S - Q Q^H S) W|| <=
+FACTOR_RTOL ||S W|| or it spans all M columns, and the SVD of Q^H S is
+cut at the same relative tail.  S is evaluated in FACTOR_BUDGET-entry
+row blocks: once if one holds it, else per sketch round and for Q^H S;
+a sketch past FACTOR_BUDGET / M columns raises BudgetError.  Operators
+are built whole; non-finite symbol values and outputs raise DomainError.
 
 Each operator is read as a trilinear form Phi(h, f, g) = <T(f,g), h>
 under the bilinear dual pairing <u, v> = sum_j u_j v_j dx^n (no
@@ -57,7 +46,9 @@ import numpy as np
 
 from .errors import BudgetError, DomainError, InvalidInputError
 from .grid import Grid, GridFunction
-from .symbols.core import Symbol, _pack
+from .symbols.core import Symbol, _pack, symbol_from_expr
+from .symbols.expr import BinOp, Neg, Node, Num, Pow, _add, _div, _mul, _neg
+from .symbols.ftc import Quad
 
 DIRECT_BUDGET = 2 ** 28
 DENSE_BUDGET = 2 ** 24
@@ -66,9 +57,6 @@ FACTOR_RTOL = 1e-14
 SKETCH_START = 64   # first sketch width
 SKETCH_PROBES = 10  # held-out probe columns
 SKETCH_SEED = 0
-X_RTOL = 1e-13      # x-interpolation cut and held-out node acceptance
-X_SAMPLE = 64       # sampled frequency pairs of the x-interpolation
-X_HELD = 2          # held-out nodes
 
 STRATEGIES = ("direct", "multiplier")
 
@@ -80,17 +68,14 @@ def _flat(mesh) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LowRank:
-    """sigma(x_j, xi_k, eta_l) ~ sum_r w[r, j] u[r, k] v[r, l], u, v and w of
-    shape (rank, M) in blocks of sizes ranks, one block per skeleton node s,
-    w[r] being node s's x-weight A[:, s] repeated on each row of its block;
-    residual and x_residual are the worst held-out frequency and node residuals."""
+    """sigma(x_j, xi_k, eta_l) ~ sum_r w[r, j] u[r, k] v[r, l]: (rank, M) arrays in
+    blocks of sizes ranks, w_s on each row of block s; residual of the probes."""
 
     u: np.ndarray
     v: np.ndarray
     w: np.ndarray
     ranks: tuple
     residual: float
-    x_residual: float
 
     @property
     def rank(self) -> int:
@@ -110,59 +95,88 @@ def _values(sigma: Symbol, grid: Grid, x, xi, eta) -> np.ndarray:
     return S if np.iscomplexobj(S) else S.astype(float, copy=False)
 
 
-def _frequency_rows(sigma: Symbol, grid: Grid, rows, nodes) -> np.ndarray:
-    """S_p[rows, :] of shape (len(nodes), rows, M), S_p[k, l] = sigma(x_p, xi_k, eta_l)."""
-    x, xi = _flat(grid.node_mesh()), _flat(grid.frequency_mesh())
-    return _values(sigma, grid, x[:, nodes, None, None], xi[:, None, rows, None],
-                   xi[:, None, None, :])
+def _separate(node: Node, cap: int) -> dict:
+    """node as {key: (a, b)}, a sum of a(x) b(xi, eta) keyed by the sorted factors
+    of a (a divisor marked 1); ValueError says why not in at most cap terms."""
+    free, xs, one = node.free_vars(), {"x", "x1", "x2"}, Num(1.0)
+    if not free & xs or free <= xs:  # a frequency factor or an x-factor
+        return {((repr(node), 0),): (node, one)} if free & xs else {(): (one, node)}
+    kids = [_separate(c, cap).items() for c in
+            ((node.integrand,) if isinstance(node, Quad) else node.children)]
+    if isinstance(node, Neg):
+        return {k: (a, _neg(b)) for k, (a, b) in kids[0]}
+    if isinstance(node, Quad):  # the t-integral scales the frequencies only
+        return {k: (a, Quad(b, node.power, node.q)) for k, (a, b) in kids[0]}
+    if isinstance(node, Pow) and node.exponent > 0:
+        out = dict(kids[0])
+        for _ in range(node.exponent - 1):
+            out = _merge(_times(out.items(), kids[0]), cap)
+        return out
+    if isinstance(node, BinOp) and node.op in "+-":
+        sign = _neg if node.op == "-" else (lambda b: b)
+        return _merge([*kids[0], *((k, (a, sign(b))) for k, (a, b) in kids[1])], cap)
+    if isinstance(node, BinOp) and node.op == "*":
+        return _merge(_times(*kids), cap)
+    if isinstance(node, BinOp) and len(kids[1]) == 1:  # by a single term a b
+        [(k, (a, b))] = kids[1]
+        inverse = (tuple(sorted((f, 1 - d) for f, d in k)), (_div(one, a), _div(one, b)))
+        return _merge(_times(kids[0], [inverse]), cap)
+    raise ValueError("a factor mixes x with a frequency")
 
 
-def _skeleton(sigma: Symbol, grid: Grid):
-    """(P, A, residual) with sigma(x_j, .) ~ sum_s A[j, s] sigma(x_{P_s}, .) and
-    the worst held-out node residual, or None when the x-rank exceeds M // 8."""
+def _times(left, right):
+    """The products of the terms (key, (a, b)) of left and right."""
+    return ((tuple(sorted(k + j)), (_mul(a, c), _mul(b, d)))
+            for k, (a, b) in left for j, (c, d) in right)
+
+
+def _merge(terms, cap: int) -> dict:
+    """Sum the terms (key, (a, b)) of equal key."""
+    out = {}
+    for k, (a, b) in terms:
+        out[k] = (out[k][0], _add(out[k][1], b)) if k in out else (a, b)
+        if len(out) > cap:
+            raise ValueError(f"it has more than M/8 = {cap} distinct x-factors")
+    return out
+
+
+def _expand(sigma: Symbol, grid: Grid):
+    """sigma's x-expansion with each S_s factored, or the reason it has none."""
     M = grid.points_per_axis ** grid.dim
     if sigma.x_independent:
-        return [0], np.ones((M, 1)), 0.0
-    x, xi = _flat(grid.node_mesh()), _flat(grid.frequency_mesh())
-    rng = np.random.default_rng(SKETCH_SEED)
-    pairs = rng.integers(M, size=(2, X_SAMPLE))
-    for _ in range(M // 8 + 1):  # a failed round adds a pair that raises the rank
-        U, s = np.linalg.svd(_values(sigma, grid, x[:, :, None], xi[:, None, pairs[0]],
-                                     xi[:, None, pairs[1]]), full_matrices=False)[:2]
-        U = U[:, :np.count_nonzero(s > X_RTOL * s[0])]
-        if U.shape[1] > M // 8:
-            return None
-        P = []
-        for i in range(U.shape[1]):  # DEIM: greedy argmax of the interpolation residual
-            res = U[:, i] - U[:, :i] @ np.linalg.solve(U[P, :i], U[P, i])
-            P.append(int(np.argmax(np.abs(res))))
-        A = U @ np.linalg.inv(U[P])
-        held = rng.choice(np.setdiff1d(np.arange(M), P), X_HELD, replace=False)
-        step = max(1, FACTOR_BUDGET // (M * (len(P) + X_HELD)))
-        err, sq, worst = np.zeros(X_HELD), np.zeros(len(P) + X_HELD), (0.0, 0, 0)
-        for start in range(0, M, step):
-            S = _frequency_rows(sigma, grid, slice(start, start + step), P + list(held))
-            D = np.abs(S[len(P):] - np.tensordot(A[held], S[:len(P)], 1))
-            err, sq = err + np.sum(D ** 2, axis=(1, 2)), sq + np.sum(np.abs(S) ** 2, axis=(1, 2))
-            h, r, c = np.unravel_index(np.argmax(D), D.shape)
-            worst = max(worst, (D[h, r, c], start + r, c))
-        residual = float(np.sqrt(err.max() / sq.max())) if sq.max() else 0.0
-        if residual <= X_RTOL:
-            return P, A, residual
-        pairs = np.append(pairs, [[worst[1]], [worst[2]]], axis=1)
-    return None
+        groups = [(np.ones(M), sigma)]
+    elif sigma.node is None:
+        return "it is a plain callable not declared x-independent"
+    else:
+        try:
+            terms = _separate(sigma.node, M // 8).values()
+        except ValueError as err:
+            return str(err)
+        x, zero = _flat(grid.node_mesh()), np.zeros((grid.dim, 1))
+        pairs = [[symbol_from_expr(f, sigma.declared_class, grid.dim, name=sigma.name)
+                  for f in ab] for ab in terms]
+        groups = [(_values(a, grid, x, zero, zero), b) for a, b in pairs]
+    parts = [_factorize(S, grid) for _, S in groups]
+    u, v = (np.concatenate([p[i] for p in parts]) for i in (0, 1))
+    ranks = tuple(len(p[0]) for p in parts)
+    return LowRank(u, v, np.repeat([w for w, _ in groups], ranks, axis=0), ranks,
+                   max(p[2] for p in parts))
 
 
-def _factorize(sigma: Symbol, grid: Grid, node: int):
-    """(u, v, residual) with S ~ u.T @ v for S[k, l] = sigma(x_node, xi_k, eta_l)."""
+def _factorize(sigma: Symbol, grid: Grid):
+    """(u, v, residual) with S ~ u.T @ v for S[k, l] = sigma(x_0, xi_k, eta_l)."""
     M = grid.points_per_axis ** grid.dim
     step = max(1, FACTOR_BUDGET // M)
-    held = [(slice(None), _frequency_rows(sigma, grid, slice(None), [node])[0])] \
-        if step >= M else []
+    x, xi = _flat(grid.node_mesh()), _flat(grid.frequency_mesh())
+
+    def rows_of(rows):  # S[rows, :]
+        return _values(sigma, grid, x[:, :1, None], xi[:, rows, None], xi[:, None, :])
+
+    held = [(slice(None), rows_of(slice(None)))] if step >= M else []
 
     def blocks():
         """(rows, S[rows, :]) pairs; S is evaluated once when it fits in one block."""
-        return held or ((rows, _frequency_rows(sigma, grid, rows, [node])[0])
+        return held or ((rows, rows_of(rows))
                         for rows in (slice(i, i + step) for i in range(0, M, step)))
 
     rng = np.random.default_rng(SKETCH_SEED)
@@ -192,25 +206,10 @@ def _factorize(sigma: Symbol, grid: Grid, node: int):
     return ((Q @ u[:, :rank]) * s[:rank]).T, vh[:rank], float(residual)
 
 
-def _expand(sigma: Symbol, grid: Grid, skeleton) -> LowRank:
-    """The multiplier expansion of sigma; BudgetError above the x-rank cap."""
-    if skeleton is None:
-        raise BudgetError(
-            f"symbol {sigma.name!r} has x-rank above M/8 = "
-            f"{grid.points_per_axis ** grid.dim // 8} on the {grid.points_per_axis}-point "
-            f"grid, or its held-out nodes miss {X_RTOL:g}: use the direct strategy")
-    P, A, x_residual = skeleton
-    parts = [_factorize(sigma, grid, p) for p in P]
-    u, v = (np.concatenate([p[i] for p in parts] + [np.empty((0, len(A)))]) for i in (0, 1))
-    ranks = tuple(len(p[0]) for p in parts)
-    return LowRank(u, v, np.repeat(A.T, ranks, axis=0), ranks,
-                   max((p[2] for p in parts), default=0.0), x_residual)
-
-
 @dataclass(frozen=True)
 class BilinearOperator:
-    """T_sigma; strategy None resolves to multiplier unless the x-rank exceeds
-    M / 8.  A multiplier operator holds its expansion from construction on."""
+    """T_sigma; strategy None resolves to multiplier when sigma has an
+    x-expansion.  A multiplier operator holds its expansion from construction on."""
 
     sigma: Symbol
     grid: Grid
@@ -224,11 +223,13 @@ class BilinearOperator:
         if self.strategy not in (None, *STRATEGIES):
             raise InvalidInputError(
                 f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-        skeleton = None if self.strategy == "direct" else _skeleton(self.sigma, self.grid)
-        if self.strategy is None:
-            object.__setattr__(self, "strategy", "multiplier" if skeleton else "direct")
-        if self.strategy == "multiplier":
-            object.__setattr__(self, "_expansion", _expand(self.sigma, self.grid, skeleton))
+        expansion = None if self.strategy == "direct" else _expand(self.sigma, self.grid)
+        if isinstance(expansion, str) and self.strategy:
+            raise BudgetError(f"symbol {self.sigma.name!r} has no x-expansion: "
+                              f"{expansion}; use the direct strategy")
+        found = isinstance(expansion, LowRank)
+        object.__setattr__(self, "strategy", "multiplier" if found else "direct")
+        object.__setattr__(self, "_expansion", expansion if found else None)
 
     def lowrank(self) -> LowRank:
         """The multiplier strategy's expansion of sigma."""
@@ -238,8 +239,8 @@ class BilinearOperator:
 
 
 def make_operator(sigma: Symbol, grid: Grid, strategy: str | None = None) -> BilinearOperator:
-    """Build T_sigma; unspecified, the strategy is multiplier unless the x-rank
-    exceeds M / 8."""
+    """Build T_sigma; unspecified, the strategy is multiplier when sigma has
+    an x-expansion."""
     return BilinearOperator(sigma, grid, strategy)
 
 

@@ -77,7 +77,7 @@ class Symbol:
     partials: dict = {}  # bound by perfbench/tracer.py until ROADMAP item 4
 
     def __init__(self, name: str, fn, declared_class: SymbolClassParams,
-                 dim: int = 1, x_independent: bool | None = None,
+                 dim: int = 1, x_independent: bool = False,
                  node: Node | None = None):
         if dim not in (1, 2):
             raise InvalidInputError(f"dim must be 1 or 2, got {dim}")

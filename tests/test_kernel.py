@@ -97,7 +97,7 @@ def reference_values(quad, x, us, vs, deriv):
     if alpha == 1:
         vals = np.einsum("mb,mb->b", EU * (1j * ax)[:, None], S @ EV) \
             + np.einsum("mb,mb->b", EU, S @ (EV * (1j * ax)[:, None]))
-        if quad.sigma.x_independent is not True:
+        if not quad.sigma.x_independent:
             Sx = smat(quad.sigma.partial((1,), (0,), (0,)))
             vals = vals + np.einsum("mb,mb->b", EU, Sx @ EV)
     return quad.spacing ** 2 / (2 * np.pi) ** 2 * vals

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from bilop.operator import (
     DIRECT_BUDGET,
     FACTOR_RTOL,
     STRATEGIES,
-    X_RTOL,
     DenseBilinearOperator,
     apply,
     commutator,
@@ -28,8 +28,8 @@ from bilop.operator import (
     transpose,
 )
 from bilop.parallel import thread_map
-from bilop.symbols import (Symbol, SymbolClassParams, catalog_symbol, parse_symbol_expr,
-                           symbol_catalog, symbol_from_expr)
+from bilop.symbols import (Symbol, SymbolClassParams, catalog_symbol, ftc_decompose,
+                           parse_symbol_expr, symbol_catalog, symbol_from_expr)
 
 
 def brute_force_apply(sigma, f, g):
@@ -138,7 +138,7 @@ def test_default_strategy_selection():
     assert make_operator(catalog_symbol("xi"), grid).strategy == "multiplier"
     assert make_operator(catalog_symbol("sqrt1"), grid).strategy == "multiplier"
     assert make_operator(catalog_symbol("theta_sqrt1"), grid).strategy == "multiplier"
-    # sampled x-rank 9 against the cap M/8 = 2
+    # a factor mixing x with a frequency has no x-expansion
     wild = symbol_from_expr("cos(x*xi)", SymbolClassParams(0.0))
     assert make_operator(wild, grid).strategy == "direct"
 
@@ -164,9 +164,15 @@ def test_strategy_names_are_closed():
 
 def test_multiplier_strategy_refuses_x_rank_over_the_cap():
     grid = Grid(dim=1, points_per_axis=64)
-    with pytest.raises(BudgetError, match="x-rank above M/8 = 8"):
-        make_operator(symbol_from_expr("cos(x*xi)", SymbolClassParams(0.0)), grid,
-                      strategy="multiplier")
+    for expr, reason in (("((2+sin(x))*xi+eta)^8", "more than M/8 = 8 distinct x-factors"),
+                         ("cos(x*xi)", "mixes x with a frequency"),
+                         ("sqrt(1+xi^2+eta^2+sin(x)^2)", "mixes x with a frequency")):
+        sigma = symbol_from_expr(expr, SymbolClassParams(1.0))
+        with pytest.raises(BudgetError, match=reason):
+            make_operator(sigma, grid, strategy="multiplier")
+        assert make_operator(sigma, grid).strategy == "direct"
+    at_cap = symbol_from_expr("((2+sin(x))*xi+eta)^7", SymbolClassParams(7.0))
+    assert make_operator(at_cap, grid).lowrank().x_rank == 8
 
 
 # ------------------------------------------------------------------ budgets
@@ -453,9 +459,9 @@ def test_skeleton_expansion_matches_direct_on_random_symbols_2d(expr, seed):
     _check_against_direct(expr, Grid(dim=2, points_per_axis=8), seed)
 
 
-def test_held_out_nodes_catch_x_dependence_at_few_frequencies():
-    # the sampled pairs all miss the bump at xi = eta = 0, so only the
-    # full-grid held-out rows see that sigma depends on x
+def test_x_dependence_at_few_frequencies_is_exact():
+    # the x-dependence sits in a bump at xi = eta = 0 that sampled
+    # frequency pairs would miss; the AST shows it
     grid = Grid(dim=1, points_per_axis=256)
     sigma = symbol_from_expr("sin(x)*exp(-100*(xi^2+eta^2))", SymbolClassParams(0.0))
     T = make_operator(sigma, grid)
@@ -466,12 +472,104 @@ def test_held_out_nodes_catch_x_dependence_at_few_frequencies():
     assert np.max(np.abs(fast - slow)) <= 1e-13 * np.max(np.abs(slow))
 
 
-def test_undeclared_x_independence_is_measured():
+def test_undeclared_plain_callable_selects_direct():
+    # without an AST nothing shows how sigma depends on x
     sqrt1 = catalog_symbol("sqrt1")
     grid = Grid(dim=1, points_per_axis=64)
     sigma = Symbol("sqrt1?", sqrt1.fn, sqrt1.declared_class)
-    low = make_operator(sigma, grid).lowrank()
+    assert sigma.x_independent is False
+    assert make_operator(sigma, grid).strategy == "direct"
+    with pytest.raises(BudgetError, match="plain callable not declared x-independent"):
+        make_operator(sigma, grid, "multiplier")
+    declared = Symbol("sqrt1!", sqrt1.fn, sqrt1.declared_class, x_independent=True)
+    low = make_operator(declared, grid).lowrank()
     assert (low.x_rank, low.rank) == (1, make_operator(sqrt1, grid).lowrank().rank)
+
+
+# x-dependence where sigma is tiny, or at a few nodes and frequencies: out of
+# reach of frequency sampling, exact when read off the AST
+_MISSED = ("exp(sin(3*x))*(exp(-(xi^2+eta^2)/1^2))+exp(-(xi^2+eta^2)/2.5^2)",
+           "1+exp(-100*(x-3)^2)*exp(-100*(xi^2+eta^2))")
+
+
+@pytest.mark.parametrize("expr", _MISSED)
+def test_symbols_with_x_dependence_out_of_sample_match_direct(expr):
+    grid = Grid(dim=1, points_per_axis=256)
+    sigma = symbol_from_expr(expr, SymbolClassParams(0.0))
+    T = make_operator(sigma, grid)
+    f, g = random_pair(grid, seed=23)
+    fast = apply(T, f, g).values
+    slow = apply(make_operator(sigma, grid, strategy="direct"), f, g).values
+    assert (T.strategy, T.lowrank().x_rank) == ("multiplier", 2)
+    assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
+    plain = Symbol("plain", sigma.fn, sigma.declared_class)
+    assert make_operator(plain, grid).strategy == "direct"
+
+
+_ATOMS = ("(2+sin({k}*x))", "exp(cos({k}*x))")
+
+
+@st.composite
+def separable_symbols(draw, dim):
+    """Elementary products a(x) b(xi, eta) joined by +, -, unary -, *, / by a
+    factor free of x or of frequencies, and ^n of mixed sums: <= 6 x-factors."""
+    def atom():
+        a = draw(st.sampled_from(_ATOMS)).format(k=draw(st.sampled_from("12")))
+        return a.replace("x)", "x1-x2)") if dim == 2 else a
+
+    def pair():  # at most two x-factors
+        left = f"{atom()}*({draw(smooth_symbols(dim))})"
+        right = atom() if draw(st.booleans()) else f"({draw(smooth_symbols(dim))})"
+        s = f"{left}{draw(st.sampled_from('+-'))}{right}"
+        s = f"-({s})" if draw(st.booleans()) else f"({s})"
+        xi = "xi" if dim == 1 else "xi1"
+        return s + draw(st.sampled_from(("", f"/(1+{xi}^2)", f"/{atom()}")))
+
+    shape = draw(st.sampled_from(("{p}", "{p}*{q}", "({p})^2", "({p})^3", "{p}*{q}+{r}")))
+    return shape.format(p=pair(), q=pair(), r=pair())
+
+
+def _check_expansion_is_exact(expr, grid, seed):
+    sigma = symbol_from_expr(expr, SymbolClassParams(1.0), dim=grid.dim)
+    T = make_operator(sigma, grid)
+    f, g = random_pair(grid, seed=seed)
+    fast = apply(T, f, g).values
+    slow = apply(make_operator(sigma, grid, strategy="direct"), f, g).values
+    assert T.strategy == "multiplier", expr
+    assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow)), expr
+
+
+@settings(max_examples=30, deadline=None)
+@given(expr=separable_symbols(1), seed=st.integers(0, 99))
+def test_ast_expansion_is_exact_on_random_products_1d(expr, seed):
+    _check_expansion_is_exact(expr, Grid(dim=1, points_per_axis=64), seed)
+
+
+@settings(max_examples=10, deadline=None)
+@given(expr=separable_symbols(2), seed=st.integers(0, 99))
+def test_ast_expansion_is_exact_on_random_products_2d(expr, seed):
+    _check_expansion_is_exact(expr, Grid(dim=2, points_per_axis=8), seed)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 32), (2, 8)])
+def test_ftc_components_of_an_x_modulated_symbol_have_x_rank_one(dim, n):
+    grid = Grid(dim=dim, points_per_axis=n)
+    comps = ftc_decompose(catalog_symbol("theta_sqrt1", dim=dim), guard=False)
+    assert [make_operator(c, grid).lowrank().x_rank for c in comps] == [1] * (2 * dim)
+    if dim == 1:  # the x-factor passes under the t-integral exactly
+        f, g = random_pair(grid, seed=24)
+        fast = apply(make_operator(comps[0], grid), f, g).values
+        slow = apply(make_operator(comps[0], grid, strategy="direct"), f, g).values
+        assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
+
+
+@pytest.mark.parametrize("expr, n", [("cos(x*xi)", 1024), ("((2+sin(x))*xi+eta)^40", 64)])
+def test_symbols_without_an_expansion_resolve_to_direct_at_once(expr, n):
+    sigma = symbol_from_expr(expr, SymbolClassParams(1.0))
+    start = time.perf_counter()
+    T = make_operator(sigma, Grid(dim=1, points_per_axis=n))
+    assert time.perf_counter() - start < 1.0
+    assert T.strategy == "direct"
 
 
 @pytest.mark.parametrize("expr", ["sqrt(1+xi^2+eta^2)", "(2+sin(x))*sqrt(1+xi^2+eta^2)"],
@@ -482,13 +580,9 @@ def test_threaded_applies_share_one_finished_expansion(monkeypatch, expr):
     monkeypatch.setenv("BILOP_THREADS", "4")
     grid = Grid(dim=1, points_per_axis=128)
     sigma = symbol_from_expr(expr, SymbolClassParams(1.0))
-    inner, calls = sigma.fn, []
-
-    def counted(x, xi, eta):
-        calls.append(np.size(xi))
-        return inner(x, xi, eta)
-
-    sigma.fn = counted
+    values, calls = operator_module._values, []
+    monkeypatch.setattr(operator_module, "_values",
+                        lambda *args: calls.append(args) or values(*args))
     T = make_operator(sigma, grid, "multiplier")
     C = commutator(T, 1, GridFunction(grid, np.sin(grid.nodes_1d())))
     low, built = T.lowrank(), len(calls)
@@ -572,7 +666,7 @@ def test_cli_apply_reports_rank_and_residual(tmp_path, capsys):
     assert (data["strategy"], data["x_rank"]) == ("multiplier", 1)
     assert data["rank"] > 1
     assert 0 <= data["residual"] <= FACTOR_RTOL
-    assert 0 <= data["x_residual"] <= X_RTOL
+    assert "x_residual" not in data
     rc, out = _cli_apply(tmp_path, capsys, "--symbol", "theta_sqrt1", "--n", "16",
                          "--strategy", "direct")
     assert rc == 0
