@@ -139,7 +139,7 @@ def _run_kernel_slice(cfg):
     offsets = [(x0 - r * cu / norm, x0 - r * sv / norm) for r in radii]
     sl = kernel_slice(sigma, profile, x0, offsets, period=L)
     data = {"x": x0, "level": profile.level, "radii": list(radii),
-            "values": sl.values}
+            "values": sl.values, "quadrature": sl.quadrature}
     table = (("radius", "abs", "re", "im"),
              [(r, abs(v), v.real, v.imag) for r, v in zip(radii, sl.values)])
     return "complete", data, table

@@ -164,20 +164,43 @@ def translate(f: GridFunction, steps) -> GridFunction:
                                    axis=tuple(range(g.dim))))
 
 
+def phase_table(step: float, offsets, count: int, block: int, start: int = 0):
+    """Two-level table of e^{i (start + j) step p}, j < count, per offset p.
+
+    With j = q block + r it returns (coarse, fine), coarse[q] = e^{i (start
+    + q block) step p} and fine[r] = e^{i r step p}, so the entry j is
+    coarse[j // block] * fine[j % block]: count / block + block rows of
+    exponentials stand for count rows.
+    """
+    p = np.asarray(offsets, dtype=float)
+    coarse = np.exp(1j * np.outer((start + np.arange(0, count, block)) * step, p))
+    return coarse, np.exp(1j * np.outer(np.arange(block) * step, p))
+
+
 def eval_at(f: GridFunction, *coords) -> np.ndarray:
     """Trigonometric interpolation of f at off-grid points.
 
-    coords: one array per axis, broadcastable to a common shape.
+    coords: one array per axis, broadcastable to a common shape.  Along
+    each axis the sum over frequencies k = q B + r - N/2, with B =
+    2^floor(log2 N / 2), is two small products with phase_table's factors:
+    over r against the fine table, then over q against the coarse one.  No
+    point-by-frequency phase matrix is built.  The unpaired mode -N/2 is
+    read as a cosine, so real samples interpolate to real values.
     """
     g = f.grid
     if len(coords) != g.dim:
         raise InvalidInputError(f"need {g.dim} coordinate arrays, got {len(coords)}")
     pts = np.broadcast_arrays(*[np.asarray(c, dtype=float) for c in coords])
-    xi, half = g.frequencies_1d(), g.points_per_axis // 2
-    vals = np.fft.fftn(f.values)  # raw DFT, inverse needs 1/N^n
+    n, h = g.points_per_axis, g.freq_spacing
+    block = 1 << (n.bit_length() - 1) // 2
+    vals = np.fft.fftshift(np.fft.fftn(f.values))[None]  # raw DFT, k = -N/2 first
     for axis, p in enumerate(pts):  # contract one frequency axis per coordinate
-        ph = np.exp(1j * np.outer(p.ravel(), xi))
-        # symmetrize the unpaired mode so real samples interpolate to real values
-        ph[:, half] = np.cos(p.ravel() * xi[half])
-        vals = ph @ vals if axis == 0 else np.einsum("pk,pk...->p...", ph, vals)
-    return vals.reshape(pts[0].shape) / g.points_per_axis ** g.dim
+        p = p.ravel()
+        coarse, fine = phase_table(h, p, n, block, start=-(n // 2))
+        c = vals.reshape(vals.shape[0], n // block, block, -1)  # (point, q, r, rest)
+        inner = (np.tensordot(fine, c[0], axes=(0, 1)) if axis == 0
+                 else np.einsum("rp,pqrs->pqs", fine, c))
+        # cos(a) - e^{-ia} = i sin(a) turns the unpaired mode into a cosine
+        vals = np.einsum("qp,pqs->ps", coarse, inner) \
+            + 1j * np.sin(n // 2 * h * p)[:, None] * c[:, 0, 0]
+    return vals.reshape(pts[0].shape) / n ** g.dim

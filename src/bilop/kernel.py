@@ -12,27 +12,35 @@ certification do not.  Derivative kernels multiply the integrand by
 
 On the grid the kernel at offsets (u_b, v_b) is EU[:, b]^T S EV[:, b],
 with S = sigma (or d_x sigma) on the box, raw, and the cutoff on the
-phases: EU = psi(xi) (-i xi)^beta e^{i xi u}, EV likewise in eta.  The
-axis is symmetric and S is real, so every phase column has
-G(-t) = conj G(t), and for each row k
+phases: F = EU = psi(xi) (-i xi)^beta e^{i xi u}, G = EV likewise in eta.
+The axis is symmetric and S is real, so F(-t) = conj F(t), likewise G, and
+the four quadrants +-xi, +-eta sum to real products over t, s >= 0:
 
-    sum_l S[k,l] G_l = S[k,0] G_0 + sum_{l>0} (S[k,l] + S[k,-l]) Re G_l
-                                        + i (S[k,l] - S[k,-l]) Im G_l;
+    F^T S G = Re F S_ee Re G + i Re F S_eo Im G + i Im F S_oe Re G
+              - Im F S_oo Im G,
 
-the same identity pairs the rows +-xi against the complex W = S G.  Both
-contractions are thus real products over the half-axis t >= 0, and the
-exponentials are taken there only.  S is never held whole: sigma is
-evaluated on ROW_BLOCK paired rows (+t_k, -t_k) at a time, folded over
-+-eta, contracted, folded over +-xi into the offsets and dropped.  The
-eta phases of the distinct v are computed once per call while they fit
-PHASE_BUDGET real entries; past it the offsets are split by v into
-chunks, and sigma is streamed again for each chunk.  Each offset gathers
-its u and v columns, so no distinct-u x distinct-v table is built.
-Memory is O(ROW_BLOCK L + PHASE_BUDGET) for an axis of length L, at any
-level and for any number of offsets.  The x-derivative kernel adds
-i(xi + eta) to the phase: one pass contracts [G, i eta G] side by side,
-plus one of d_x sigma against G.  A symbol that is complex or not finite
-anywhere on the box raises DomainError, whichever block holds the value.
+S_ab(t, s) being the part of S even (e) or odd (o) in xi, then in eta:
+S_eo(t, s) = sum over signs c, d of d S(c t, d s), and so on.  sigma's
+parity in xi and in eta, read off its AST (Node.parity), decides which
+quadrants are evaluated and which blocks are nonzero: a variable of known
+parity is read at + only and its - side follows by the parity.  So sqrt1
+evaluates one quadrant into one block, and a symbol of no parity four
+quadrants into four blocks, through the same stream; only the halves of G
+that some block reads are built.  S is never held whole: sigma is
+evaluated on ROW_BLOCK rows t_k >= 0 at a time, folded into its blocks,
+contracted and dropped.  Phases come from grid.phase_table: e^{i t p} at
+t = (q ROW_BLOCK + r) h is coarse row q times fine row r, so a call takes
+L / ROW_BLOCK + ROW_BLOCK exponentials per offset, not L.  The eta phases
+of the distinct v are built once per call while they fit PHASE_BUDGET
+real entries; past it the offsets are split by v into chunks, and sigma
+is streamed again for each chunk.  Each offset gathers its u and v
+columns, so no distinct-u x distinct-v table is built.  Memory is
+O(ROW_BLOCK L + PHASE_BUDGET) for an axis of length L, at any level and
+for any number of offsets.  The x-derivative kernel adds i(xi + eta) to
+the phase: one pass contracts [G, i eta G] side by side, plus one of
+d_x sigma, with its own parity, against G.  A symbol that is complex or
+not finite anywhere on the box raises DomainError, whichever block holds
+the value; a parity carries a non-finite value to its mirror image too.
 
 Decay fits and Calderon-Zygmund certification of commutator kernels
 K_slot = (a(y or z) - a(x)) K_N live here too.
@@ -44,12 +52,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, ToleranceError
-from .grid import GridFunction, eval_at
+from .grid import GridFunction, eval_at, phase_table
 from .symbols.core import Symbol
 
 GUARD_REL_TOL = 1e-6
 DEFAULT_SPACING = 0.25
-ROW_BLOCK = 32  # frequency rows a side per block of sigma
+ROW_BLOCK = 32  # frequency rows t >= 0 per block of sigma
 PHASE_BUDGET = 1 << 21  # real entries of eta phases held at once
 
 
@@ -87,12 +95,38 @@ def _wrap(u, period: float):
     return (np.asarray(u, dtype=float) + period / 2) % period - period / 2
 
 
+def _parity(node) -> tuple:
+    """(xi, eta) parities of an AST: +1 even, -1 odd, None undecided or no AST."""
+    return tuple(None if node is None else node.parity(v) for v in ("xi", "eta"))
+
+
+def _streams(sigma: Symbol, alpha: int) -> list:
+    """(evaluator, parity) of sigma, then of d_x sigma when alpha = 1 and sigma
+    depends on x: the symbols a values call streams."""
+    out = [(sigma.fn, _parity(sigma.node))]
+    if alpha == 1 and not sigma.x_independent:
+        dx = sigma.partial((1,), (0,), (0,))  # refused without an AST
+        out.append((dx, _parity(sigma.node.diff("x"))))
+    return out
+
+
+def stream_account(sigma: Symbol, alpha: int = 0) -> dict:
+    """The (xi, eta) parities the quadrature reads sigma, and d_x sigma when
+    alpha = 1, with, and how many of sigma's +-xi/+-eta quadrants it evaluates."""
+    parities = [p for _, p in _streams(sigma, alpha)]
+    out = {"sigma_parity": dict(zip(("xi", "eta"), parities[0])),
+           "sigma_quadrants": 4 >> sum(p is not None for p in parities[0])}
+    if len(parities) > 1:
+        out["dx_sigma_parity"] = dict(zip(("xi", "eta"), parities[1]))
+    return out
+
+
 class KernelQuadrature:
     """Trapezoid rule for batched kernel evaluation (1D symbols).
 
-    Stateless: each ``values`` call streams sigma through paired row blocks
-    and keeps no block, so its memory is O(ROW_BLOCK L + PHASE_BUDGET) for
-    an axis of length L, at any level and for any number of offsets.
+    Stateless: each ``values`` call streams sigma through row blocks and
+    keeps no block, so its memory is O(ROW_BLOCK L + PHASE_BUDGET) for an
+    axis of length L, at any level and for any number of offsets.
     """
 
     def __init__(self, sigma: Symbol, profile: TruncationProfile,
@@ -117,75 +151,97 @@ class KernelQuadrature:
             raise InvalidInputError("x-derivative order must be 0 or 1")
         us = np.atleast_1d(np.asarray(us, dtype=float))
         vs = np.atleast_1d(np.asarray(vs, dtype=float))
-        dx = (self.sigma.partial((1,), (0,), (0,))
-              if alpha == 1 and not self.sigma.x_independent else None)
+        streams = _streams(self.sigma, alpha)
         vq, iv = np.unique(vs, return_inverse=True)
         width = max(1, PHASE_BUDGET // (2 * (1 + alpha) * self._half.size))
         vals = np.empty(us.size, dtype=complex)
         for lo in range(0, vq.size, width):  # one pass over sigma per chunk of v
             mine = np.flatnonzero((iv >= lo) & (iv < lo + width))
-            vals[mine] = self._stream(x, dx, us[mine], vq[lo:lo + width],
+            vals[mine] = self._stream(x, streams, us[mine], vq[lo:lo + width],
                                       iv[mine] - lo, deriv)
         return self.spacing ** 2 / (2 * np.pi) ** 2 * vals
 
-    def _stream(self, x, dx, us, vq, iv, deriv):
+    def _stream(self, x, streams, us, vq, iv, deriv):
         """The sum over the box for offsets (us, vq[iv]), row block by row block."""
         alpha, beta, gamma = deriv
-        t, w, n = self._half, self._weight, vq.size
-        G = self._eta_phases(vq, gamma, alpha)
+        t, n = self._half, vq.size
+        G = self._eta_phases(vq, gamma, alpha, {b for _, parity in streams
+                                                for b in _open_halves(parity[1])})
         uq, iu = np.unique(us, return_inverse=True)
-        got = np.zeros(us.size, dtype=complex)
-        for lo in range(0, t.size, ROW_BLOCK):
+        coarse, fine = phase_table(self.spacing, uq, t.size, ROW_BLOCK)
+        amp = self._weight * (-1j * t) ** beta
+        got = np.zeros((2, us.size))  # real and imaginary parts
+        for q, lo in enumerate(range(0, t.size, ROW_BLOCK)):
             tk = t[lo:lo + ROW_BLOCK]
-            W = self._fold_eta(self.sigma.fn, x, tk, G)
-            F = _phase(tk, w[lo:lo + ROW_BLOCK] * (-1j * tk) ** beta, uq)
-            if alpha == 1:  # d/dx of the phase is i(xi + eta)
-                SG, W = W[..., :n], W[..., n:]  # S G, then S (i eta G)
-                if dx is not None:
-                    W = W + self._fold_eta(dx, x, tk, G[..., :n])
-                got += _fold_xi(F * (1j * tk)[:, None], SG, iu, iv)
-            got += _fold_xi(F, W, iu, iv)
-        return got
+            F = coarse[q] * fine[:tk.size] * amp[lo:lo + ROW_BLOCK, None]
+            # d/dx of the phase is i(xi + eta): S against [G, i eta G] ...
+            uses = ([(F, slice(None))] if alpha == 0 else
+                    [(F * (1j * tk)[:, None], slice(n)), (F, slice(n, None))])
+            self._contract(got, streams[0], x, tk, G, uses, iu, iv)
+            for dx in streams[1:]:  # ... and d_x S against G
+                self._contract(got, dx, x, tk, [g if g is None else g[:, :n] for g in G],
+                               [(F, slice(None))], iu, iv)
+        return got[0] + 1j * got[1]
 
-    def _eta_phases(self, vq, gamma, alpha):
-        """Real and imaginary parts of G = psi (-i eta)^gamma e^{i eta v} on t >= 0,
-        with i eta G beside it when alpha = 1."""
-        t, w = self._half, self._weight
-        amp = w * (-1j * t) ** gamma
-        G = np.empty((2, t.size, (1 + alpha) * vq.size))
-        for lo in range(0, t.size, ROW_BLOCK):
+    def _eta_phases(self, vq, gamma, alpha, halves):
+        """The real (b = 0 in halves) and imaginary (b = 1) parts of G = psi
+        (-i eta)^gamma e^{i eta v} on t >= 0, with i eta G beside it when
+        alpha = 1; None for a part no streamed symbol reads."""
+        t = self._half
+        coarse, fine = phase_table(self.spacing, vq, t.size, ROW_BLOCK)
+        amp = self._weight * (-1j * t) ** gamma
+        G = [np.empty((t.size, (1 + alpha) * vq.size)) if b in halves else None
+             for b in (0, 1)]
+        for q, lo in enumerate(range(0, t.size, ROW_BLOCK)):
             rows = slice(lo, lo + ROW_BLOCK)
-            E = _phase(t[rows], amp[rows], vq)
+            E = coarse[q] * fine[:t[rows].size] * amp[rows, None]
             if alpha == 1:
                 E = np.concatenate([E, E * (1j * t[rows])[:, None]], axis=1)
-            G[0, rows], G[1, rows] = E.real, E.imag
+            for g, part in zip(G, (E.real, E.imag)):
+                if g is not None:
+                    g[rows] = part
         return G
 
-    def _fold_eta(self, ev, x, tk, G):
-        """W = S G on the rows xi = +tk (W[0]) and -tk (W[1]), folded over +-eta."""
-        t = self._half
-        xi = np.stack([tk, -tk])[:, :, None, None]
-        sig = np.asarray(ev(np.asarray(x), xi, np.stack([t, -t])))
-        if np.iscomplexobj(sig) or not np.all(np.isfinite(sig)):
-            raise DomainError(
-                f"symbol {self.sigma.name!r} is not real and finite on the kernel "
-                f"frequency box |xi|, |eta| <= {t[-1]:g} at x = {x:g}")
-        sig = np.broadcast_to(sig, (2, tk.size, 2, t.size))
-        even = sig[:, :, 0] + sig[:, :, 1]
-        odd = sig[:, :, 0] - sig[:, :, 1]
-        return (even @ G[0]) + 1j * (odd @ G[1])
+    def _contract(self, got, stream, x, tk, G, uses, iu, iv):
+        """Add F^T S G over the rows +-tk to got's real and imaginary parts,
+        per offset and per (F, columns of G) in uses: one real product per
+        nonzero parity block S_ab, as in the module docstring."""
+        for (a, b), S in _blocks(stream, x, tk, self._half, self.sigma.name).items():
+            W = S @ G[b]
+            for F, cols in uses:
+                part = np.einsum("kb,kb->b", (F.real, F.imag)[a][:, iu], W[:, cols][:, iv])
+                got[(a + b) % 2] += -part if a & b else part
 
 
-def _phase(t, amp, offsets) -> np.ndarray:
-    """amp e^{i t offset}: one row per frequency, one column per offset."""
-    return np.exp(1j * np.outer(t, offsets)) * amp[:, None]
+def _open_halves(parity) -> tuple:
+    """The halves of a +- fold that parity leaves nonzero: 0 even, 1 odd."""
+    return (0, 1) if parity is None else (0,) if parity == 1 else (1,)
 
 
-def _fold_xi(F, W, iu, iv) -> np.ndarray:
-    """sum over +-xi of F W per offset, for F(-xi) = conj F(xi)."""
-    even, odd = W[0] + W[1], W[0] - W[1]
-    return np.einsum("kb,kb->b", F.real[:, iu], even[:, iv]) \
-        + 1j * np.einsum("kb,kb->b", F.imag[:, iu], odd[:, iv])
+def _fold(s, parity):
+    """(s[+] + s[-], s[+] - s[-]) over the leading +- axis.  With a parity
+    only s[+] is there, s[-] being parity * s[+]: the half that parity makes
+    identically zero is None."""
+    if parity is None:
+        return s[0] + s[1], s[0] - s[1]
+    return (2 * s[0], None) if parity == 1 else (None, 2 * s[0])
+
+
+def _blocks(stream, x, tk, t, name) -> dict:
+    """{(a, b): S_ab} of a streamed symbol on the rows +-tk and columns +-t,
+    a (b) being 0 for its half even in xi (eta) and 1 for the odd half; the
+    symbol is evaluated on the quadrants that its parity leaves open."""
+    ev, parity = stream
+    xs, es = ((1.0,) if p is not None else (1.0, -1.0) for p in parity)
+    sig = np.asarray(ev(np.asarray(x), np.multiply.outer(xs, tk)[:, :, None, None],
+                        np.multiply.outer(es, t)))
+    if np.iscomplexobj(sig) or not np.all(np.isfinite(sig)):
+        raise DomainError(
+            f"symbol {name!r} is not real and finite on the kernel "
+            f"frequency box |xi|, |eta| <= {t[-1]:g} at x = {x:g}")
+    sig = np.broadcast_to(sig, (len(xs), tk.size, len(es), t.size))
+    return {(a, b): S for a, half in enumerate(_fold(sig, parity[0])) if half is not None
+            for b, S in enumerate(_fold(np.moveaxis(half, 1, 0), parity[1])) if S is not None}
 
 
 def kernel_at(sigma: Symbol, profile: TruncationProfile, x: float, y: float,
@@ -221,6 +277,7 @@ class KernelSlice:
     level: float
     deriv: tuple
     spacing: float
+    quadrature: dict  # stream_account
 
 
 def kernel_slice(sigma: Symbol, profile: TruncationProfile, x: float,
@@ -234,7 +291,8 @@ def kernel_slice(sigma: Symbol, profile: TruncationProfile, x: float,
         raise DomainError("kernel slice contains an on-diagonal point")
     vals = quad.values(x, us, vs, deriv=deriv)
     return KernelSlice(x=float(x), offsets=tuple(offsets), values=vals,
-                       level=profile.level, deriv=tuple(deriv), spacing=spacing)
+                       level=profile.level, deriv=tuple(deriv), spacing=spacing,
+                       quadrature=stream_account(sigma, deriv[0]))
 
 
 @dataclass(frozen=True)
@@ -250,6 +308,7 @@ class DecayFitReport:
     stability: dict = field(default_factory=dict)  # level -> normalized constant
     stability_ratio: float = 1.0
     verdict: str = ""
+    quadrature: dict = field(default_factory=dict)  # stream_account
 
 
 def _direction_offsets(r: float, count: int):
@@ -319,7 +378,8 @@ def fit_kernel_decay(sigma: Symbol, deriv=(0, 0, 0), radii=None, directions: int
                           r_squared=r2, target=float(target), radii=radii,
                           maxima=tuple(float(m) for m in maxima), level=level,
                           deriv=tuple(deriv), stability=stability,
-                          stability_ratio=float(ratio), verdict=verdict)
+                          stability_ratio=float(ratio), verdict=verdict,
+                          quadrature=stream_account(sigma, deriv[0]))
 
 
 @dataclass(frozen=True)
@@ -331,6 +391,7 @@ class CzCertification:
     samples: int
     level: float
     verdict: str
+    quadrature: dict  # stream_account
 
 
 def certify_cz_commutator_kernel(sigma: Symbol, a: GridFunction, slot: int = 1,
@@ -426,4 +487,4 @@ def certify_cz_commutator_kernel(sigma: Symbol, a: GridFunction, slot: int = 1,
                            size_sup=tuple(size_sup.tolist()),
                            grad_sup=tuple(grad_sup.tolist()),
                            samples=per_octave * octave_count, level=level,
-                           verdict=verdict)
+                           verdict=verdict, quadrature=stream_account(sigma))

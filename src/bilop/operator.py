@@ -12,8 +12,9 @@ a(x) b(xi, eta), and factors each frequency part (M = N^n mesh points):
     T(f,g) = sum_s w_s sum_r ifftn(U_{s,r} fftn f) ifftn(V_{s,r} fftn g)
 
 _separate multiplies out sums, negations, products, positive integer
-powers, quotients by a single term a b and Quad (FTC) nodes, grouping
-terms by x-factor.  A factor mixing x with a frequency, a plain callable
+powers, quotients by and negative powers of a single term a b, exp of a
+sum or difference, abs of a product and Quad (FTC) nodes, grouping terms
+by x-factor.  A factor mixing x with a frequency, a plain callable
 not declared x-independent, or over M / 8 groups leaves no expansion:
 make_operator selects direct; an explicit multiplier raises BudgetError.
 
@@ -47,7 +48,7 @@ import numpy as np
 from .errors import BudgetError, DomainError, InvalidInputError
 from .grid import Grid, GridFunction
 from .symbols.core import Symbol, _pack, symbol_from_expr
-from .symbols.expr import BinOp, Neg, Node, Num, Pow, _add, _div, _mul, _neg
+from .symbols.expr import BinOp, Call, Neg, Node, Num, Pow, _add, _div, _mul, _neg
 from .symbols.ftc import Quad
 
 DIRECT_BUDGET = 2 ** 28
@@ -101,27 +102,41 @@ def _separate(node: Node, cap: int) -> dict:
     free, xs, one = node.free_vars(), {"x", "x1", "x2"}, Num(1.0)
     if not free & xs or free <= xs:  # a frequency factor or an x-factor
         return {((repr(node), 0),): (node, one)} if free & xs else {(): (one, node)}
+    if isinstance(node, Call) and isinstance(node.arg, BinOp):  # as products:
+        u, v, op = node.arg.left, node.arg.right, node.arg.op
+        if node.fn == "exp" and op in "+-":  # exp(u +- v) = exp(u) exp(+-v)
+            v = _neg(v) if op == "-" else v
+            return _separate(BinOp("*", Call("exp", u), Call("exp", v)), cap)
+        if node.fn == "abs" and op == "*":  # |u v| = |u| |v|
+            return _separate(BinOp("*", Call("abs", u), Call("abs", v)), cap)
     kids = [_separate(c, cap).items() for c in
             ((node.integrand,) if isinstance(node, Quad) else node.children)]
     if isinstance(node, Neg):
         return {k: (a, _neg(b)) for k, (a, b) in kids[0]}
     if isinstance(node, Quad):  # the t-integral scales the frequencies only
         return {k: (a, Quad(b, node.power, node.q)) for k, (a, b) in kids[0]}
-    if isinstance(node, Pow) and node.exponent > 0:
-        out = dict(kids[0])
-        for _ in range(node.exponent - 1):
-            out = _merge(_times(out.items(), kids[0]), cap)
-        return out
     if isinstance(node, BinOp) and node.op in "+-":
         sign = _neg if node.op == "-" else (lambda b: b)
         return _merge([*kids[0], *((k, (a, sign(b))) for k, (a, b) in kids[1])], cap)
     if isinstance(node, BinOp) and node.op == "*":
         return _merge(_times(*kids), cap)
     if isinstance(node, BinOp) and len(kids[1]) == 1:  # by a single term a b
-        [(k, (a, b))] = kids[1]
-        inverse = (tuple(sorted((f, 1 - d) for f, d in k)), (_div(one, a), _div(one, b)))
-        return _merge(_times(kids[0], [inverse]), cap)
+        return _merge(_times(kids[0], [_inverse(*kids[1])]), cap)
+    n = node.exponent if isinstance(node, Pow) else 0
+    if n > 0 or n < 0 and len(kids[0]) == 1:  # u^n, or (a b)^n
+        base = list(kids[0]) if n > 0 else [_inverse(*kids[0])]
+        out = dict(base)
+        for _ in range(abs(n) - 1):
+            out = _merge(_times(out.items(), base), cap)
+        return out
     raise ValueError("a factor mixes x with a frequency")
+
+
+def _inverse(term):
+    """1 / (a b) of a term (key, (a, b)), a divisor's mark flipped in the key."""
+    k, (a, b) = term
+    one = Num(1.0)
+    return tuple(sorted((f, 1 - d) for f, d in k)), (_div(one, a), _div(one, b))
 
 
 def _times(left, right):

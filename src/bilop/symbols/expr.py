@@ -23,6 +23,14 @@ the kink.  Sums and products with a literal 0 or 1 fold, so an
 x-derivative of an x-independent expression is Num(0).  Derivatives share
 subtrees; Node.eval computes each shared subtree once.  pretty() of any
 derivative parses back to an equal evaluator.
+
+Node.parity(var) is +1 where the expression is even in var, -1 where it
+is odd and None where no rule decides; the rules are sound, not complete.
+Numbers and other variables are even and var is odd; a sum or difference
+of equal parities keeps it; products and quotients multiply parities; u^n
+raises u's parity to n; a function of an even argument is even, sin and
+sign of an odd one are odd, cos and abs of an odd one even.  Negation
+commutes with IEEE rounding, so the arithmetic rules hold bit for bit.
 """
 from __future__ import annotations
 
@@ -91,6 +99,13 @@ class Node:
             done[var] = self.derivative(var)
         return done[var]
 
+    def parity(self, var: str):
+        """+1 (even in var), -1 (odd) or None, once per node and variable."""
+        done = self.__dict__.setdefault("_parity", {})
+        if var not in done:
+            done[var] = self.symmetry(var)
+        return done[var]
+
 
 class Num(Node):
     def __init__(self, value: float):
@@ -101,6 +116,9 @@ class Num(Node):
 
     def derivative(self, var):
         return Num(0.0)
+
+    def symmetry(self, var):
+        return 1
 
     def __repr__(self):
         return f"Num({self.value})"
@@ -119,6 +137,9 @@ class Var(Node):
     def derivative(self, var):
         return Num(1.0 if var == self.name else 0.0)
 
+    def symmetry(self, var):
+        return -1 if var == self.name else 1
+
     def __repr__(self):
         return f"Var({self.name})"
 
@@ -133,6 +154,9 @@ class Neg(Node):
 
     def derivative(self, var):
         return _neg(self.child.diff(var))
+
+    def symmetry(self, var):
+        return self.child.parity(var)
 
     def __repr__(self):
         return f"Neg({self.child!r})"
@@ -162,6 +186,12 @@ class BinOp(Node):
             return _add(_mul(du, v), _mul(u, dv))
         return _div(_sub(du, _mul(self, dv)), v)  # (u' - (u/v) v') / v: no v^2
 
+    def symmetry(self, var):
+        p, q = self.left.parity(var), self.right.parity(var)
+        if p is None or q is None:
+            return None
+        return p * q if self.op in "*/" else p if p == q else None
+
     def __repr__(self):
         return f"BinOp({self.op!r},{self.left!r},{self.right!r})"
 
@@ -179,6 +209,10 @@ class Pow(Node):
         n = self.exponent
         return _mul(_mul(Num(n), _pow(self.base, n - 1)), self.base.diff(var))
 
+    def symmetry(self, var):
+        p = self.base.parity(var)
+        return None if p is None else p ** abs(self.exponent)
+
     def __repr__(self):
         return f"Pow({self.base!r},{self.exponent})"
 
@@ -194,6 +228,10 @@ class Call(Node):
 
     def derivative(self, var):
         return _CHAIN[self.fn](self.arg, self.arg.diff(var))
+
+    def symmetry(self, var):
+        p = self.arg.parity(var)
+        return 1 if p == 1 else _ODD_ARGUMENT.get(self.fn) if p == -1 else None
 
     def __repr__(self):
         return f"Call({self.fn},{self.arg!r})"
@@ -230,6 +268,9 @@ def _div(u: Node, v: Node) -> Node:
 def _pow(u: Node, n: int) -> Node:
     return Num(1.0) if n == 0 else u if n == 1 else Pow(u, n)
 
+
+# parity of f(u) for an odd u; the other functions have none
+_ODD_ARGUMENT = {"sin": -1, "sign": -1, "cos": 1, "abs": 1}
 
 # f(u)' = _CHAIN[f](u, u')
 _CHAIN = {

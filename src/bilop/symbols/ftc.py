@@ -73,6 +73,9 @@ class Quad(Node):
         power = self.power + var.startswith(("xi", "eta"))  # d/dxi of f(t xi) is t f'
         return inner if _is(inner, 0) else Quad(inner, power, self.q)
 
+    def symmetry(self, var):  # t > 0 scales a frequency without flipping its sign
+        return self.integrand.parity(var)
+
     def __repr__(self):
         return f"Quad({self.integrand!r},{self.power},{self.q})"
 

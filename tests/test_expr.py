@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from test_operator import smooth_symbols, x_dependent_symbols
 
 from bilop.errors import SymbolParseError
-from bilop.symbols import parse_symbol_expr, pretty
-from bilop.symbols.expr import VARIABLES_1D, VARIABLES_2D, BinOp, Num, Pow, Var
+from bilop.symbols import catalog_symbol, parse_symbol_expr, pretty
+from bilop.symbols.expr import (FUNCTIONS, VARIABLES_1D, VARIABLES_2D, BinOp, Call, Neg,
+                                Num, Pow, Var)
+from bilop.symbols.ftc import Quad
 
 # a broad corpus exercising every production: numbers (int, float, scientific),
 # all variables, every function, all binary operators, unary minus, nesting,
@@ -258,3 +260,61 @@ def test_negative_literals_print_with_parentheses_where_needed():
     assert pretty(Pow(Num(-2.0), 2)) == "(-2)^2"
     assert pretty(BinOp("-", Var("xi"), Num(-2.0))) == "xi--2"
     assert parse_symbol_expr("(-2)^2").eval({}) == 4.0
+
+
+# ------------------------------------------------------------------- parity
+
+
+@pytest.mark.parametrize("src, xi, eta", [
+    ("sqrt1", 1, 1), ("xi", -1, 1), ("bad_xieta", -1, -1), ("abs(xi)", 1, 1),
+    ("exp(xi)", None, 1), ("sin(xi+eta)", None, None), ("cos(xi)*sign(eta)", 1, -1),
+    ("xi^-3*eta^2", -1, 1), ("log(1+xi^2)+sqrt(2+eta)", 1, None), ("xi-xi^2", None, 1),
+])
+def test_parity_of_known_symbols(src, xi, eta):
+    name = src if src in ("sqrt1", "bad_xieta") else None
+    node = catalog_symbol(name).node if name else parse_symbol_expr(src)
+    assert (node.parity("xi"), node.parity("eta")) == (xi, eta)
+
+
+def test_parity_of_an_ftc_component_is_its_integrand_parity():
+    node = parse_symbol_expr("(2+sin(x))*sqrt(1+xi^2+eta^2)")
+    for var, want in (("xi", (-1, 1)), ("eta", (1, -1))):
+        comp = Quad(node.diff(var), 0, 16)
+        assert (comp.parity("xi"), comp.parity("eta")) == want
+
+
+@st.composite
+def parity_expressions(draw):
+    """Random ASTs over x, xi, eta from every grammar function, integer powers,
+    quotients and FTC quadrature nodes."""
+    leaves = st.one_of(st.sampled_from([Var(v) for v in VARIABLES_1D]),
+                       st.sampled_from((0.5, 1.0, 2.0, -3.0)).map(Num))
+
+    def extend(child):
+        return st.one_of(
+            st.tuples(st.sampled_from(FUNCTIONS), child).map(lambda a: Call(*a)),
+            st.tuples(st.sampled_from("+-*/"), child, child).map(lambda a: BinOp(*a)),
+            st.tuples(child, st.integers(-3, 3)).map(lambda a: Pow(*a)),
+            child.map(Neg),
+            st.tuples(child, st.integers(0, 2)).map(lambda a: Quad(a[0], a[1], 8)))
+
+    return draw(st.recursive(leaves, extend, max_leaves=10))
+
+
+@settings(max_examples=200, deadline=None)
+@given(node=parity_expressions(), seed=st.integers(0, 99))
+def test_parity_claims_hold_on_random_expressions(node, seed):
+    # sigma(-v) = p sigma(v) wherever the rules claim parity p in v
+    rng = np.random.default_rng(seed)
+    env = {name: rng.uniform(-3.0, 3.0, 32) for name in VARIABLES_1D}
+    plus = np.broadcast_to(node.eval(env), (32,))
+    finite = np.isfinite(plus)
+    scale = np.max(np.abs(plus[finite]), initial=0.0)
+    for var in VARIABLES_1D:
+        p = node.parity(var)
+        if p is None:
+            continue
+        minus = np.broadcast_to(node.eval({**env, var: -env[var]}), (32,))
+        assert np.array_equal(np.isnan(minus), np.isnan(plus)), var
+        assert np.array_equal(np.isinf(minus), np.isinf(plus)), var
+        assert np.all(np.abs(minus[finite] - p * plus[finite]) <= 1e-14 * scale), var

@@ -13,6 +13,7 @@ from bilop.grid import (
     fractional_derivative,
     lp_norm,
     lp_norms,
+    phase_table,
     spectral_derivative,
     translate,
 )
@@ -267,6 +268,48 @@ def test_eval_at_keeps_real_samples_real_off_grid(dim):
     got = eval_at(f, *coords)
     assert got.shape == np.broadcast_shapes(*(c.shape for c in coords))
     assert np.max(np.abs(got.imag)) < 1e-12 * np.max(np.abs(got))
+
+
+@pytest.mark.parametrize("step, start, count, block", [(0.25, 0, 1025, 32), (1.0, -512, 1024, 32),
+                                                      (0.7, -4, 8, 2), (0.125, 0, 33, 32)])
+def test_two_level_phase_table_matches_the_direct_exponentials(step, start, count, block):
+    p = np.random.default_rng(count).uniform(-30.0, 30.0, 57)
+    coarse, fine = phase_table(step, p, count, block, start=start)
+    j = np.arange(count)
+    got = coarse[j // block] * fine[j % block]
+    tp = np.outer((start + j) * step, p)
+    # each factor's argument rounds on its own: |t p| when start = 0, where
+    # both arguments share t's sign
+    reach = np.abs(np.outer((start + j // block * block) * step, p)) \
+        + np.abs(np.outer(j % block * step, p))
+    assert np.all(np.abs(got - np.exp(1j * tp)) <= 8 * np.finfo(float).eps * (1 + reach))
+    if start == 0:
+        assert np.allclose(reach, np.abs(tp), rtol=4 * np.finfo(float).eps, atol=0)
+
+
+def dense_eval_at(f, *coords):
+    """The point-by-frequency phase matrix of trigonometric interpolation, in
+    extended precision where numpy has it."""
+    g, n = f.grid, f.grid.points_per_axis
+    xi = 2 * np.pi * np.fft.fftfreq(n, 1.0 / n).astype(np.longdouble) / np.longdouble(g.period)
+    vals = np.fft.fftn(f.values).astype(np.clongdouble)
+    for axis, p in enumerate(np.broadcast_arrays(*[np.asarray(c, np.longdouble) for c in coords])):
+        ph = np.exp(1j * np.outer(p.ravel(), xi))
+        ph[:, n // 2] = np.cos(p.ravel() * xi[n // 2])
+        vals = ph @ vals if axis == 0 else np.einsum("pk,pk...->p...", ph, vals)
+    return vals / n ** g.dim
+
+
+@pytest.mark.parametrize("dim, n", [(1, 8), (1, 64), (1, 1024), (1, 4096), (2, 8), (2, 32)])
+def test_eval_at_matches_the_dense_phase_matrix(dim, n):
+    # points inside and outside [0, L): the phase tables take any real point
+    grid = Grid(dim=dim, points_per_axis=n)
+    f = random_function(grid, seed=n + dim)
+    rng = np.random.default_rng(n)
+    coords = [rng.uniform(-grid.period, 2 * grid.period, 200) for _ in range(dim)]
+    got = eval_at(f, *coords)
+    scale = np.sum(np.abs(np.fft.fftn(f.values))) / n ** dim
+    assert np.max(np.abs(got - dense_eval_at(f, *coords).astype(complex))) <= 1e-13 * scale
 
 
 def test_grid_validation():

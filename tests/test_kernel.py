@@ -1,6 +1,7 @@
 """Truncated-kernel quadrature: profiles, decay fits, commutator certificates."""
 
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,7 @@ from bilop.kernel import (
     kernel_at,
     kernel_slice,
     smooth_step,
+    stream_account,
 )
 from bilop.symbols import (
     Symbol,
@@ -209,6 +211,46 @@ def test_random_mixed_parity_symbols_match_the_unbatched_complex_formula(expr, l
     rng = np.random.default_rng(seed)
     us, vs = rng.uniform(-L / 4, L / 4, size=(2, 12))
     _assert_matches_reference(quad, rng.uniform(0, L), us, vs, deriv)
+
+
+@pytest.mark.parametrize("expr, quadrants", [("sqrt1", 1), ("xi", 1), ("(xi+xi^2)*cos(eta)", 2),
+                                             ("sin(xi+eta)", 4)])
+def test_values_evaluate_sigma_on_the_quadrants_its_parity_leaves_open(expr, quadrants):
+    # xi is odd in xi and even in eta, so its +xi, +eta quadrant fixes the
+    # other three; a symbol without parity streams all four
+    sig = (catalog_symbol(expr) if expr in ("sqrt1", "xi")
+           else symbol_from_expr(expr, SymbolClassParams(2.0)))
+    points = []
+
+    def fn(x, xi, eta):
+        points.append(np.broadcast(x, xi, eta).size)
+        return sig.fn(x, xi, eta)
+
+    spy = Symbol(sig.name, fn, sig.declared_class, node=sig.node,
+                 x_independent=sig.x_independent)
+    quad = KernelQuadrature(spy, TruncationProfile(level=16.0))
+    rows = quad.axis.size // 2 + 1
+    assert stream_account(spy)["sigma_quadrants"] == quadrants
+    for deriv in itertools.product((0, 1), repeat=3):
+        points.clear()
+        quad.values(0.3, [0.5, -1.0], [1.0, 0.2], deriv=deriv)
+        assert sum(points) == quadrants * rows ** 2, deriv
+
+
+@pytest.mark.parametrize("args, account", [
+    (["fit-decay", "--symbol", "theta_sqrt1", "--deriv", "1,0,0", "--level", "32",
+      "--levels", "32"],
+     {"sigma_parity": {"xi": 1, "eta": 1}, "sigma_quadrants": 1,
+      "dx_sigma_parity": {"xi": 1, "eta": 1}}),
+    (["certify-czk", "--symbol", "bad_xieta", "--samples", "200", "--level", "32"],
+     {"sigma_parity": {"xi": -1, "eta": -1}, "sigma_quadrants": 1}),
+    (["kernel-slice", "--symbol", "sin(xi+eta)", "--m", "0", "--level", "32"],
+     {"sigma_parity": {"xi": None, "eta": None}, "sigma_quadrants": 4}),
+], ids=["fit-decay", "certify-czk", "kernel-slice"])
+def test_kernel_envelopes_record_the_parities_the_quadrature_used(tmp_path, capsys, args,
+                                                                  account):
+    cli_main([*args, "--out-dir", str(tmp_path)])
+    assert json.loads(capsys.readouterr().out)["data"]["quadrature"] == account
 
 
 def _traced_peak_mb(fn):

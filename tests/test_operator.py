@@ -512,7 +512,8 @@ _ATOMS = ("(2+sin({k}*x))", "exp(cos({k}*x))")
 @st.composite
 def separable_symbols(draw, dim):
     """Elementary products a(x) b(xi, eta) joined by +, -, unary -, *, / by a
-    factor free of x or of frequencies, and ^n of mixed sums: <= 6 x-factors."""
+    factor free of x or of frequencies, and ^n of mixed sums, or written as
+    (a b)^-n, abs(a b) and exp(a - b): <= 6 x-factors."""
     def atom():
         a = draw(st.sampled_from(_ATOMS)).format(k=draw(st.sampled_from("12")))
         return a.replace("x)", "x1-x2)") if dim == 2 else a
@@ -525,8 +526,16 @@ def separable_symbols(draw, dim):
         xi = "xi" if dim == 1 else "xi1"
         return s + draw(st.sampled_from(("", f"/(1+{xi}^2)", f"/{atom()}")))
 
-    shape = draw(st.sampled_from(("{p}", "{p}*{q}", "({p})^2", "({p})^3", "{p}*{q}+{r}")))
-    return shape.format(p=pair(), q=pair(), r=pair())
+    def single():  # one product, split by the exp, abs and negative-power rules
+        a, r2 = atom(), "xi^2+eta^2" if dim == 1 else "xi1^2+xi2^2+eta1^2+eta2^2"
+        b = f"sqrt({draw(st.sampled_from(('1', '2')))}+{r2})"
+        return draw(st.sampled_from((f"({a}*{b})^-{draw(st.sampled_from('12'))}",
+                                     f"abs({a}*({draw(smooth_symbols(dim))}))",
+                                     f"exp({a}-({r2})/{draw(st.sampled_from('48'))})")))
+
+    shape = draw(st.sampled_from(("{p}", "{p}*{q}", "({p})^2", "({p})^3", "{p}*{q}+{r}",
+                                  "{s}", "{p}*{s}", "{s}-{p}")))
+    return shape.format(p=pair(), q=pair(), r=pair(), s=single())
 
 
 def _check_expansion_is_exact(expr, grid, seed):
@@ -549,6 +558,20 @@ def test_ast_expansion_is_exact_on_random_products_1d(expr, seed):
 @given(expr=separable_symbols(2), seed=st.integers(0, 99))
 def test_ast_expansion_is_exact_on_random_products_2d(expr, seed):
     _check_expansion_is_exact(expr, Grid(dim=2, points_per_axis=8), seed)
+
+
+@pytest.mark.parametrize("expr", ["exp(sin(x)-xi^2-eta^2)",
+                                  "((2+sin(x))*sqrt(1+xi^2+eta^2))^-1",
+                                  "abs((2+sin(x))*xi)"])
+def test_exp_of_a_sum_negative_power_and_abs_of_a_product_factor_at_x_rank_one(expr):
+    grid = Grid(dim=1, points_per_axis=64)
+    sigma = symbol_from_expr(expr, SymbolClassParams(1.0))
+    T = make_operator(sigma, grid)
+    f, g = random_pair(grid, seed=25)
+    fast = apply(T, f, g).values
+    slow = apply(make_operator(sigma, grid, strategy="direct"), f, g).values
+    assert (T.strategy, T.lowrank().x_rank) == ("multiplier", 1)
+    assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
 
 
 @pytest.mark.parametrize("dim, n", [(1, 32), (2, 8)])
