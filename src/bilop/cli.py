@@ -29,7 +29,7 @@ from .analysis import (calderon_scan, check_t1_conditions,
 from .errors import BilopError, ConfigError, DomainError, SymbolParseError
 from .grid import Grid, GridFunction, lp_norm
 from .kernel import (TruncationProfile, certify_cz_commutator_kernel,
-                     fit_kernel_decay, kernel_slice)
+                     fit_kernel_decay, kernel_slice, ray_offsets)
 from .operator import (apply, commutator, make_operator,
                        verify_transpose_identities)
 from .reports import envelope, write_report
@@ -38,6 +38,7 @@ from .symbols import (FAMILY_NAMES, MULTIPLIER_NAMES, SymbolClassParams,
                       multiplier_function, parse_symbol_expr,
                       reconstruction_residual, symbol_catalog,
                       symbol_from_expr)
+from .symbols.expr import VARIABLES
 
 PASS_VERDICTS = {"PASS", "BOUNDED", "complete", "consistent with compactness"}
 
@@ -67,7 +68,7 @@ def resolve_multiplier(spec: str, grid: Grid) -> GridFunction:
     if spec in MULTIPLIER_NAMES:
         return multiplier_function(spec, grid)
     node = parse_symbol_expr(spec)
-    env = dict(zip(("x",) if grid.dim == 1 else ("x1", "x2"), grid.node_mesh()))
+    env = dict(zip(VARIABLES[grid.dim][:grid.dim], grid.node_mesh()))
     extra = node.free_vars() - set(env)
     if extra:
         raise ConfigError(
@@ -132,11 +133,8 @@ def _run_kernel_slice(cfg):
     profile = TruncationProfile(float(cfg["level"]))
     radii = np.geomspace(L / float(cfg["r_min_div"]), L / float(cfg["r_max_div"]),
                          int(cfg["count"]))
-    th = np.deg2rad(float(cfg["angle"]))
-    cu, sv = np.cos(th), np.sin(th)
-    norm = abs(cu) + abs(sv)
-    x0 = float(cfg["x"])
-    offsets = [(x0 - r * cu / norm, x0 - r * sv / norm) for r in radii]
+    x0, th = float(cfg["x"]), np.deg2rad(float(cfg["angle"]))
+    offsets = [(x0 - u, x0 - v) for u, v in zip(*ray_offsets(radii, th))]
     sl = kernel_slice(sigma, profile, x0, offsets, period=L)
     data = {"x": x0, "level": profile.level, "radii": list(radii),
             "values": sl.values, "quadrature": sl.quadrature}

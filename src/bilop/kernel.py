@@ -10,37 +10,42 @@ for torus offsets: kernel_slice, fit_kernel_decay and the CZ
 certification do not.  Derivative kernels multiply the integrand by
 (i xi), (i eta) monomials and differentiate sigma in x.
 
+K_N is read through operator.x_expansion, as apply reads T: sigma = sum_s
+a_s(x) b_s(xi, eta) gives K_N = sum_s a_s K_s and d_x K_N = sum_s a_s' K_s +
+a_s K_s^phase, a_s' exact and K_s^phase from the i(xi + eta) of d/dx of the
+phase.  Each b_s is streamed once per call over the distinct offsets,
+whatever their x.  A sigma with no expansion (cos(x xi)) is streamed frozen
+at each distinct x, with d_x sigma beside it for the x-derivative.
+
 On the grid the kernel at offsets (u_b, v_b) is EU[:, b]^T S EV[:, b],
-with S = sigma (or d_x sigma) on the box, raw, and the cutoff on the
-phases: F = EU = psi(xi) (-i xi)^beta e^{i xi u}, G = EV likewise in eta.
-The axis is symmetric and S is real, so F(-t) = conj F(t), likewise G, and
-the four quadrants +-xi, +-eta sum to real products over t, s >= 0:
+with S a streamed symbol on the box, raw, and the cutoff on the phases:
+F = EU = psi(xi) (-i xi)^beta e^{i xi u}, G = EV likewise in eta.  The
+axis is symmetric and S is real, so F(-t) = conj F(t), likewise G, and the
+four quadrants +-xi, +-eta sum to real products over t, s >= 0:
 
     F^T S G = Re F S_ee Re G + i Re F S_eo Im G + i Im F S_oe Re G
               - Im F S_oo Im G,
 
 S_ab(t, s) being the part of S even (e) or odd (o) in xi, then in eta:
-S_eo(t, s) = sum over signs c, d of d S(c t, d s), and so on.  sigma's
-parity in xi and in eta, read off its AST (Node.parity), decides which
-quadrants are evaluated and which blocks are nonzero: a variable of known
-parity is read at + only and its - side follows by the parity.  So sqrt1
-evaluates one quadrant into one block, and a symbol of no parity four
-quadrants into four blocks, through the same stream; only the halves of G
-that some block reads are built.  S is never held whole: sigma is
-evaluated on ROW_BLOCK rows t_k >= 0 at a time, folded into its blocks,
-contracted and dropped.  Phases come from grid.phase_table: e^{i t p} at
-t = (q ROW_BLOCK + r) h is coarse row q times fine row r, so a call takes
-L / ROW_BLOCK + ROW_BLOCK exponentials per offset, not L.  The eta phases
-of the distinct v are built once per call while they fit PHASE_BUDGET
-real entries; past it the offsets are split by v into chunks, and sigma
-is streamed again for each chunk.  Each offset gathers its u and v
-columns, so no distinct-u x distinct-v table is built.  Memory is
-O(ROW_BLOCK L + PHASE_BUDGET) for an axis of length L, at any level and
-for any number of offsets.  The x-derivative kernel adds i(xi + eta) to
-the phase: one pass contracts [G, i eta G] side by side, plus one of
-d_x sigma, with its own parity, against G.  A symbol that is complex or
-not finite anywhere on the box raises DomainError, whichever block holds
-the value; a parity carries a non-finite value to its mirror image too.
+S_eo(t, s) = sum over signs c, d of d S(c t, d s), and so on.  S's parity
+in xi and in eta, read off its AST (Node.parity), decides which quadrants
+are evaluated and which blocks are nonzero: a variable of known parity is
+read at + only and its - side follows by the parity.  So sqrt1 evaluates
+one quadrant into one block, and a symbol of no parity four quadrants into
+four blocks, through the same stream; only the halves of G that some block
+reads are built.  S is never held whole: it is evaluated on ROW_BLOCK rows
+t_k >= 0 at a time, folded into its blocks, contracted and dropped.
+Phases come from grid.phase_table: e^{i t p} at t = (q ROW_BLOCK + r) h is
+coarse row q times fine row r, so a pass takes L / ROW_BLOCK + ROW_BLOCK
+exponentials per offset, not L.  The eta phases of the distinct v are
+built once per pass while they fit PHASE_BUDGET real entries; past it the
+offsets are split by v into chunks, and S is streamed again for each
+chunk.  Each offset gathers its u and v columns, so no distinct-u x
+distinct-v table is built.  Memory is O(ROW_BLOCK L + PHASE_BUDGET) for an
+axis of length L, at any level and for any number of offsets.  A symbol
+that is complex or not finite anywhere on the box, or an a_s not finite at
+a requested x, raises DomainError; a parity carries a non-finite value to
+its mirror image too.
 
 Decay fits and Calderon-Zygmund certification of commutator kernels
 K_slot = (a(y or z) - a(x)) K_N live here too.
@@ -53,6 +58,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidInputError, ToleranceError
 from .grid import GridFunction, eval_at, phase_table
+from .operator import x_expansion
 from .symbols.core import Symbol
 
 GUARD_REL_TOL = 1e-6
@@ -100,31 +106,17 @@ def _parity(node) -> tuple:
     return tuple(None if node is None else node.parity(v) for v in ("xi", "eta"))
 
 
-def _streams(sigma: Symbol, alpha: int) -> list:
-    """(evaluator, parity) of sigma, then of d_x sigma when alpha = 1 and sigma
-    depends on x: the symbols a values call streams."""
-    out = [(sigma.fn, _parity(sigma.node))]
-    if alpha == 1 and not sigma.x_independent:
-        dx = sigma.partial((1,), (0,), (0,))  # refused without an AST
-        out.append((dx, _parity(sigma.node.diff("x"))))
-    return out
-
-
-def stream_account(sigma: Symbol, alpha: int = 0) -> dict:
-    """The (xi, eta) parities the quadrature reads sigma, and d_x sigma when
-    alpha = 1, with, and how many of sigma's +-xi/+-eta quadrants it evaluates."""
-    parities = [p for _, p in _streams(sigma, alpha)]
-    out = {"sigma_parity": dict(zip(("xi", "eta"), parities[0])),
-           "sigma_quadrants": 4 >> sum(p is not None for p in parities[0])}
-    if len(parities) > 1:
-        out["dx_sigma_parity"] = dict(zip(("xi", "eta"), parities[1]))
-    return out
+# A use (f, c, k) adds Fs[f]^T S G_c to output k, Fs = (F, i xi F) and G_c =
+# (G, i eta G)[c]: K, the phase term of d_x K, and K_s with K_s^phase beside it.
+_K = ((0, 0, 0),)
+_PHASE = ((1, 0, 0), (0, 1, 0))
+_K_AND_PHASE = ((0, 0, 0), (1, 0, 1), (0, 1, 1))
 
 
 class KernelQuadrature:
     """Trapezoid rule for batched kernel evaluation (1D symbols).
 
-    Stateless: each ``values`` call streams sigma through row blocks and
+    Stateless: each ``values`` call streams symbols through row blocks and
     keeps no block, so its memory is O(ROW_BLOCK L + PHASE_BUDGET) for an
     axis of length L, at any level and for any number of offsets.
     """
@@ -143,45 +135,76 @@ class KernelQuadrature:
         self._half = self.axis[half:]  # 0, h, ..., the frequencies t >= 0
         self._weight = self.profile.psi(self._half)
         self._weight[0] *= 0.5  # the +-t folds count t = 0 twice
+        self.terms = x_expansion(sigma, self._half.size // 8)  # [(a_s, b_s)] or a reason
 
-    def values(self, x: float, us, vs, deriv=(0, 0, 0)) -> np.ndarray:
-        """K_N-derivative values at offsets u = x - y, v = x - z (batched)."""
+    def account(self, alpha: int = 0) -> dict:
+        """How values reads sigma: each x-term's frequency-factor parity, or why
+        sigma has no x-expansion and its (and d_x sigma's) parity when frozen."""
+        named = lambda node: dict(zip(("xi", "eta"), _parity(node)))
+        if isinstance(self.terms, str):
+            node = self.sigma.node
+            return {"no_x_expansion": self.terms, "sigma_parity": named(node),
+                    **({"dx_sigma_parity": named(node and node.diff("x"))} if alpha else {})}
+        return {"x_terms": len(self.terms), "term_parity": [named(b.node) for _, b in self.terms]}
+
+    def values(self, x, us, vs, deriv=(0, 0, 0)) -> np.ndarray:
+        """K_N-derivative values at offsets u = x - y, v = x - z (batched); x is
+        a scalar or an array broadcast against us."""
         alpha, beta, gamma = deriv
         if alpha not in (0, 1):
             raise InvalidInputError("x-derivative order must be 0 or 1")
-        us = np.atleast_1d(np.asarray(us, dtype=float))
-        vs = np.atleast_1d(np.asarray(vs, dtype=float))
-        streams = _streams(self.sigma, alpha)
-        vq, iv = np.unique(vs, return_inverse=True)
-        width = max(1, PHASE_BUDGET // (2 * (1 + alpha) * self._half.size))
-        vals = np.empty(us.size, dtype=complex)
-        for lo in range(0, vq.size, width):  # one pass over sigma per chunk of v
-            mine = np.flatnonzero((iv >= lo) & (iv < lo + width))
-            vals[mine] = self._stream(x, streams, us[mine], vq[lo:lo + width],
-                                      iv[mine] - lo, deriv)
+        us, vs = (np.atleast_1d(np.asarray(z, dtype=float)) for z in (us, vs))
+        xq, ix = np.unique(np.broadcast_to(np.asarray(x, dtype=float), us.shape),
+                           return_inverse=True)
+        if isinstance(self.terms, str):  # no x-expansion: sigma frozen at each x
+            sig, vals = self.sigma, np.empty(us.size, dtype=complex)
+            streams = [(sig.fn, _parity(sig.node), _PHASE if alpha else _K)]
+            if alpha == 1:  # refused without an AST
+                streams.append((sig.partial((1,), (0,), (0,)), _parity(sig.node.diff("x")), _K))
+            for j, xv in enumerate(xq):
+                mine = np.flatnonzero(ix == j)
+                vals[mine] = self._stream(xv, streams, us[mine], vs[mine], deriv)[0]
+            return self.spacing ** 2 / (2 * np.pi) ** 2 * vals
+        # a_s' (alpha = 1) and a_s at each distinct x: one weight row per row of K
+        weights = np.array([np.broadcast_to(ev(xq, 0.0, 0.0), xq.shape) for a, _ in self.terms
+                      for ev in (a.partial((1,), (0,), (0,)), a.fn)[1 - alpha:]])
+        if not np.all(np.isfinite(weights)):
+            raise DomainError(f"an x-factor of symbol {self.sigma.name!r} is not finite at x = "
+                              f"{xq[~np.all(np.isfinite(weights), axis=0)][0]:g}")
+        uses = _K_AND_PHASE if alpha else _K
+        streams = [(b.fn, _parity(b.node), tuple((f, c, (1 + alpha) * s + k) for f, c, k in uses))
+                   for s, (_, b) in enumerate(self.terms)]
+        keys, inv = np.unique(us + 1j * vs, return_inverse=True)  # the distinct offsets
+        K = self._stream(None, streams, keys.real, keys.imag, deriv)
+        vals = np.sum(weights[:, ix] * K[:, inv], axis=0)
         return self.spacing ** 2 / (2 * np.pi) ** 2 * vals
 
-    def _stream(self, x, streams, us, vq, iv, deriv):
-        """The sum over the box for offsets (us, vq[iv]), row block by row block."""
+    def _stream(self, x, streams, us, vs, deriv) -> np.ndarray:
+        """The outputs of streams (evaluator, parity, uses) at offsets (us, vs),
+        frozen at x (None for frequency factors), row block by row block: one
+        pass per chunk of distinct v that fits PHASE_BUDGET."""
         alpha, beta, gamma = deriv
-        t, n = self._half, vq.size
-        G = self._eta_phases(vq, gamma, alpha, {b for _, parity in streams
-                                                for b in _open_halves(parity[1])})
-        uq, iu = np.unique(us, return_inverse=True)
-        coarse, fine = phase_table(self.spacing, uq, t.size, ROW_BLOCK)
+        t = self._half
+        vq, iv = np.unique(vs, return_inverse=True)
+        width = max(1, PHASE_BUDGET // (2 * (1 + alpha) * t.size))
+        halves = {h for _, parity, _ in streams for h in _open_halves(parity[1])}
         amp = self._weight * (-1j * t) ** beta
-        got = np.zeros((2, us.size))  # real and imaginary parts
-        for q, lo in enumerate(range(0, t.size, ROW_BLOCK)):
-            tk = t[lo:lo + ROW_BLOCK]
-            F = coarse[q] * fine[:tk.size] * amp[lo:lo + ROW_BLOCK, None]
-            # d/dx of the phase is i(xi + eta): S against [G, i eta G] ...
-            uses = ([(F, slice(None))] if alpha == 0 else
-                    [(F * (1j * tk)[:, None], slice(n)), (F, slice(n, None))])
-            self._contract(got, streams[0], x, tk, G, uses, iu, iv)
-            for dx in streams[1:]:  # ... and d_x S against G
-                self._contract(got, dx, x, tk, [g if g is None else g[:, :n] for g in G],
-                               [(F, slice(None))], iu, iv)
-        return got[0] + 1j * got[1]
+        got = np.zeros((1 + max(k for *_, uses in streams for *_, k in uses), 2, us.size))
+        for lo in range(0, vq.size, width):
+            mine = np.flatnonzero((iv >= lo) & (iv < lo + width))
+            vc = vq[lo:lo + width]
+            G = self._eta_phases(vc, gamma, alpha, halves)
+            uq, iu = np.unique(us[mine], return_inverse=True)
+            coarse, fine = phase_table(self.spacing, uq, t.size, ROW_BLOCK)
+            part = np.zeros(got.shape[:2] + mine.shape)  # real and imaginary parts
+            for q, r in enumerate(range(0, t.size, ROW_BLOCK)):
+                tk = t[r:r + ROW_BLOCK]
+                F = coarse[q] * fine[:tk.size] * amp[r:r + ROW_BLOCK, None]
+                Fs = (F, F * (1j * tk)[:, None]) if alpha else (F,)
+                for stream in streams:
+                    self._contract(part, stream, x, tk, G, Fs, vc.size, iu, iv[mine] - lo)
+            got[:, :, mine] = part
+        return got[:, 0] + 1j * got[:, 1]
 
     def _eta_phases(self, vq, gamma, alpha, halves):
         """The real (b = 0 in halves) and imaginary (b = 1) parts of G = psi
@@ -202,15 +225,18 @@ class KernelQuadrature:
                     g[rows] = part
         return G
 
-    def _contract(self, got, stream, x, tk, G, uses, iu, iv):
-        """Add F^T S G over the rows +-tk to got's real and imaginary parts,
-        per offset and per (F, columns of G) in uses: one real product per
-        nonzero parity block S_ab, as in the module docstring."""
-        for (a, b), S in _blocks(stream, x, tk, self._half, self.sigma.name).items():
-            W = S @ G[b]
-            for F, cols in uses:
-                part = np.einsum("kb,kb->b", (F.real, F.imag)[a][:, iu], W[:, cols][:, iv])
-                got[(a + b) % 2] += -part if a & b else part
+    def _contract(self, got, stream, x, tk, G, Fs, n, iu, iv):
+        """Add Fs[f]^T S G_c over the rows +-tk to output k's real and
+        imaginary parts, per offset and per use (f, c, k) of the stream: one
+        real product per nonzero parity block S_ab, as in the module
+        docstring; G_c is the c-th run of n columns of G."""
+        ev, parity, uses = stream
+        for (a, b), S in _blocks(ev, parity, x, tk, self._half, self.sigma.name).items():
+            W = S @ G[b][:, :n * (1 + max(c for _, c, _ in uses))]  # the columns read
+            for f, c, k in uses:
+                part = np.einsum("kb,kb->b", (Fs[f].real, Fs[f].imag)[a][:, iu],
+                                 W[:, c * n:(c + 1) * n][:, iv])
+                got[k, (a + b) % 2] += -part if a & b else part
 
 
 def _open_halves(parity) -> tuple:
@@ -227,18 +253,18 @@ def _fold(s, parity):
     return (2 * s[0], None) if parity == 1 else (None, 2 * s[0])
 
 
-def _blocks(stream, x, tk, t, name) -> dict:
+def _blocks(ev, parity, x, tk, t, name) -> dict:
     """{(a, b): S_ab} of a streamed symbol on the rows +-tk and columns +-t,
     a (b) being 0 for its half even in xi (eta) and 1 for the odd half; the
-    symbol is evaluated on the quadrants that its parity leaves open."""
-    ev, parity = stream
+    symbol is evaluated, at x (a frequency factor at x = None), on the
+    quadrants that its parity leaves open."""
     xs, es = ((1.0,) if p is not None else (1.0, -1.0) for p in parity)
-    sig = np.asarray(ev(np.asarray(x), np.multiply.outer(xs, tk)[:, :, None, None],
-                        np.multiply.outer(es, t)))
+    sig = np.asarray(ev(np.asarray(0.0 if x is None else x),
+                        np.multiply.outer(xs, tk)[:, :, None, None], np.multiply.outer(es, t)))
     if np.iscomplexobj(sig) or not np.all(np.isfinite(sig)):
         raise DomainError(
-            f"symbol {name!r} is not real and finite on the kernel "
-            f"frequency box |xi|, |eta| <= {t[-1]:g} at x = {x:g}")
+            f"symbol {name!r} is not real and finite on the kernel frequency box "
+            f"|xi|, |eta| <= {t[-1]:g}" + ("" if x is None else f" at x = {x:g}"))
     sig = np.broadcast_to(sig, (len(xs), tk.size, len(es), t.size))
     return {(a, b): S for a, half in enumerate(_fold(sig, parity[0])) if half is not None
             for b, S in enumerate(_fold(np.moveaxis(half, 1, 0), parity[1])) if S is not None}
@@ -277,7 +303,7 @@ class KernelSlice:
     level: float
     deriv: tuple
     spacing: float
-    quadrature: dict  # stream_account
+    quadrature: dict  # KernelQuadrature.account
 
 
 def kernel_slice(sigma: Symbol, profile: TruncationProfile, x: float,
@@ -292,7 +318,7 @@ def kernel_slice(sigma: Symbol, profile: TruncationProfile, x: float,
     vals = quad.values(x, us, vs, deriv=deriv)
     return KernelSlice(x=float(x), offsets=tuple(offsets), values=vals,
                        level=profile.level, deriv=tuple(deriv), spacing=spacing,
-                       quadrature=stream_account(sigma, deriv[0]))
+                       quadrature=quad.account(deriv[0]))
 
 
 @dataclass(frozen=True)
@@ -308,12 +334,11 @@ class DecayFitReport:
     stability: dict = field(default_factory=dict)  # level -> normalized constant
     stability_ratio: float = 1.0
     verdict: str = ""
-    quadrature: dict = field(default_factory=dict)  # stream_account
+    quadrature: dict = field(default_factory=dict)  # KernelQuadrature.account
 
 
-def _direction_offsets(r: float, count: int):
-    """(u, v) with |u| + |v| = r, spread over directions off the axes."""
-    th = np.linspace(0, 2 * np.pi, count, endpoint=False) + 0.1
+def ray_offsets(r, th):
+    """(u, v) = (r cos th, r sin th) / (|cos th| + |sin th|), so |u| + |v| = r."""
     cu, sv = np.cos(th), np.sin(th)
     norm = np.abs(cu) + np.abs(sv)
     return r * cu / norm, r * sv / norm
@@ -342,16 +367,15 @@ def fit_kernel_decay(sigma: Symbol, deriv=(0, 0, 0), radii=None, directions: int
     n = sigma.dim
     target = -(2 * n + sigma.declared_class.m + sum(deriv))
 
-    rays = [_direction_offsets(r, directions) for r in radii]
-    us = np.concatenate([u for u, _ in rays])
-    vs = np.concatenate([v for _, v in rays])
+    th = np.linspace(0, 2 * np.pi, directions, endpoint=False) + 0.1  # off the axes
+    us, vs = (z.ravel() for z in ray_offsets(np.array(radii)[:, None], th))
 
-    def max_curve(at_level: float) -> np.ndarray:
+    def max_curve(at_level: float):
         quad = KernelQuadrature(sigma, TruncationProfile(at_level), period, spacing)
         vals = quad.values(x0, us, vs, deriv=deriv)  # every radius in one batch
-        return np.max(np.abs(vals).reshape(len(radii), directions), axis=1)
+        return np.max(np.abs(vals).reshape(len(radii), directions), axis=1), quad
 
-    maxima = max_curve(level)
+    maxima, quad = max_curve(level)
     lr, lk = np.log(np.array(radii)), np.log(maxima)
     A = np.vstack([lr, np.ones_like(lr)]).T
     coef, *_ = np.linalg.lstsq(A, lk, rcond=None)
@@ -362,7 +386,7 @@ def fit_kernel_decay(sigma: Symbol, deriv=(0, 0, 0), radii=None, directions: int
 
     stability = {}
     for lev in stability_levels:
-        curve = maxima if lev == level else max_curve(lev)
+        curve = maxima if lev == level else max_curve(lev)[0]
         stability[float(lev)] = float(np.max(curve * np.array(radii) ** (-target)))
     consts = list(stability.values())
     ratio = max(consts) / max(min(consts), 1e-300) if consts else 1.0
@@ -379,7 +403,7 @@ def fit_kernel_decay(sigma: Symbol, deriv=(0, 0, 0), radii=None, directions: int
                           maxima=tuple(float(m) for m in maxima), level=level,
                           deriv=tuple(deriv), stability=stability,
                           stability_ratio=float(ratio), verdict=verdict,
-                          quadrature=stream_account(sigma, deriv[0]))
+                          quadrature=quad.account(deriv[0]))
 
 
 @dataclass(frozen=True)
@@ -391,7 +415,7 @@ class CzCertification:
     samples: int
     level: float
     verdict: str
-    quadrature: dict  # stream_account
+    quadrature: dict  # KernelQuadrature.account
 
 
 def certify_cz_commutator_kernel(sigma: Symbol, a: GridFunction, slot: int = 1,
@@ -407,9 +431,8 @@ def certify_cz_commutator_kernel(sigma: Symbol, a: GridFunction, slot: int = 1,
     truncated kernel's instantaneous slope carries a cutoff ripple whose
     frequency grows with the truncation level, so a proportional
     macroscopic step is the quantity that stabilizes.  Samples are drawn
-    as (octave, sample) arrays; each base point takes one quadrature batch
-    over every octave (one at x = 0 serves all base points of an
-    x-independent symbol) and one interpolation of a.
+    as (octave, sample) arrays; every base point, octave and x-step takes
+    one quadrature batch, and each base point one interpolation of a.
     """
     if slot not in (1, 2):
         raise InvalidInputError(f"slot must be 1 or 2, got {slot}")
@@ -436,32 +459,21 @@ def certify_cz_commutator_kernel(sigma: Symbol, a: GridFunction, slot: int = 1,
     lo = base_radius * 2.0 ** np.arange(octave_count)
     draws = np.array([(rng.uniform(np.log(l), np.log(2 * l), size=per_octave),
                        rng.uniform(0, 2 * np.pi, size=per_octave)) for l in lo])
-    r, th = np.exp(draws[:, 0]), draws[:, 1]  # (octave, sample)
-    cu, sv = np.cos(th), np.sin(th)
-    norm = np.abs(cu) + np.abs(sv)
-    us, vs = r * cu / norm, r * sv / norm
+    us, vs = ray_offsets(np.exp(draws[:, 0]), draws[:, 1])  # (octave, sample)
     S = np.abs(us) + np.abs(vs) + np.abs(_wrap(us - vs, period))
     h = S / 8
     hx = lo[:, None] / 8  # one x-step per octave, shared by its samples
-    # each sample's five offsets side by side, so that its repeated u and v
-    # land in one contraction block
-    batch = (np.stack([us, us - h, us + h, us, us], axis=-1).ravel(),
-             np.stack([vs, vs, vs, vs - h, vs + h], axis=-1).ravel())
+    # (base point, octave, sample, 7) triples: x with the five offsets, then
+    # x + hx and x - hx with the first
+    xs = xpool[:, None, None, None] + hx[:, :, None] * np.array([0, 0, 0, 0, 0, 1, -1])
+    offsets = (np.stack([us, us - h, us + h, us, us, us, us], axis=-1),
+               np.stack([vs, vs, vs, vs - h, vs + h, vs, vs], axis=-1))
+    shape = (xpool.size, *us.shape, 7)
+    k = quad.values(*(np.broadcast_to(z, shape).ravel() for z in (xs, *offsets)))
     off = us if slot == 1 else vs
     iy, iz = ((3, 4), (0, 0)) if slot == 1 else ((0, 0), (3, 4))  # stepped weight rows
-
-    def k_at(xv):
-        """K at the five offsets, then at the offsets from x + hx and from x - hx."""
-        k = np.moveaxis(quad.values(xv, *batch).reshape(*us.shape, 5), -1, 0)
-        if sigma.x_independent:  # translation invariant: K(x +- hx) = K(x)
-            return (*k, k[0], k[0])
-        return (*k, *(np.array([quad.values(xv + sgn * dx, u, v) for dx, u, v
-                                in zip(hx[:, 0], us, vs)]) for sgn in (1, -1)))
-
-    shared = k_at(0.0) if sigma.x_independent else None
     size_sup = grad_sup = np.zeros(octave_count)
-    for xv in xpool:
-        k0, kyl, kyh, kzl, kzh, kxh, kxl = shared or k_at(float(xv))
+    for xv, (k0, kyl, kyh, kzl, kzh, kxh, kxl) in zip(xpool, np.moveaxis(k.reshape(shape), -1, 1)):
         # rows of w: a(x' - o) - a(x') at (x', o) = (x, off), (x +- hx, off), (x, off -+ h)
         at = xv + np.stack([0 * hx, hx, -hx])
         reads = np.concatenate([at - off, xv - np.stack([off - h, off + h])])
@@ -487,4 +499,4 @@ def certify_cz_commutator_kernel(sigma: Symbol, a: GridFunction, slot: int = 1,
                            size_sup=tuple(size_sup.tolist()),
                            grad_sup=tuple(grad_sup.tolist()),
                            samples=per_octave * octave_count, level=level,
-                           verdict=verdict, quadrature=stream_account(sigma))
+                           verdict=verdict, quadrature=quad.account())

@@ -155,27 +155,32 @@ def _merge(terms, cap: int) -> dict:
     return out
 
 
-def _expand(sigma: Symbol, grid: Grid):
-    """sigma's x-expansion with each S_s factored, or the reason it has none."""
-    M = grid.points_per_axis ** grid.dim
+def x_expansion(sigma: Symbol, cap: int):
+    """sigma = sum_s a_s(x) b_s(xi, eta) as [(a_s, b_s)] symbol pairs (one with
+    a = 1 if sigma is x-independent), or why it has none in <= cap x-factors."""
     if sigma.x_independent:
-        groups = [(np.ones(M), sigma)]
-    elif sigma.node is None:
+        return [(symbol_from_expr(Num(1.0), sigma.declared_class, sigma.dim, sigma.name), sigma)]
+    if sigma.node is None:
         return "it is a plain callable not declared x-independent"
-    else:
-        try:
-            terms = _separate(sigma.node, M // 8).values()
-        except ValueError as err:
-            return str(err)
-        x, zero = _flat(grid.node_mesh()), np.zeros((grid.dim, 1))
-        pairs = [[symbol_from_expr(f, sigma.declared_class, grid.dim, name=sigma.name)
-                  for f in ab] for ab in terms]
-        groups = [(_values(a, grid, x, zero, zero), b) for a, b in pairs]
-    parts = [_factorize(S, grid) for _, S in groups]
+    try:
+        terms = _separate(sigma.node, cap).values()
+    except ValueError as err:
+        return str(err)
+    return [tuple(symbol_from_expr(f, sigma.declared_class, sigma.dim, sigma.name) for f in ab)
+            for ab in terms]
+
+
+def _expand(sigma: Symbol, grid: Grid):
+    """sigma's x-expansion with each b_s factored, or the reason it has none."""
+    terms = x_expansion(sigma, grid.points_per_axis ** grid.dim // 8)
+    if isinstance(terms, str):
+        return terms
+    x, zero = _flat(grid.node_mesh()), np.zeros((grid.dim, 1))
+    parts = [_factorize(b, grid) for _, b in terms]
     u, v = (np.concatenate([p[i] for p in parts]) for i in (0, 1))
     ranks = tuple(len(p[0]) for p in parts)
-    return LowRank(u, v, np.repeat([w for w, _ in groups], ranks, axis=0), ranks,
-                   max(p[2] for p in parts))
+    w = [_values(a, grid, x, zero, zero) for a, _ in terms]
+    return LowRank(u, v, np.repeat(w, ranks, axis=0), ranks, max(p[2] for p in parts))
 
 
 def _factorize(sigma: Symbol, grid: Grid):

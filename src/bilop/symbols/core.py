@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidInputError
-from .expr import VARIABLES_1D, VARIABLES_2D, Node, parse_symbol_expr, pretty
+from .expr import VARIABLES, Node, parse_symbol_expr, pretty
 
 @dataclass(frozen=True)
 class SymbolClassParams:
@@ -74,7 +74,7 @@ class Symbol:
     values only.
     """
 
-    partials: dict = {}  # bound by perfbench/tracer.py until ROADMAP item 4
+    partials: dict = {}  # bound by perfbench/tracer.py until ROADMAP item 5
 
     def __init__(self, name: str, fn, declared_class: SymbolClassParams,
                  dim: int = 1, x_independent: bool = False,
@@ -102,7 +102,7 @@ class Symbol:
         if not any(orders):
             return self.fn
         node = _require_ast(self)  # x first: an x-independent AST folds to Num(0) at once
-        for var, k in zip(VARIABLES_1D if dim == 1 else VARIABLES_2D, orders):
+        for var, k in zip(VARIABLES[dim], orders):
             for _ in range(k):
                 node = node.diff(var)
         return _ast_evaluator(node, dim)
@@ -116,7 +116,7 @@ def _require_ast(sym: Symbol) -> Node:
     return sym.node
 
 
-_fd_freq = _fd_space = None  # bound by perfbench/tracer.py until ROADMAP item 4
+_fd_freq = _fd_space = None  # bound by perfbench/tracer.py until ROADMAP item 5
 
 
 def symbol_from_expr(expr, declared_class: SymbolClassParams, dim: int = 1,
@@ -133,7 +133,7 @@ def symbol_from_expr(expr, declared_class: SymbolClassParams, dim: int = 1,
         if name is None:
             name = pretty(node)
     free = node.free_vars()
-    bad = sorted(free - set(VARIABLES_1D if dim == 1 else VARIABLES_2D))
+    bad = sorted(free - set(VARIABLES[dim]))
     if bad:
         raise InvalidInputError(
             f"expression variables {bad} not available in dim {dim}")
@@ -142,10 +142,8 @@ def symbol_from_expr(expr, declared_class: SymbolClassParams, dim: int = 1,
 
 
 def _ast_evaluator(node: Node, dim: int):
-    names = VARIABLES_1D if dim == 1 else VARIABLES_2D
-
     def fn(x, xi, eta):
-        return node.eval(dict(zip(names, _components(x, dim) + _components(xi, dim)
+        return node.eval(dict(zip(VARIABLES[dim], _components(x, dim) + _components(xi, dim)
                                   + _components(eta, dim))))
 
     return fn

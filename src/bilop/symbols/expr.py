@@ -41,9 +41,8 @@ import numpy as np
 from ..errors import SymbolParseError
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt", "abs", "log", "sign")
-VARIABLES_1D = ("x", "xi", "eta")
-VARIABLES_2D = ("x1", "x2", "xi1", "xi2", "eta1", "eta2")
-ALL_VARIABLES = VARIABLES_1D + VARIABLES_2D
+VARIABLES = {1: ("x", "xi", "eta"), 2: ("x1", "x2", "xi1", "xi2", "eta1", "eta2")}  # by dim
+ALL_VARIABLES = VARIABLES[1] + VARIABLES[2]
 
 _FN_TABLE = {
     "sin": np.sin,
@@ -111,8 +110,8 @@ class Num(Node):
     def __init__(self, value: float):
         self.value = float(value)
 
-    def apply(self, env):
-        return self.value
+    def apply(self, env):  # numpy arithmetic: a zero divisor gives inf, not an exception
+        return np.float64(self.value)
 
     def derivative(self, var):
         return Num(0.0)

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..errors import InvalidInputError, ToleranceError
 from .core import Symbol, SymbolClassParams, _pack, _require_ast, symbol_from_expr
-from .expr import VARIABLES_1D, VARIABLES_2D, Node, _is
+from .expr import VARIABLES, Node, _is
 
 GUARD_TOL = 1e-8
 NODE_CHUNK_ENTRIES = 2 ** 18  # bounds the stacked arrays of one integrand evaluation
@@ -85,7 +85,7 @@ def _split(sigma: Symbol, q: int) -> list:
     node = _require_ast(sigma)
     pc = sigma.declared_class
     params = SymbolClassParams(pc.m - 1, pc.rho, pc.delta)
-    freqs = (VARIABLES_1D if sigma.dim == 1 else VARIABLES_2D)[sigma.dim:]
+    freqs = VARIABLES[sigma.dim][sigma.dim:]
     return [symbol_from_expr(Quad(node.diff(var), 0, q), params, dim=sigma.dim,
                              name=f"{sigma.name}[{var}]") for var in freqs]
 

@@ -18,11 +18,11 @@ from bilop.symbols import (
     symbol_from_expr,
 )
 from bilop.symbols import ftc
-from bilop.symbols.expr import VARIABLES_1D, VARIABLES_2D
+from bilop.symbols.expr import VARIABLES
 
 
 def frequency_names(dim):
-    return (VARIABLES_1D if dim == 1 else VARIABLES_2D)[dim:]
+    return VARIABLES[dim][dim:]
 
 
 def manual_reconstruction_gap(sigma, comps, seed=2, box=64.0, probes=200):
@@ -128,7 +128,7 @@ def node_by_node(parent, var, q, a, b, g, x, xi, eta):
     # d^(a,b,g) of the parent's var-component with q nodes: one parent
     # evaluation per Gauss-Legendre node, summed in node order
     dim = parent.dim
-    names = VARIABLES_1D if dim == 1 else VARIABLES_2D
+    names = VARIABLES[dim]
     orders = np.add(a + b + g, [int(v == var) for v in names])
     inner = parent.partial(*(tuple(orders[k * dim:(k + 1) * dim]) for k in range(3)))
     scale = lambda v, t: t * v if dim == 1 else tuple(t * c for c in v)
@@ -204,7 +204,7 @@ def separable_sums(draw, dim):
 
 
 def _orders_up_to_two(dim):
-    names = VARIABLES_1D if dim == 1 else VARIABLES_2D
+    names = VARIABLES[dim]
     pairs = [(i, j) for i in range(len(names)) for j in range(i, len(names))]
     out = []
     for hit in [()] + [(i,) for i in range(len(names))] + pairs:

@@ -24,7 +24,6 @@ from bilop.kernel import (
     kernel_at,
     kernel_slice,
     smooth_step,
-    stream_account,
 )
 from bilop.symbols import (
     Symbol,
@@ -34,9 +33,13 @@ from bilop.symbols import (
     multiplier_function,
     symbol_from_expr,
 )
+from test_operator import _ATOMS, smooth_symbols
 
 L = 2 * np.pi
 PROFILE = TruncationProfile(level=128.0)
+# three x-terms, each frequency factor of definite parity; sigma as a whole has none
+THREE_TERMS = ("(2+sin(x))*sqrt(1+xi^2+eta^2)+cos(x)*xi*eta/(1+xi^2+eta^2)"
+               "+exp(cos(2*x))*xi^2/(1+xi^2+eta^2)")
 
 
 def wrap(u):
@@ -213,40 +216,93 @@ def test_random_mixed_parity_symbols_match_the_unbatched_complex_formula(expr, l
     _assert_matches_reference(quad, rng.uniform(0, L), us, vs, deriv)
 
 
+def _quadrants(parity: dict) -> int:
+    return 4 >> sum(p is not None for p in parity.values())
+
+
+@st.composite
+def x_expansions(draw):
+    """Sums of 1-3 products a(x) b(xi, eta), from the expansion generator's
+    x-factors and frequency blocks."""
+    terms = [draw(st.sampled_from(_ATOMS)).format(k=draw(st.sampled_from("12")))
+             + f"*({draw(smooth_symbols(1))})" for _ in range(draw(st.integers(1, 3)))]
+    return "+".join(terms)
+
+
+@settings(max_examples=20, deadline=None)
+@given(expr=x_expansions(), level=st.integers(8, 16), seed=st.integers(0, 99))
+def test_x_terms_match_sigma_frozen_at_each_x(expr, level, seed):
+    # + 0*cos(x*xi) leaves the values alone but has no x-expansion, so the
+    # same sigma goes through the frozen path, with d_x sigma at alpha = 1
+    profile = TruncationProfile(float(level))
+    quad = KernelQuadrature(symbol_from_expr(expr, SymbolClassParams(2.0)), profile)
+    frozen = KernelQuadrature(symbol_from_expr(expr + "+0*cos(x*xi)", SymbolClassParams(2.0)),
+                              profile)
+    assert quad.account()["x_terms"] >= 1 and "no_x_expansion" in frozen.account()
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(0, L, size=3)[rng.integers(0, 3, size=16)]
+    us, vs = rng.uniform(-L / 4, L / 4, size=(2, 16))
+    for deriv in itertools.product((0, 1), repeat=3):
+        want = frozen.values(xs, us, vs, deriv=deriv)
+        got = quad.values(xs, us, vs, deriv=deriv)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (expr, deriv)
+
+
+def test_an_x_factor_not_finite_at_a_requested_x_is_a_domain_error():
+    quad = KernelQuadrature(symbol_from_expr("log(x)*sqrt(1+xi^2+eta^2)", SymbolClassParams(1.0)),
+                            TruncationProfile(16.0))
+    assert np.all(np.isfinite(quad.values(1.0, [0.5], [1.0])))
+    with np.errstate(divide="ignore"), pytest.raises(DomainError, match="at x = 0"):
+        quad.values(np.array([1.0, 0.0]), [0.5, 0.5], [1.0, 1.0])
+
+
 @pytest.mark.parametrize("expr, quadrants", [("sqrt1", 1), ("xi", 1), ("(xi+xi^2)*cos(eta)", 2),
-                                             ("sin(xi+eta)", 4)])
-def test_values_evaluate_sigma_on_the_quadrants_its_parity_leaves_open(expr, quadrants):
+                                             ("sin(xi+eta)", 4),
+                                             pytest.param(THREE_TERMS, 3, id="three_terms-3")])
+def test_values_evaluate_sigma_on_the_quadrants_its_parity_leaves_open(monkeypatch, expr,
+                                                                       quadrants):
     # xi is odd in xi and even in eta, so its +xi, +eta quadrant fixes the
-    # other three; a symbol without parity streams all four
+    # other three; a symbol without parity streams all four; each frequency
+    # factor of an x-expansion is read by its own parity, so THREE_TERMS
+    # takes one quadrant per term where sigma as a whole would take four
+    import bilop.kernel as kernel
+
     sig = (catalog_symbol(expr) if expr in ("sqrt1", "xi")
            else symbol_from_expr(expr, SymbolClassParams(2.0)))
-    points = []
+    points, blocks = [], kernel._blocks
 
-    def fn(x, xi, eta):
-        points.append(np.broadcast(x, xi, eta).size)
-        return sig.fn(x, xi, eta)
+    def counted(ev, *args):
+        def spy(x, xi, eta):
+            points.append(np.broadcast(x, xi, eta).size)
+            return ev(x, xi, eta)
+        return blocks(spy, *args)
 
-    spy = Symbol(sig.name, fn, sig.declared_class, node=sig.node,
-                 x_independent=sig.x_independent)
-    quad = KernelQuadrature(spy, TruncationProfile(level=16.0))
+    monkeypatch.setattr(kernel, "_blocks", counted)
+    quad = KernelQuadrature(sig, TruncationProfile(level=16.0))
     rows = quad.axis.size // 2 + 1
-    assert stream_account(spy)["sigma_quadrants"] == quadrants
+    assert sum(_quadrants(p) for p in quad.account()["term_parity"]) == quadrants
     for deriv in itertools.product((0, 1), repeat=3):
         points.clear()
-        quad.values(0.3, [0.5, -1.0], [1.0, 0.2], deriv=deriv)
+        quad.values(np.array([0.3, 1.1]), [0.5, -1.0], [1.0, 0.2], deriv=deriv)
         assert sum(points) == quadrants * rows ** 2, deriv
 
 
 @pytest.mark.parametrize("args, account", [
     (["fit-decay", "--symbol", "theta_sqrt1", "--deriv", "1,0,0", "--level", "32",
       "--levels", "32"],
-     {"sigma_parity": {"xi": 1, "eta": 1}, "sigma_quadrants": 1,
-      "dx_sigma_parity": {"xi": 1, "eta": 1}}),
+     {"x_terms": 1, "term_parity": [{"xi": 1, "eta": 1}]}),
     (["certify-czk", "--symbol", "bad_xieta", "--samples", "200", "--level", "32"],
-     {"sigma_parity": {"xi": -1, "eta": -1}, "sigma_quadrants": 1}),
+     {"x_terms": 1, "term_parity": [{"xi": -1, "eta": -1}]}),
+    (["kernel-slice", "--symbol", THREE_TERMS, "--m", "1", "--level", "32"],
+     {"x_terms": 3, "term_parity": [{"xi": 1, "eta": 1}, {"xi": -1, "eta": -1},
+                                    {"xi": 1, "eta": 1}]}),
     (["kernel-slice", "--symbol", "sin(xi+eta)", "--m", "0", "--level", "32"],
-     {"sigma_parity": {"xi": None, "eta": None}, "sigma_quadrants": 4}),
-], ids=["fit-decay", "certify-czk", "kernel-slice"])
+     {"x_terms": 1, "term_parity": [{"xi": None, "eta": None}]}),
+    (["fit-decay", "--symbol", "cos(x*xi)+sqrt(1+xi^2+eta^2)", "--deriv", "1,0,0",
+      "--level", "32", "--levels", "32"],
+     {"no_x_expansion": "a factor mixes x with a frequency",
+      "sigma_parity": {"xi": 1, "eta": 1}, "dx_sigma_parity": {"xi": 1, "eta": 1}}),
+], ids=["fit-decay", "certify-czk", "kernel-slice-3-terms", "kernel-slice", "fit-decay-frozen"])
 def test_kernel_envelopes_record_the_parities_the_quadrature_used(tmp_path, capsys, args,
                                                                   account):
     cli_main([*args, "--out-dir", str(tmp_path)])
@@ -580,30 +636,32 @@ def test_batched_certificate_matches_the_per_octave_loop(name, level, mult):
         assert np.allclose(cert.grad_sup, grad_sup, rtol=1e-12, atol=0), slot
 
 
-@pytest.mark.parametrize("name, level, values_calls", [("sqrt1", 128.0, 1),
-                                                        ("theta_sqrt1", 64.0, 8 * (1 + 2 * 3))])
-def test_certificate_batches_each_base_point(monkeypatch, name, level, values_calls):
-    # one quadrature batch per base point (one in total for an x-independent
-    # symbol) plus one per octave and x-step direction, and one
-    # interpolation of a per base point
+@pytest.mark.parametrize("name, level, streams", [("sqrt1", 128.0, 1), ("theta_sqrt1", 64.0, 1),
+                                                  ("cos(x*xi)", 32.0, 8 * (1 + 2 * 3))])
+def test_certificate_makes_one_quadrature_batch(monkeypatch, name, level, streams):
+    # every base point, octave and x-step in one values call: one stream of
+    # the frequency factor of an x-expansion, or one per distinct x (8 base
+    # points, each with an x-step up and down per octave) for a symbol with
+    # none; and one interpolation of a per base point
     import bilop.kernel as kernel
 
-    calls = {"values": 0, "eval_at": 0}
-    values, interp = KernelQuadrature.values, kernel.eval_at
+    calls = {"values": 0, "streams": 0, "eval_at": 0}
+    values, stream, interp = KernelQuadrature.values, KernelQuadrature._stream, kernel.eval_at
 
-    def counted_values(self, *args, **kwargs):
-        calls["values"] += 1
-        return values(self, *args, **kwargs)
+    def counted(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
 
-    def counted_eval_at(*args):
-        calls["eval_at"] += 1
-        return interp(*args)
-
-    monkeypatch.setattr(KernelQuadrature, "values", counted_values)
-    monkeypatch.setattr(kernel, "eval_at", counted_eval_at)
+    monkeypatch.setattr(KernelQuadrature, "values", counted("values", values))
+    monkeypatch.setattr(KernelQuadrature, "_stream", counted("streams", stream))
+    monkeypatch.setattr(kernel, "eval_at", counted("eval_at", interp))
     a = multiplier_function("sinx", Grid(dim=1, points_per_axis=64))
-    certify_cz_commutator_kernel(catalog_symbol(name), a, samples=200, level=level)
-    assert calls == {"values": values_calls, "eval_at": 8}
+    sigma = catalog_symbol(name) if name != "cos(x*xi)" else symbol_from_expr(
+        name, SymbolClassParams(0.0))
+    certify_cz_commutator_kernel(sigma, a, samples=200, level=level)
+    assert calls == {"values": 1, "streams": streams, "eval_at": 8}
 
 
 def test_certificate_slot_validation():
