@@ -97,7 +97,7 @@ def check_t1_conditions(T: BilinearOperator, a: GridFunction,
         slot2_dec = apply(make_operator(comp_eta, grid), one, da)
         route_gaps["slot1"] = float(np.max(np.abs(slot1.values - slot1_dec.values)))
         route_gaps["slot2"] = float(np.max(np.abs(slot2.values - slot2_dec.values)))
-    except (BudgetError, ToleranceError):  # non-finite routes and plain callables raise
+    except (BudgetError, ToleranceError):  # routes over budget or not converged
         decomposition_available = False
 
     closed_form_error = None

@@ -102,8 +102,8 @@ def _wrap(u, period: float):
 
 
 def _parity(node) -> tuple:
-    """(xi, eta) parities of an AST: +1 even, -1 odd, None undecided or no AST."""
-    return tuple(None if node is None else node.parity(v) for v in ("xi", "eta"))
+    """(xi, eta) parities of an AST: +1 even, -1 odd, None undecided."""
+    return tuple(node.parity(v) for v in ("xi", "eta"))
 
 
 # A use (f, c, k) adds Fs[f]^T S G_c to output k, Fs = (F, i xi F) and G_c =
@@ -144,7 +144,7 @@ class KernelQuadrature:
         if isinstance(self.terms, str):
             node = self.sigma.node
             return {"no_x_expansion": self.terms, "sigma_parity": named(node),
-                    **({"dx_sigma_parity": named(node and node.diff("x"))} if alpha else {})}
+                    **({"dx_sigma_parity": named(node.diff("x"))} if alpha else {})}
         return {"x_terms": len(self.terms), "term_parity": [named(b.node) for _, b in self.terms]}
 
     def values(self, x, us, vs, deriv=(0, 0, 0)) -> np.ndarray:
@@ -159,7 +159,7 @@ class KernelQuadrature:
         if isinstance(self.terms, str):  # no x-expansion: sigma frozen at each x
             sig, vals = self.sigma, np.empty(us.size, dtype=complex)
             streams = [(sig.fn, _parity(sig.node), _PHASE if alpha else _K)]
-            if alpha == 1:  # refused without an AST
+            if alpha == 1:
                 streams.append((sig.partial((1,), (0,), (0,)), _parity(sig.node.diff("x")), _K))
             for j, xv in enumerate(xq):
                 mine = np.flatnonzero(ix == j)

@@ -14,9 +14,9 @@ a(x) b(xi, eta), and factors each frequency part (M = N^n mesh points):
 _separate multiplies out sums, negations, products, positive integer
 powers, quotients by and negative powers of a single term a b, exp of a
 sum or difference, abs of a product and Quad (FTC) nodes, grouping terms
-by x-factor.  A factor mixing x with a frequency, a plain callable
-not declared x-independent, or over M / 8 groups leaves no expansion:
-make_operator selects direct; an explicit multiplier raises BudgetError.
+by x-factor, and drops a term with a literal 0 factor.  A factor mixing x
+with a frequency, or over M / 8 groups, leaves no expansion: make_operator
+selects direct; an explicit multiplier raises BudgetError.
 
 Each S_s is factored by an adaptive randomized range finder (Halko,
 Martinsson and Tropp, arXiv:0909.4061) with a fixed seed: the Gaussian
@@ -48,7 +48,7 @@ import numpy as np
 from .errors import BudgetError, DomainError, InvalidInputError
 from .grid import Grid, GridFunction
 from .symbols.core import Symbol, _pack, symbol_from_expr
-from .symbols.expr import BinOp, Call, Neg, Node, Num, Pow, _add, _div, _mul, _neg
+from .symbols.expr import BinOp, Call, Neg, Node, Num, Pow, _add, _div, _is, _mul, _neg
 from .symbols.ftc import Quad
 
 DIRECT_BUDGET = 2 ** 28
@@ -101,6 +101,8 @@ def _separate(node: Node, cap: int) -> dict:
     of a (a divisor marked 1); ValueError says why not in at most cap terms."""
     free, xs, one = node.free_vars(), {"x", "x1", "x2"}, Num(1.0)
     if not free & xs or free <= xs:  # a frequency factor or an x-factor
+        if _is_zero(node):
+            return {}
         return {((repr(node), 0),): (node, one)} if free & xs else {(): (one, node)}
     if isinstance(node, Call) and isinstance(node.arg, BinOp):  # as products:
         u, v, op = node.arg.left, node.arg.right, node.arg.op
@@ -132,6 +134,13 @@ def _separate(node: Node, cap: int) -> dict:
     raise ValueError("a factor mixes x with a frequency")
 
 
+def _is_zero(node: Node) -> bool:
+    """node is a literal 0 or a product with such a factor."""
+    if isinstance(node, BinOp) and node.op == "*":
+        return _is_zero(node.left) or _is_zero(node.right)
+    return _is(node, 0)
+
+
 def _inverse(term):
     """1 / (a b) of a term (key, (a, b)), a divisor's mark flipped in the key."""
     k, (a, b) = term
@@ -160,10 +169,8 @@ def x_expansion(sigma: Symbol, cap: int):
     a = 1 if sigma is x-independent), or why it has none in <= cap x-factors."""
     if sigma.x_independent:
         return [(symbol_from_expr(Num(1.0), sigma.declared_class, sigma.dim, sigma.name), sigma)]
-    if sigma.node is None:
-        return "it is a plain callable not declared x-independent"
     try:
-        terms = _separate(sigma.node, cap).values()
+        terms = _separate(sigma.node, cap).values() or [(Num(1.0), Num(0.0))]  # every term 0
     except ValueError as err:
         return str(err)
     return [tuple(symbol_from_expr(f, sigma.declared_class, sigma.dim, sigma.name) for f in ab)

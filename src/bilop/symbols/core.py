@@ -1,11 +1,9 @@
 """Symbols sigma(x, xi, eta): evaluation, declared class, derivatives.
 
 A symbol's evaluator takes (x, xi, eta); in 1D each argument is a scalar
-or ndarray, in 2D each is a pair of those.  A symbol built by
-symbol_from_expr (the catalog and the FTC components of ftc.py too) keeps
-its AST, and every partial derivative is the exact derivative of that AST.
-A symbol built from a plain callable has values only: a derivative of
-order >= 1, or an FTC component, of it is an error.
+or ndarray, in 2D each is a pair of those.  A symbol is its expression AST
+(symbol_from_expr builds the catalog and the FTC components of ftc.py), and
+every partial derivative is the exact derivative of that AST.
 """
 from __future__ import annotations
 
@@ -67,26 +65,29 @@ def _broadcast_result(res, x, xi, eta, dim: int):
 
 
 class Symbol:
-    """sigma(x, xi, eta) with a declared class.
-
-    node, when given, is the expression AST that fn evaluates, and every
-    derivative is the exact derivative of that AST.  Without one, fn gives
-    values only.
-    """
+    """sigma(x, xi, eta) with a declared class: fn evaluates the expression
+    AST node, every derivative is the exact derivative of that AST, and sigma
+    is x-independent when no x-variable is free in it."""
 
     partials: dict = {}  # bound by perfbench/tracer.py until ROADMAP item 5
 
-    def __init__(self, name: str, fn, declared_class: SymbolClassParams,
-                 dim: int = 1, x_independent: bool = False,
-                 node: Node | None = None):
+    def __init__(self, name: str, node: Node, declared_class: SymbolClassParams,
+                 dim: int = 1):
+        if not isinstance(node, Node):
+            raise InvalidInputError(f"not an expression: {node!r}")
         if dim not in (1, 2):
             raise InvalidInputError(f"dim must be 1 or 2, got {dim}")
+        free = node.free_vars()
+        bad = sorted(free - set(VARIABLES[dim]))
+        if bad:
+            raise InvalidInputError(
+                f"expression variables {bad} not available in dim {dim}")
         self.name = name
-        self.fn = fn
+        self.node = node
         self.declared_class = declared_class
         self.dim = dim
-        self.x_independent = x_independent
-        self.node = node
+        self.fn = _ast_evaluator(node, dim)  # rebound by perfbench/tracer.py
+        self.x_independent = not free & set(VARIABLES[dim][:dim])
 
     def eval(self, x, xi, eta):
         return _broadcast_result(self.fn(x, xi, eta), x, xi, eta, self.dim)
@@ -94,26 +95,17 @@ class Symbol:
     def partial(self, alpha=0, beta=0, gamma=0):
         """Evaluator for d^alpha_x d^beta_xi d^gamma_eta sigma.
 
-        Order 0 is fn; higher orders differentiate the AST exactly, and a
-        symbol without one raises InvalidInputError.
+        Order 0 is fn; higher orders differentiate the AST exactly.
         """
         dim = self.dim
         orders = _as_multi(alpha, dim) + _as_multi(beta, dim) + _as_multi(gamma, dim)
         if not any(orders):
             return self.fn
-        node = _require_ast(self)  # x first: an x-independent AST folds to Num(0) at once
+        node = self.node  # x first: an x-independent AST folds to Num(0) at once
         for var, k in zip(VARIABLES[dim], orders):
             for _ in range(k):
                 node = node.diff(var)
         return _ast_evaluator(node, dim)
-
-
-def _require_ast(sym: Symbol) -> Node:
-    if sym.node is None:
-        raise InvalidInputError(
-            f"symbol {sym.name!r} is a plain callable: it has values but no "
-            f"derivatives; build it from an expression")
-    return sym.node
 
 
 _fd_freq = _fd_space = None  # bound by perfbench/tracer.py until ROADMAP item 5
@@ -121,24 +113,14 @@ _fd_freq = _fd_space = None  # bound by perfbench/tracer.py until ROADMAP item 5
 
 def symbol_from_expr(expr, declared_class: SymbolClassParams, dim: int = 1,
                      name: str | None = None) -> Symbol:
-    """Build a Symbol whose evaluator runs the parsed AST."""
+    """Build a Symbol from source text or an AST, named by the text or the
+    AST's pretty form unless name is given."""
     if isinstance(expr, str):
-        node = parse_symbol_expr(expr)
-        if name is None:
-            name = expr
-    else:
-        node = expr
-        if not isinstance(node, Node):
-            raise InvalidInputError(f"not an expression or source text: {expr!r}")
-        if name is None:
-            name = pretty(node)
-    free = node.free_vars()
-    bad = sorted(free - set(VARIABLES[dim]))
-    if bad:
-        raise InvalidInputError(
-            f"expression variables {bad} not available in dim {dim}")
-    return Symbol(name, _ast_evaluator(node, dim), declared_class, dim=dim, node=node,
-                  x_independent=not any(v in free for v in ("x", "x1", "x2")))
+        return Symbol(expr if name is None else name, parse_symbol_expr(expr),
+                      declared_class, dim)
+    if name is None and isinstance(expr, Node):
+        name = pretty(expr)
+    return Symbol(name, expr, declared_class, dim)
 
 
 def _ast_evaluator(node: Node, dim: int):

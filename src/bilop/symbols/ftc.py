@@ -21,7 +21,7 @@ import functools
 import numpy as np
 
 from ..errors import InvalidInputError, ToleranceError
-from .core import Symbol, SymbolClassParams, _pack, _require_ast, symbol_from_expr
+from .core import Symbol, SymbolClassParams, _pack, symbol_from_expr
 from .expr import VARIABLES, Node, _is
 
 GUARD_TOL = 1e-8
@@ -82,11 +82,10 @@ class Quad(Node):
 
 def _split(sigma: Symbol, q: int) -> list:
     """sigma_j then sigmatilde_j, each the Quad of the parent's exact partial."""
-    node = _require_ast(sigma)
     pc = sigma.declared_class
     params = SymbolClassParams(pc.m - 1, pc.rho, pc.delta)
     freqs = VARIABLES[sigma.dim][sigma.dim:]
-    return [symbol_from_expr(Quad(node.diff(var), 0, q), params, dim=sigma.dim,
+    return [symbol_from_expr(Quad(sigma.node.diff(var), 0, q), params, dim=sigma.dim,
                              name=f"{sigma.name}[{var}]") for var in freqs]
 
 

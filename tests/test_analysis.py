@@ -18,7 +18,7 @@ from bilop.analysis import (
 from bilop.errors import DomainError, InvalidInputError
 from bilop.grid import Grid, GridFunction
 from bilop.operator import commutator, make_operator
-from bilop.symbols import Symbol, SymbolClassParams, catalog_symbol, symbol_from_expr
+from bilop.symbols import SymbolClassParams, catalog_symbol, symbol_from_expr
 
 L = 2 * np.pi
 
@@ -82,16 +82,6 @@ def test_t1_non_finite_decomposition_route_is_an_error_not_unavailable():
     sigma = symbol_from_expr("sqrt(abs(xi))", SymbolClassParams(1.0))
     with pytest.raises(DomainError):
         check_t1_conditions(make_operator(sigma, grid), sin_multiplier(grid))
-
-
-def test_t1_symbol_without_derivatives_is_refused():
-    # a plain callable has values but no derivatives, so it has no FTC route;
-    # that is an error, not a route to skip
-    grid = Grid(dim=1, points_per_axis=32)
-    sqrt1 = catalog_symbol("sqrt1")
-    plain = Symbol("plain sqrt1", sqrt1.fn, sqrt1.declared_class)
-    with pytest.raises(InvalidInputError, match="plain sqrt1"):
-        check_t1_conditions(make_operator(plain, grid), sin_multiplier(grid))
 
 
 def test_t1_route_over_the_factor_budget_is_unavailable(monkeypatch):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from bilop.errors import InvalidInputError, ToleranceError
 from bilop.symbols import (
-    Symbol,
     SymbolClassParams,
     catalog_symbol,
     estimate_seminorms,
@@ -266,13 +265,6 @@ def test_x_independence_is_read_from_the_component_expression():
     assert np.allclose(comp_xi.eval(x, xi, eta), 1.0, rtol=1e-14, atol=0)
     assert np.all(comp_xi.partial(1, 0, 0)(x, xi, eta) == 0)
     assert np.all(comp_eta.eval(x, xi, eta) == 0)
-
-
-def test_plain_callable_parent_is_refused_by_name():
-    sqrt1 = catalog_symbol("sqrt1")
-    plain = Symbol("plain sqrt1", sqrt1.fn, sqrt1.declared_class)
-    with pytest.raises(InvalidInputError, match="'plain sqrt1' is a plain callable"):
-        ftc_decompose(plain)
 
 
 def test_quad_points_floor():

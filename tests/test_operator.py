@@ -28,7 +28,7 @@ from bilop.operator import (
     transpose,
 )
 from bilop.parallel import thread_map
-from bilop.symbols import (Symbol, SymbolClassParams, catalog_symbol, ftc_decompose,
+from bilop.symbols import (SymbolClassParams, catalog_symbol, ftc_decompose,
                            parse_symbol_expr, symbol_catalog, symbol_from_expr)
 
 
@@ -472,20 +472,6 @@ def test_x_dependence_at_few_frequencies_is_exact():
     assert np.max(np.abs(fast - slow)) <= 1e-13 * np.max(np.abs(slow))
 
 
-def test_undeclared_plain_callable_selects_direct():
-    # without an AST nothing shows how sigma depends on x
-    sqrt1 = catalog_symbol("sqrt1")
-    grid = Grid(dim=1, points_per_axis=64)
-    sigma = Symbol("sqrt1?", sqrt1.fn, sqrt1.declared_class)
-    assert sigma.x_independent is False
-    assert make_operator(sigma, grid).strategy == "direct"
-    with pytest.raises(BudgetError, match="plain callable not declared x-independent"):
-        make_operator(sigma, grid, "multiplier")
-    declared = Symbol("sqrt1!", sqrt1.fn, sqrt1.declared_class, x_independent=True)
-    low = make_operator(declared, grid).lowrank()
-    assert (low.x_rank, low.rank) == (1, make_operator(sqrt1, grid).lowrank().rank)
-
-
 # x-dependence where sigma is tiny, or at a few nodes and frequencies: out of
 # reach of frequency sampling, exact when read off the AST
 _MISSED = ("exp(sin(3*x))*(exp(-(xi^2+eta^2)/1^2))+exp(-(xi^2+eta^2)/2.5^2)",
@@ -502,8 +488,6 @@ def test_symbols_with_x_dependence_out_of_sample_match_direct(expr):
     slow = apply(make_operator(sigma, grid, strategy="direct"), f, g).values
     assert (T.strategy, T.lowrank().x_rank) == ("multiplier", 2)
     assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
-    plain = Symbol("plain", sigma.fn, sigma.declared_class)
-    assert make_operator(plain, grid).strategy == "direct"
 
 
 _ATOMS = ("(2+sin({k}*x))", "exp(cos({k}*x))")
@@ -562,7 +546,10 @@ def test_ast_expansion_is_exact_on_random_products_2d(expr, seed):
 
 @pytest.mark.parametrize("expr", ["exp(sin(x)-xi^2-eta^2)",
                                   "((2+sin(x))*sqrt(1+xi^2+eta^2))^-1",
-                                  "abs((2+sin(x))*xi)"])
+                                  "abs((2+sin(x))*xi)",
+                                  # a term with a literal 0 factor drops, and so
+                                  # may every term: sigma = 1 * 0
+                                  "sqrt(1+xi^2+eta^2)+0*x", "0*x", "sin(x)*xi+0*eta*x"])
 def test_exp_of_a_sum_negative_power_and_abs_of_a_product_factor_at_x_rank_one(expr):
     grid = Grid(dim=1, points_per_axis=64)
     sigma = symbol_from_expr(expr, SymbolClassParams(1.0))

@@ -18,7 +18,6 @@ from bilop.symbols import (
     symbol_catalog,
     symbol_from_expr,
 )
-from bilop.symbols.core import Symbol
 
 CATALOG_NAMES = ("one", "xi", "eta", "sqrt1", "theta_sqrt1", "cm0", "bad_xieta", "bad_linear")
 
@@ -387,19 +386,6 @@ def test_sqrt1_second_order_partials_in_2d_are_exact():
         assert np.all(sig.partial(alpha, (1, 0), (0, 1))(x, xi, eta) == 0)
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_plain_callable_symbol_has_values_but_no_derivatives(dim):
-    sig = catalog_symbol("theta_sqrt1", dim)
-    plain = Symbol("plain", sig.fn, sig.declared_class, dim=dim)
-    x, xi, eta = _probe_points(dim)
-    np.testing.assert_array_equal(plain.eval(x, xi, eta), sig.eval(x, xi, eta))
-    assert plain.partial() is sig.fn
-    zero, one = (0,) * dim, (1,) + (0,) * (dim - 1)
-    for deriv in ((one, zero, zero), (zero, one, zero), (zero, zero, one)):
-        with pytest.raises(InvalidInputError, match="'plain'"):
-            plain.partial(*deriv)
-
-
 def test_bad_linear_partials_are_signs_off_axis():
     # away from the kink the derivative is exactly the sign
     sig = catalog_symbol("bad_linear")
@@ -445,3 +431,5 @@ def test_symbol_from_expr_rejects_wrong_dimension_variables():
     node = parse_symbol_expr("xi1 + eta2")
     with pytest.raises(InvalidInputError):
         symbol_from_expr(node, SymbolClassParams(1.0, 1.0, 0.0), dim=1)
+    with pytest.raises(InvalidInputError, match="dim must be 1 or 2"):
+        symbol_from_expr("xi", SymbolClassParams(1.0), dim=3)
