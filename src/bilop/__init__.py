@@ -11,9 +11,8 @@ from .grid import (Grid, GridFunction, SpectralFunction, eval_at, fft_forward,
                    fft_inverse, fractional_derivative, lp_norm,
                    spectral_derivative, translate)
 from .kernel import (CzCertification, DecayFitReport, KernelQuadrature,
-                     KernelSlice, TruncationProfile,
-                     certify_cz_commutator_kernel, fit_kernel_decay, kernel_at,
-                     kernel_slice)
+                     KernelSlice, certify_cz_commutator_kernel,
+                     fit_kernel_decay, kernel_at, kernel_slice)
 from .operator import (BilinearOperator, CommutatorOperator,
                        DenseBilinearOperator, apply, commutator, dense_tensor,
                        make_operator, pairing, transpose,

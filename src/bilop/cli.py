@@ -28,8 +28,8 @@ from .analysis import (calderon_scan, check_t1_conditions,
                        holder_r, kato_ponce_check, norm_scan, wbp_scan)
 from .errors import BilopError, ConfigError, DomainError, SymbolParseError
 from .grid import Grid, GridFunction, lp_norm
-from .kernel import (TruncationProfile, certify_cz_commutator_kernel,
-                     fit_kernel_decay, kernel_slice, ray_offsets)
+from .kernel import (certify_cz_commutator_kernel, fit_kernel_decay,
+                     kernel_slice, ray_offsets)
 from .operator import (apply, commutator, make_operator,
                        verify_transpose_identities)
 from .reports import envelope, write_report
@@ -130,13 +130,13 @@ def _run_apply(cfg):
 def _run_kernel_slice(cfg):
     sigma = resolve_symbol(cfg)
     L = float(cfg["period"])
-    profile = TruncationProfile(float(cfg["level"]))
+    level = float(cfg["level"])
     radii = np.geomspace(L / float(cfg["r_min_div"]), L / float(cfg["r_max_div"]),
                          int(cfg["count"]))
     x0, th = float(cfg["x"]), np.deg2rad(float(cfg["angle"]))
     offsets = [(x0 - u, x0 - v) for u, v in zip(*ray_offsets(radii, th))]
-    sl = kernel_slice(sigma, profile, x0, offsets, period=L)
-    data = {"x": x0, "level": profile.level, "radii": list(radii),
+    sl = kernel_slice(sigma, level, x0, offsets, period=L)
+    data = {"x": x0, "level": level, "radii": list(radii),
             "values": sl.values, "quadrature": sl.quadrature}
     table = (("radius", "abs", "re", "im"),
              [(r, abs(v), v.real, v.imag) for r, v in zip(radii, sl.values)])
@@ -256,9 +256,10 @@ def _run_compactness(cfg):
 
 def _run_decompose(cfg):
     sigma = resolve_symbol(cfg)
+    L = float(cfg["period"])
     comps = ftc_decompose(sigma, quad_points=int(cfg["quad_points"]),
-                          guard=bool(cfg["guard"]))
-    residual = reconstruction_residual(sigma, comps, probes=int(cfg["probes"]),
+                          guard=bool(cfg["guard"]), period=L)
+    residual = reconstruction_residual(sigma, comps, probes=int(cfg["probes"]), period=L,
                                        box=float(cfg["box"]), seed=int(cfg["seed"]))
     data = {
         "components": [{"name": c.name,
@@ -275,7 +276,7 @@ def _run_seminorms(cfg):
     sigma = resolve_symbol(cfg)
     report = estimate_seminorms(sigma, max_order=int(cfg["max_order"]),
                                 box=float(cfg["box"]), samples=int(cfg["samples"]),
-                                seed=int(cfg["seed"]))
+                                seed=int(cfg["seed"]), period=float(cfg["period"]))
     rows = [(str(e.alpha), str(e.beta), str(e.gamma), e.ratio, e.slope, e.verdict)
             for e in report.entries]
     verdict = "BOUNDED" if report.all_bounded else "FAILED"
@@ -318,15 +319,16 @@ def _run_list_catalog(cfg):
 
 _COMMON = {"dim": 1, "n": 256, "period": 2 * np.pi, "seed": 0,
            "out_dir": "reports", "out": None}
+_OFF_GRID = {k: v for k, v in _COMMON.items() if k != "n"}  # commands with no grid
 _SYMBOL = {"symbol": "sqrt1", "m": 0.0, "rho": 1.0, "delta": 0.0}
 
 SUBCOMMANDS = {
     "apply": ({**_COMMON, **_SYMBOL, "strategy": None, "f": "sinx", "g": "bump"},
               _run_apply),
-    "kernel-slice": ({**_COMMON, **_SYMBOL, "level": 128.0, "x": 0.0,
+    "kernel-slice": ({**_OFF_GRID, **_SYMBOL, "level": 128.0, "x": 0.0,
                       "r_min_div": 256.0, "r_max_div": 8.0, "count": 16,
                       "angle": 37.0}, _run_kernel_slice),
-    "fit-decay": ({**_COMMON, **_SYMBOL, "deriv": "0,0,0", "level": 128.0,
+    "fit-decay": ({**_OFF_GRID, **_SYMBOL, "deriv": "0,0,0", "level": 128.0,
                    "levels": "32,64,128", "r_min_div": 256.0, "r_max_div": 8.0,
                    "count": 11, "directions": 8, "x": 0.0}, _run_fit_decay),
     "certify-czk": ({**_COMMON, **_SYMBOL, "a": "sinx", "slot": 1,
@@ -350,9 +352,9 @@ SUBCOMMANDS = {
                            "b_smooth": "bump", "b_rough": "step",
                            "family_size": 50, "p": 4.0, "q": 4.0, "r": 2.0,
                            "mode_budget": 32}, _run_compactness),
-    "decompose": ({**_COMMON, **_SYMBOL, "quad_points": 64, "guard": True,
+    "decompose": ({**_OFF_GRID, **_SYMBOL, "quad_points": 64, "guard": True,
                    "probes": 200, "box": 64.0, "seed": 1}, _run_decompose),
-    "seminorms": ({**_COMMON, **_SYMBOL, "max_order": 2, "box": 8192.0,
+    "seminorms": ({**_OFF_GRID, **_SYMBOL, "max_order": 2, "box": 8192.0,
                    "samples": 120}, _run_seminorms),
     "calderon-demo": ({**_COMMON, "a": "sinx", "k_max": 64,
                        "family": "modulated-bump", "n": 512}, _run_calderon),
@@ -424,6 +426,23 @@ def load_config_document(path: str) -> dict:
     return doc
 
 
+_BOOL_TEXT = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _typed(key: str, value, default):
+    """A config document's value as the type of its default when that is bool,
+    int or float: no bool read as a number, no fraction or NaN let through."""
+    kind = type(default)
+    try:
+        if kind is bool:
+            return _BOOL_TEXT[str(value).lower()]
+        if kind in (int, float) and (isinstance(value, bool) or kind(value) != float(value)):
+            raise ValueError
+        return kind(value) if kind in (int, float) else value
+    except (KeyError, OverflowError, TypeError, ValueError):
+        raise ConfigError(f"expected {kind.__name__}, got {value!r}", path=f"$.{key}") from None
+
+
 def effective_config(subcommand: str, args: argparse.Namespace) -> dict:
     defaults, _ = SUBCOMMANDS[subcommand]
     cfg = dict(defaults)
@@ -437,7 +456,7 @@ def effective_config(subcommand: str, args: argparse.Namespace) -> dict:
             continue
         if key not in defaults:
             raise ConfigError("unknown config key", path=f"$.{key}")
-        cfg[key] = value
+        cfg[key] = _typed(key, value, defaults[key])
     for key in defaults:
         flag_value = getattr(args, key, None)
         if flag_value is not None:

@@ -3,19 +3,20 @@
     K_N(x, y, z) = (1/(2 pi)^{2n}) int int e^{i xi (x-y)} e^{i eta (x-z)}
                    sigma(x, xi, eta) psi(xi/N) psi(eta/N) d xi d eta
 
-with the smooth cutoff psi built from h(s) = e^{-1/s} [s>0].  The
-frequency integral runs on a trapezoid grid over [-2N, 2N]^{2n}; only
-kernel_at checks, by a doubling guard, that spacing 0.25 is alias-safe
-for torus offsets: kernel_slice, fit_kernel_decay and the CZ
-certification do not.  Derivative kernels multiply the integrand by
-(i xi), (i eta) monomials and differentiate sigma in x.
+with the smooth cutoff psi built from h(s) = e^{-1/s} [s>0] and the level
+N > 0 a number.  The frequency integral runs on a trapezoid grid over
+[-2N, 2N]^{2n}; the period only wraps the offsets.  Only kernel_at checks,
+by reading its kernel_slice again at half the spacing, that spacing 0.25 is
+alias-safe: kernel_slice, fit_kernel_decay and the CZ certification do
+not.  Derivative kernels multiply the integrand by (i xi), (i eta)
+monomials and differentiate sigma in x.
 
 K_N is read through operator.x_expansion, as apply reads T: sigma = sum_s
 a_s(x) b_s(xi, eta) gives K_N = sum_s a_s K_s and d_x K_N = sum_s a_s' K_s +
 a_s K_s^phase, a_s' exact and K_s^phase from the i(xi + eta) of d/dx of the
-phase.  Each b_s is streamed once per call over the distinct offsets,
-whatever their x.  A sigma with no expansion (cos(x xi)) is streamed frozen
-at each distinct x, with d_x sigma beside it for the x-derivative.
+phase.  All b_s form one group, streamed once over the distinct offsets
+whatever their x; a sigma with no expansion (cos(x xi)) is a group per
+distinct x, frozen there with d_x sigma beside it and weighted by 1.
 
 On the grid the kernel at offsets (u_b, v_b) is EU[:, b]^T S EV[:, b],
 with S a streamed symbol on the box, raw, and the cutoff on the phases:
@@ -35,8 +36,8 @@ one quadrant into one block, and a symbol of no parity four quadrants into
 four blocks, through the same stream; only the halves of G that some block
 reads are built.  S is never held whole: it is evaluated on ROW_BLOCK rows
 t_k >= 0 at a time, folded into its blocks, contracted and dropped.
-Phases come from grid.phase_table: e^{i t p} at t = (q ROW_BLOCK + r) h is
-coarse row q times fine row r, so a pass takes L / ROW_BLOCK + ROW_BLOCK
+F and G come from grid.phase_table: e^{i t p} at t = (q ROW_BLOCK + r) h
+is coarse row q times fine row r, so a pass takes L / ROW_BLOCK + ROW_BLOCK
 exponentials per offset, not L.  The eta phases of the distinct v are
 built once per pass while they fit PHASE_BUDGET real entries; past it the
 offsets are split by v into chunks, and S is streamed again for each
@@ -83,20 +84,6 @@ def cutoff_profile(s):
     return num / (num + smooth_step(s - 1.0))
 
 
-@dataclass(frozen=True)
-class TruncationProfile:
-    """Dyadic truncation scale for the frequency cutoff psi(./N)."""
-
-    level: float = 128.0
-
-    def __post_init__(self):
-        if not self.level > 0:
-            raise InvalidInputError(f"truncation level must be positive, got {self.level}")
-
-    def psi(self, s):
-        return cutoff_profile(np.asarray(s) / self.level)
-
-
 def _wrap(u, period: float):
     return (np.asarray(u, dtype=float) + period / 2) % period - period / 2
 
@@ -114,26 +101,27 @@ _K_AND_PHASE = ((0, 0, 0), (1, 0, 1), (0, 1, 1))
 
 
 class KernelQuadrature:
-    """Trapezoid rule for batched kernel evaluation (1D symbols).
+    """Trapezoid rule for batched kernel evaluation (1D symbols) at level N:
+    spacing h on [-2N, 2N], the half axis t >= 0 weighted by psi(t / N).
 
     Stateless: each ``values`` call streams symbols through row blocks and
     keeps no block, so its memory is O(ROW_BLOCK L + PHASE_BUDGET) for an
     axis of length L, at any level and for any number of offsets.
     """
 
-    def __init__(self, sigma: Symbol, profile: TruncationProfile,
-                 period: float = 2 * np.pi, spacing: float = DEFAULT_SPACING):
+    def __init__(self, sigma: Symbol, level: float, spacing: float = DEFAULT_SPACING):
         if sigma.dim != 1:
             raise InvalidInputError("kernel quadrature is implemented for 1D symbols")
+        if not level > 0:
+            raise InvalidInputError(f"truncation level must be positive, got {level}")
         self.sigma = sigma
-        self.profile = profile
-        self.period = period
+        self.level = level
         self.spacing = float(spacing)
-        half = int(np.ceil(2 * profile.level / self.spacing))
+        half = int(np.ceil(2 * level / self.spacing))
         half += half % 2  # even count so the doubled-spacing grid subsamples
         self.axis = np.arange(-half, half + 1) * self.spacing
         self._half = self.axis[half:]  # 0, h, ..., the frequencies t >= 0
-        self._weight = self.profile.psi(self._half)
+        self._weight = cutoff_profile(self._half / level)
         self._weight[0] *= 0.5  # the +-t folds count t = 0 twice
         self.terms = x_expansion(sigma, self._half.size // 8)  # [(a_s, b_s)] or a reason
 
@@ -149,81 +137,76 @@ class KernelQuadrature:
 
     def values(self, x, us, vs, deriv=(0, 0, 0)) -> np.ndarray:
         """K_N-derivative values at offsets u = x - y, v = x - z (batched); x is
-        a scalar or an array broadcast against us."""
-        alpha, beta, gamma = deriv
+        a scalar or an array broadcast against us.  Each group (x, offsets,
+        streams, weight rows) is streamed once over its distinct offsets."""
+        alpha = deriv[0]
         if alpha not in (0, 1):
             raise InvalidInputError("x-derivative order must be 0 or 1")
         us, vs = (np.atleast_1d(np.asarray(z, dtype=float)) for z in (us, vs))
         xq, ix = np.unique(np.broadcast_to(np.asarray(x, dtype=float), us.shape),
                            return_inverse=True)
-        if isinstance(self.terms, str):  # no x-expansion: sigma frozen at each x
-            sig, vals = self.sigma, np.empty(us.size, dtype=complex)
+        if isinstance(self.terms, str):  # sigma frozen at each x (d_x sigma beside it)
+            sig = self.sigma
             streams = [(sig.fn, _parity(sig.node), _PHASE if alpha else _K)]
             if alpha == 1:
                 streams.append((sig.partial((1,), (0,), (0,)), _parity(sig.node.diff("x")), _K))
-            for j, xv in enumerate(xq):
-                mine = np.flatnonzero(ix == j)
-                vals[mine] = self._stream(xv, streams, us[mine], vs[mine], deriv)[0]
-            return self.spacing ** 2 / (2 * np.pi) ** 2 * vals
-        # a_s' (alpha = 1) and a_s at each distinct x: one weight row per row of K
-        weights = np.array([np.broadcast_to(ev(xq, 0.0, 0.0), xq.shape) for a, _ in self.terms
-                      for ev in (a.partial((1,), (0,), (0,)), a.fn)[1 - alpha:]])
-        if not np.all(np.isfinite(weights)):
-            raise DomainError(f"an x-factor of symbol {self.sigma.name!r} is not finite at x = "
-                              f"{xq[~np.all(np.isfinite(weights), axis=0)][0]:g}")
-        uses = _K_AND_PHASE if alpha else _K
-        streams = [(b.fn, _parity(b.node), tuple((f, c, (1 + alpha) * s + k) for f, c, k in uses))
-                   for s, (_, b) in enumerate(self.terms)]
-        keys, inv = np.unique(us + 1j * vs, return_inverse=True)  # the distinct offsets
-        K = self._stream(None, streams, keys.real, keys.imag, deriv)
-        vals = np.sum(weights[:, ix] * K[:, inv], axis=0)
+            groups = [(xv, ix == j, streams, np.ones((1, xq.size))) for j, xv in enumerate(xq)]
+        else:  # one group: a_s' (alpha = 1) and a_s at each x weigh the rows of K
+            weights = np.array([np.broadcast_to(ev(xq, 0.0, 0.0), xq.shape) for a, _ in self.terms
+                                for ev in (a.partial((1,), (0,), (0,)), a.fn)[1 - alpha:]])
+            if not np.all(np.isfinite(weights)):
+                raise DomainError(f"an x-factor of symbol {self.sigma.name!r} is not finite at "
+                                  f"x = {xq[~np.all(np.isfinite(weights), axis=0)][0]:g}")
+            uses = _K_AND_PHASE if alpha else _K
+            streams = [(b.fn, _parity(b.node), tuple((f, c, (1 + alpha) * s + k) for f, c, k in uses))
+                       for s, (_, b) in enumerate(self.terms)]
+            groups = [(None, slice(None), streams, weights)]
+        vals = np.empty(us.size, dtype=complex)
+        for at, mine, streams, weights in groups:
+            keys, inv = np.unique(us[mine] + 1j * vs[mine], return_inverse=True)
+            K = self._stream(at, streams, keys.real, keys.imag, deriv)
+            vals[mine] = np.sum(weights[:, ix[mine]] * K[:, inv], axis=0)
         return self.spacing ** 2 / (2 * np.pi) ** 2 * vals
+
+    def _phase_rows(self, p, power, alpha):
+        """(rows, tk, Es) per ROW_BLOCK rows t_k >= 0: Es = (E,) with E = psi
+        (-i t)^power e^{i t p} per offset p, or (E, i t E) when alpha = 1."""
+        t = self._half
+        coarse, fine = phase_table(self.spacing, p, t.size, ROW_BLOCK)
+        amp = self._weight * (-1j * t) ** power
+        for q, lo in enumerate(range(0, t.size, ROW_BLOCK)):
+            rows = slice(lo, lo + ROW_BLOCK)
+            E = coarse[q] * fine[:t[rows].size] * amp[rows, None]
+            yield rows, t[rows], ((E, E * (1j * t[rows])[:, None]) if alpha else (E,))
 
     def _stream(self, x, streams, us, vs, deriv) -> np.ndarray:
         """The outputs of streams (evaluator, parity, uses) at offsets (us, vs),
         frozen at x (None for frequency factors), row block by row block: one
-        pass per chunk of distinct v that fits PHASE_BUDGET."""
+        pass per chunk of distinct v whose G fits PHASE_BUDGET.  G holds the
+        real (b = 0) and imaginary (b = 1) parts of the eta phases, each None
+        when no streamed symbol reads it."""
         alpha, beta, gamma = deriv
-        t = self._half
         vq, iv = np.unique(vs, return_inverse=True)
-        width = max(1, PHASE_BUDGET // (2 * (1 + alpha) * t.size))
+        width = max(1, PHASE_BUDGET // (2 * (1 + alpha) * self._half.size))
         halves = {h for _, parity, _ in streams for h in _open_halves(parity[1])}
-        amp = self._weight * (-1j * t) ** beta
         got = np.zeros((1 + max(k for *_, uses in streams for *_, k in uses), 2, us.size))
         for lo in range(0, vq.size, width):
             mine = np.flatnonzero((iv >= lo) & (iv < lo + width))
             vc = vq[lo:lo + width]
-            G = self._eta_phases(vc, gamma, alpha, halves)
+            G = [np.empty((self._half.size, (1 + alpha) * vc.size)) if b in halves else None
+                 for b in (0, 1)]
+            for rows, _, Es in self._phase_rows(vc, gamma, alpha):
+                E = np.concatenate(Es, axis=1)
+                for g, half in zip(G, (E.real, E.imag)):
+                    if g is not None:
+                        g[rows] = half
             uq, iu = np.unique(us[mine], return_inverse=True)
-            coarse, fine = phase_table(self.spacing, uq, t.size, ROW_BLOCK)
             part = np.zeros(got.shape[:2] + mine.shape)  # real and imaginary parts
-            for q, r in enumerate(range(0, t.size, ROW_BLOCK)):
-                tk = t[r:r + ROW_BLOCK]
-                F = coarse[q] * fine[:tk.size] * amp[r:r + ROW_BLOCK, None]
-                Fs = (F, F * (1j * tk)[:, None]) if alpha else (F,)
+            for _, tk, Fs in self._phase_rows(uq, beta, alpha):
                 for stream in streams:
                     self._contract(part, stream, x, tk, G, Fs, vc.size, iu, iv[mine] - lo)
             got[:, :, mine] = part
         return got[:, 0] + 1j * got[:, 1]
-
-    def _eta_phases(self, vq, gamma, alpha, halves):
-        """The real (b = 0 in halves) and imaginary (b = 1) parts of G = psi
-        (-i eta)^gamma e^{i eta v} on t >= 0, with i eta G beside it when
-        alpha = 1; None for a part no streamed symbol reads."""
-        t = self._half
-        coarse, fine = phase_table(self.spacing, vq, t.size, ROW_BLOCK)
-        amp = self._weight * (-1j * t) ** gamma
-        G = [np.empty((t.size, (1 + alpha) * vq.size)) if b in halves else None
-             for b in (0, 1)]
-        for q, lo in enumerate(range(0, t.size, ROW_BLOCK)):
-            rows = slice(lo, lo + ROW_BLOCK)
-            E = coarse[q] * fine[:t[rows].size] * amp[rows, None]
-            if alpha == 1:
-                E = np.concatenate([E, E * (1j * t[rows])[:, None]], axis=1)
-            for g, part in zip(G, (E.real, E.imag)):
-                if g is not None:
-                    g[rows] = part
-        return G
 
     def _contract(self, got, stream, x, tk, G, Fs, n, iu, iv):
         """Add Fs[f]^T S G_c over the rows +-tk to output k's real and
@@ -270,31 +253,6 @@ def _blocks(ev, parity, x, tk, t, name) -> dict:
             for b, S in enumerate(_fold(np.moveaxis(half, 1, 0), parity[1])) if S is not None}
 
 
-def kernel_at(sigma: Symbol, profile: TruncationProfile, x: float, y: float,
-              z: float, deriv=(0, 0, 0), period: float = 2 * np.pi,
-              spacing: float = DEFAULT_SPACING, guard: bool = True) -> complex:
-    """K_N(x, y, z) for one off-diagonal triple, with a doubling guard."""
-    alpha, beta, gamma = deriv
-    if any(o not in (0, 1) for o in (alpha, beta, gamma)):
-        raise InvalidInputError("derivative orders must be 0 or 1 each")
-    u = float(_wrap(x - y, period))
-    v = float(_wrap(x - z, period))
-    if max(abs(u), abs(v)) == 0.0:
-        raise DomainError("kernel requested on the diagonal: max(|x-y|,|x-z|) = 0")
-    quad = KernelQuadrature(sigma, profile, period, spacing)
-    val = complex(quad.values(x, [u], [v], deriv=deriv)[0])
-    if guard:
-        fine = KernelQuadrature(sigma, profile, period, spacing / 2)
-        ref = complex(fine.values(x, [u], [v], deriv=deriv)[0])
-        denom = max(abs(ref), 1e-300)
-        if abs(val - ref) / denom > GUARD_REL_TOL:
-            raise ToleranceError(
-                f"kernel quadrature not converged at (x,y,z)=({x},{y},{z}): "
-                f"{val} at spacing {spacing} vs {ref} at {spacing/2}",
-                coarse=val, fine=ref)
-    return val
-
-
 @dataclass(frozen=True)
 class KernelSlice:
     x: float
@@ -306,19 +264,37 @@ class KernelSlice:
     quadrature: dict  # KernelQuadrature.account
 
 
-def kernel_slice(sigma: Symbol, profile: TruncationProfile, x: float,
-                 offsets, deriv=(0, 0, 0), period: float = 2 * np.pi,
-                 spacing: float = DEFAULT_SPACING) -> KernelSlice:
-    quad = KernelQuadrature(sigma, profile, period, spacing)
+def kernel_slice(sigma: Symbol, level: float, x: float, offsets, deriv=(0, 0, 0),
+                 period: float = 2 * np.pi, spacing: float = DEFAULT_SPACING) -> KernelSlice:
+    """K_N-derivative values at x for the off-diagonal points (y, z) of offsets."""
+    quad = KernelQuadrature(sigma, level, spacing)
     offsets = [(float(y), float(z)) for (y, z) in offsets]
     us = _wrap(np.array([x - y for y, _ in offsets]), period)
     vs = _wrap(np.array([x - z for _, z in offsets]), period)
     if np.any(np.maximum(np.abs(us), np.abs(vs)) == 0.0):
-        raise DomainError("kernel slice contains an on-diagonal point")
+        raise DomainError("kernel requested on the diagonal: max(|x-y|, |x-z|) = 0")
     vals = quad.values(x, us, vs, deriv=deriv)
     return KernelSlice(x=float(x), offsets=tuple(offsets), values=vals,
-                       level=profile.level, deriv=tuple(deriv), spacing=spacing,
+                       level=level, deriv=tuple(deriv), spacing=spacing,
                        quadrature=quad.account(deriv[0]))
+
+
+def kernel_at(sigma: Symbol, level: float, x: float, y: float, z: float,
+              deriv=(0, 0, 0), period: float = 2 * np.pi,
+              spacing: float = DEFAULT_SPACING, guard: bool = True) -> complex:
+    """K_N(x, y, z) for one off-diagonal triple: a one-point kernel_slice,
+    checked against the same slice at half the spacing (the doubling guard)."""
+    if any(o not in (0, 1) for o in deriv):
+        raise InvalidInputError("derivative orders must be 0 or 1 each")
+    val = complex(kernel_slice(sigma, level, x, [(y, z)], deriv, period, spacing).values[0])
+    if guard:
+        ref = complex(kernel_slice(sigma, level, x, [(y, z)], deriv, period, spacing / 2).values[0])
+        if abs(val - ref) / max(abs(ref), 1e-300) > GUARD_REL_TOL:
+            raise ToleranceError(
+                f"kernel quadrature not converged at (x,y,z)=({x},{y},{z}): "
+                f"{val} at spacing {spacing} vs {ref} at {spacing/2}",
+                coarse=val, fine=ref)
+    return val
 
 
 @dataclass(frozen=True)
@@ -371,7 +347,7 @@ def fit_kernel_decay(sigma: Symbol, deriv=(0, 0, 0), radii=None, directions: int
     us, vs = (z.ravel() for z in ray_offsets(np.array(radii)[:, None], th))
 
     def max_curve(at_level: float):
-        quad = KernelQuadrature(sigma, TruncationProfile(at_level), period, spacing)
+        quad = KernelQuadrature(sigma, at_level, spacing)
         vals = quad.values(x0, us, vs, deriv=deriv)  # every radius in one batch
         return np.max(np.abs(vals).reshape(len(radii), directions), axis=1), quad
 
@@ -451,7 +427,7 @@ def certify_cz_commutator_kernel(sigma: Symbol, a: GridFunction, slot: int = 1,
         # singularity, above L/32 low-frequency flatness steepens the decay
         base_radius = period / 256
     rng = np.random.default_rng(seed)
-    quad = KernelQuadrature(sigma, TruncationProfile(level), period, spacing)
+    quad = KernelQuadrature(sigma, level, spacing)
     n = 1
     per_octave = samples // octave_count
     # one shared pool of base points, so octave sups see the same x statistics

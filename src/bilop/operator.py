@@ -35,8 +35,9 @@ The expansion gives Phi = sum_{s,r} <w_s h, (B_{s,r} f)(C_{s,r} g)> with
 B and C the multipliers U and V, hence T^{*1}(h, g) = sum_{s,r}
 B~_{s,r}(w_s h C_{s,r} g), B~ being B read at frequency index (-k) mod N
 per axis; T^{*2} swaps the roles of U and V.  direct leaves the matching
-index of its chunked sum open.  A commutator step (slot, a) reads
-Phi(..., a x_slot, ...) - Phi(a h, f, g), recursively.  dense_tensor
+index of its chunked sum open.  A commutator step [U, a]_slot reads its
+inner form U as Phi(..., a x_slot, ...) - Phi(a h, f, g), so an iterated
+commutator recurses through its chain of steps.  dense_tensor
 materializes the tensor at small N as the oracle of the tests.
 """
 from __future__ import annotations
@@ -273,35 +274,33 @@ def make_operator(sigma: Symbol, grid: Grid, strategy: str | None = None) -> Bil
 
 @dataclass(frozen=True)
 class CommutatorOperator:
-    """[base, a]_slot, optionally iterated: steps applied left to right."""
+    """One commutator step [inner, mult]_slot over an operator or another step:
+    an iterated commutator is a chain of steps, the outermost applied last."""
 
-    base: BilinearOperator
-    steps: tuple  # of (slot, GridFunction)
+    inner: object
+    slot: int
+    mult: GridFunction
 
     def __post_init__(self):
-        if not self.steps:
-            raise InvalidInputError("commutator needs at least one (slot, multiplier)")
-        for slot, mult in self.steps:
-            if slot not in (1, 2):
-                raise InvalidInputError(f"slot must be 1 or 2, got {slot}")
-            if mult.grid != self.base.grid:
-                raise InvalidInputError("multiplier grid does not match operator grid")
+        if self.slot not in (1, 2):
+            raise InvalidInputError(f"slot must be 1 or 2, got {self.slot}")
+        if self.mult.grid != self.inner.grid:
+            raise InvalidInputError("multiplier grid does not match operator grid")
 
     @property
     def grid(self) -> Grid:
-        return self.base.grid
+        return self.inner.grid
 
 
-def commutator(base: BilinearOperator, slot: int, mult: GridFunction,
-               *more) -> CommutatorOperator:
-    """commutator(T, 1, a) or commutator(T, 1, a, 2, b) for the iterated case."""
-    steps = [(slot, mult)]
-    if more:
-        if len(more) % 2 != 0:
-            raise InvalidInputError("extra steps come in (slot, multiplier) pairs")
-        for i in range(0, len(more), 2):
-            steps.append((int(more[i]), more[i + 1]))
-    return CommutatorOperator(base, tuple(steps))
+def commutator(base, slot: int, mult: GridFunction, *more) -> CommutatorOperator:
+    """commutator(T, 1, a), or commutator(T, 1, a, 2, b) = [[T, a]_1, b]_2 for
+    the iterated case: each (slot, multiplier) pair is one step over the last."""
+    if len(more) % 2 != 0:
+        raise InvalidInputError("extra steps come in (slot, multiplier) pairs")
+    op = CommutatorOperator(base, slot, mult)
+    for i in range(0, len(more), 2):
+        op = CommutatorOperator(op, int(more[i]), more[i + 1])
+    return op
 
 
 @dataclass(frozen=True)
@@ -386,16 +385,15 @@ def _read(op, free: int, ins: dict) -> np.ndarray:
     transposes read slots 1 and 2."""
     if isinstance(op, TransposedOperator):
         return _read(op.base, op.perm[free], {op.perm[k]: v for k, v in ins.items()})
-    if isinstance(op, CommutatorOperator):  # [U, a]_slot, U the earlier steps
-        (slot, a), rest = op.steps[-1], op.steps[:-1]
-        inner = CommutatorOperator(op.base, rest) if rest else op.base
+    if isinstance(op, CommutatorOperator):  # [U, a]_slot, U = op.inner
+        a = op.mult.values
 
         def times(k):  # U's form with x_k multiplied by a
             if k == free:
-                return a.values * _read(inner, free, ins)
-            return _read(inner, free, {**ins, k: a.values * ins[k]})
+                return a * _read(op.inner, free, ins)
+            return _read(op.inner, free, {**ins, k: a * ins[k]})
 
-        return times(slot) - times(0)
+        return times(op.slot) - times(0)
     if isinstance(op, DenseBilinearOperator):
         lo, hi = (ins[k].ravel() for k in sorted(ins))
         return np.einsum("jpq,p,q->j", np.moveaxis(op.tensor, free, 0),
@@ -440,11 +438,9 @@ def dense_tensor(op) -> np.ndarray:
     if isinstance(op, TransposedOperator):
         return np.transpose(dense_tensor(op.base), op.perm)
     if isinstance(op, CommutatorOperator):
-        W = dense_tensor(op.base)
-        for slot, mult in op.steps:
-            a = mult.values.ravel()
-            W = W * ((a[None, :, None] if slot == 1 else a[None, None, :]) - a[:, None, None])
-        return W
+        a = op.mult.values.ravel()
+        return dense_tensor(op.inner) * ((a[None, :, None] if op.slot == 1 else a[None, None, :])
+                                         - a[:, None, None])
     grid = op.grid
     M = grid.points_per_axis ** grid.dim
     if M ** 3 > DENSE_BUDGET:

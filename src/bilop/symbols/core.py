@@ -119,7 +119,10 @@ def symbol_from_expr(expr, declared_class: SymbolClassParams, dim: int = 1,
         return Symbol(expr if name is None else name, parse_symbol_expr(expr),
                       declared_class, dim)
     if name is None and isinstance(expr, Node):
-        name = pretty(expr)
+        try:
+            name = pretty(expr)
+        except TypeError:  # pretty() refuses the FTC's Quad node
+            raise InvalidInputError("a symbol with a Quad node needs a name") from None
     return Symbol(name, expr, declared_class, dim)
 
 

@@ -30,7 +30,9 @@ Numbers and other variables are even and var is odd; a sum or difference
 of equal parities keeps it; products and quotients multiply parities; u^n
 raises u's parity to n; a function of an even argument is even, sin and
 sign of an odd one are odd, cos and abs of an odd one even.  Negation
-commutes with IEEE rounding, so the arithmetic rules hold bit for bit.
+commutes with IEEE rounding, and u^n is evaluated as |u|^n, with u's sign
+for odd n (numpy's ** keeps parity exactly only for n = 2 and -1, which
+it evaluates), so the arithmetic rules hold bit for bit.
 """
 from __future__ import annotations
 
@@ -202,7 +204,10 @@ class Pow(Node):
         self.children = (base,)
 
     def apply(self, env, a):
-        return a ** self.exponent
+        n = self.exponent
+        if n in (2, -1):
+            return a ** n
+        return np.copysign(np.abs(a) ** n, a) if n % 2 else np.abs(a) ** n
 
     def derivative(self, var):
         n = self.exponent

@@ -63,10 +63,58 @@ def test_config_document_for_its_own_operation_is_applied(tmp_path, capsys):
     {"operation": "apply"},               # another operation's document
     [1, 2],                               # not an object
     "{not json",                          # not JSON
-], ids=["unknown-key", "wrong-operation", "non-object", "invalid-json"])
+    {"samples": "abc"},                   # not an int
+    {"samples": 100.5},                   # an int key given a fraction
+    {"samples": True},                    # a bool for an int
+    {"box": None},                        # null for a float
+], ids=["unknown-key", "wrong-operation", "non-object", "invalid-json", "text-for-int",
+        "fraction-for-int", "bool-for-int", "null-for-float"])
 def test_bad_config_document_exits_1(tmp_path, capsys, document):
     assert _seminorms_with(tmp_path, document) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def _run_config(tmp_path, name, document, *flags):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(document))
+    return cli_main([name, "--config", str(path), *flags, "--out-dir", str(tmp_path)])
+
+
+def test_config_values_take_the_type_of_their_default(tmp_path, capsys):
+    # "200" is the int 200 and 128 the float 128.0; "false" turns the FTC guard off, as
+    # --guard false does (with it on, 16 nodes trip it and exit 1)
+    assert _run_config(tmp_path, "certify-czk", {"samples": "200", "level": 128}) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert (config["samples"], config["level"]) == (200, 128.0)
+    assert isinstance(config["level"], float)
+    for document, flags in (({"guard": "false"}, ()), ({}, ("--guard", "false"))):
+        assert _run_config(tmp_path, "decompose", {"symbol": "cm0", "quad_points": 16,
+                                                   **document}, *flags) == 2
+        assert json.loads(capsys.readouterr().out)["config"]["guard"] is False
+    assert _run_config(tmp_path, "decompose", {"symbol": "cm0", "quad_points": 16}) == 1
+    capsys.readouterr()
+    assert _run_config(tmp_path, "certify-czk", {"samples": "abc"}) == 1
+    assert capsys.readouterr().err == "bilop: config error: expected int, got 'abc' (at $.samples)\n"
+
+
+@pytest.mark.parametrize("name, args", [
+    ("seminorms", ["--samples", "100", "--box", "64", "--max-order", "1"]),
+    ("decompose", ["--probes", "100"])])
+def test_period_moves_the_x_samples_of_symbol_checks(tmp_path, capsys, name, args):
+    # theta_sqrt1 depends on x, so sampling x over [0, 1) changes the numbers
+    data = []
+    for period in ([], ["--period", "1"]):
+        cli_main([name, "--symbol", "theta_sqrt1", *args, *period, "--out-dir", str(tmp_path)])
+        data.append(json.loads(capsys.readouterr().out)["data"])
+    assert data[0] != data[1]
+
+
+@pytest.mark.parametrize("name", ["kernel-slice", "fit-decay", "decompose", "seminorms"])
+def test_commands_without_a_grid_refuse_a_grid_size(capsys, name):
+    with pytest.raises(SystemExit) as stop:
+        cli_main([name, "--n", "9"])
+    assert stop.value.code == 1
+    assert "unrecognized arguments: --n 9" in capsys.readouterr().err
 
 
 def test_unreadable_config_exits_1(tmp_path, capsys):

@@ -253,6 +253,9 @@ def test_component_of_a_component():
         got = inner.partial(a, b, g)(x, xi, eta)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     assert reconstruction_residual(comp, ftc_decompose(comp, quad_points=128)) < 1e-8
+    # pretty() has no form for a Quad node, so an unnamed one is refused
+    with pytest.raises(InvalidInputError, match="Quad node needs a name"):
+        symbol_from_expr(ftc.Quad(parse_symbol_expr("xi"), 0, 16), SymbolClassParams(0.0))
 
 
 def test_x_independence_is_read_from_the_component_expression():

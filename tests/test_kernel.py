@@ -16,7 +16,6 @@ from bilop.kernel import (
     PHASE_BUDGET,
     ROW_BLOCK,
     KernelQuadrature,
-    TruncationProfile,
     certify_cz_commutator_kernel,
     cutoff_profile,
     default_radii,
@@ -35,7 +34,7 @@ from bilop.symbols import (
 from test_operator import _ATOMS, smooth_symbols
 
 L = 2 * np.pi
-PROFILE = TruncationProfile(level=128.0)
+LEVEL = 128.0
 # three x-terms, each frequency factor of definite parity; sigma as a whole has none
 THREE_TERMS = ("(2+sin(x))*sqrt(1+xi^2+eta^2)+cos(x)*xi*eta/(1+xi^2+eta^2)"
                "+exp(cos(2*x))*xi^2/(1+xi^2+eta^2)")
@@ -88,7 +87,7 @@ def reference_values(quad, x, us, vs, deriv):
     # phase factor, the alpha = 1 phase derivative as two more passes
     alpha, beta, gamma = deriv
     ax = quad.axis
-    psi = quad.profile.psi(ax)
+    psi = cutoff_profile(ax / quad.level)
 
     def smat(ev):
         sig = np.asarray(ev(np.asarray(x), ax[:, None], ax[None, :]))
@@ -112,7 +111,7 @@ def reference_values(quad, x, us, vs, deriv):
                                   lambda: catalog_symbol("theta_sqrt1")],
                          ids=["sqrt1", "theta_sqrt1"])
 def test_batched_values_match_the_unbatched_complex_formula(make, count):
-    quad = KernelQuadrature(make(), TruncationProfile(level=16.0))
+    quad = KernelQuadrature(make(), 16.0)
     rng = np.random.default_rng(count)
     us, vs = rng.uniform(-L / 4, L / 4, size=(2, count))
     for deriv in itertools.product((0, 1), repeat=3):
@@ -129,7 +128,7 @@ def test_repeated_offsets_match_the_unbatched_complex_formula(make):
     # certification's batch: each sample with its y- and z-steps side by
     # side, so repeated u and v share phase columns; shuffled, the repeats
     # lie far apart in the batch
-    quad = KernelQuadrature(make(), TruncationProfile(level=16.0))
+    quad = KernelQuadrature(make(), 16.0)
     rng = np.random.default_rng(5)
     us, vs = rng.uniform(-L / 4, L / 4, size=(2, 66))
     h = rng.uniform(0.01, 0.1, size=66)
@@ -166,7 +165,7 @@ def _assert_matches_reference(quad, x, us, vs, deriv, chunk=1024):
 def test_odd_symbols_match_the_unbatched_complex_formula(name):
     # level 16: 129 rows a side, so the row loop makes several blocks and
     # the last one is partial
-    quad = KernelQuadrature(ODD_SYMBOLS[name](), TruncationProfile(level=16.0))
+    quad = KernelQuadrature(ODD_SYMBOLS[name](), 16.0)
     rows = quad.axis.size // 2 + 1
     assert rows > 2 * ROW_BLOCK and rows % ROW_BLOCK
     us, vs = np.random.default_rng(11).uniform(-L / 4, L / 4, size=(2, 40))
@@ -179,7 +178,7 @@ def test_offsets_past_the_phase_budget_match_the_unbatched_complex_formula(name)
     # more distinct v than one chunk of eta phases holds, even at alpha = 0:
     # sigma is streamed once per chunk, and a u repeated across chunks is
     # gathered in each
-    quad = KernelQuadrature(ODD_SYMBOLS[name](), TruncationProfile(level=8.0))
+    quad = KernelQuadrature(ODD_SYMBOLS[name](), 8.0)
     count = PHASE_BUDGET // (2 * (quad.axis.size // 2 + 1)) + 37
     rng = np.random.default_rng(12)
     vs = rng.uniform(-L / 4, L / 4, size=count)
@@ -209,7 +208,7 @@ def mixed_parity_symbols(draw):
        seed=st.integers(0, 99))
 def test_random_mixed_parity_symbols_match_the_unbatched_complex_formula(expr, level, deriv, seed):
     quad = KernelQuadrature(symbol_from_expr(expr, SymbolClassParams(3.0)),
-                            TruncationProfile(float(level)))
+                            float(level))
     rng = np.random.default_rng(seed)
     us, vs = rng.uniform(-L / 4, L / 4, size=(2, 12))
     _assert_matches_reference(quad, rng.uniform(0, L), us, vs, deriv)
@@ -233,10 +232,9 @@ def x_expansions(draw):
 def test_x_terms_match_sigma_frozen_at_each_x(expr, level, seed):
     # + 0*cos(x*xi) leaves the values alone but has no x-expansion, so the
     # same sigma goes through the frozen path, with d_x sigma at alpha = 1
-    profile = TruncationProfile(float(level))
-    quad = KernelQuadrature(symbol_from_expr(expr, SymbolClassParams(2.0)), profile)
+    quad = KernelQuadrature(symbol_from_expr(expr, SymbolClassParams(2.0)), float(level))
     frozen = KernelQuadrature(symbol_from_expr(expr + "+0*cos(x*xi)", SymbolClassParams(2.0)),
-                              profile)
+                              float(level))
     assert quad.account()["x_terms"] >= 1 and "no_x_expansion" in frozen.account()
     rng = np.random.default_rng(seed)
     xs = rng.uniform(0, L, size=3)[rng.integers(0, 3, size=16)]
@@ -249,7 +247,7 @@ def test_x_terms_match_sigma_frozen_at_each_x(expr, level, seed):
 
 def test_an_x_factor_not_finite_at_a_requested_x_is_a_domain_error():
     quad = KernelQuadrature(symbol_from_expr("log(x)*sqrt(1+xi^2+eta^2)", SymbolClassParams(1.0)),
-                            TruncationProfile(16.0))
+                            16.0)
     assert np.all(np.isfinite(quad.values(1.0, [0.5], [1.0])))
     with np.errstate(divide="ignore"), pytest.raises(DomainError, match="at x = 0"):
         quad.values(np.array([1.0, 0.0]), [0.5, 0.5], [1.0, 1.0])
@@ -277,7 +275,7 @@ def test_values_evaluate_sigma_on_the_quadrants_its_parity_leaves_open(monkeypat
         return blocks(spy, *args)
 
     monkeypatch.setattr(kernel, "_blocks", counted)
-    quad = KernelQuadrature(sig, TruncationProfile(level=16.0))
+    quad = KernelQuadrature(sig, 16.0)
     rows = quad.axis.size // 2 + 1
     assert sum(_quadrants(p) for p in quad.account()["term_parity"]) == quadrants
     for deriv in itertools.product((0, 1), repeat=3):
@@ -322,7 +320,7 @@ def _traced_peak_mb(fn):
                          ids=["theta_sqrt1-dx", "certification-batch"])
 def test_values_memory_is_bounded_at_level_256(name, deriv, samples):
     # L = 4097 frequencies a side: a dense symbol matrix alone is 134 MB
-    quad = KernelQuadrature(catalog_symbol(name), TruncationProfile(level=256.0))
+    quad = KernelQuadrature(catalog_symbol(name), 256.0)
     assert quad.axis.size == 4097
     rng = np.random.default_rng(3)
     if samples is None:  # a decay fit's batch: 11 radii x 8 directions
@@ -342,7 +340,7 @@ def test_non_finite_values_in_the_outer_rows_or_columns_are_a_domain_error(expr)
     # at level 128 the box reaches |xi|, |eta| = 256: the pole at 250 lies in
     # a late row block (xi) or in the outer columns of every block (eta)
     sig = symbol_from_expr(expr, SymbolClassParams(-1.0))
-    quad = KernelQuadrature(sig, PROFILE)
+    quad = KernelQuadrature(sig, LEVEL)
     assert 250 / quad.spacing // ROW_BLOCK >= 3
     grid = Grid(dim=1, points_per_axis=64)
     a = GridFunction(grid, np.sin(grid.nodes_1d()))
@@ -361,7 +359,7 @@ def test_values_reject_x_derivative_order_before_evaluating():
 
     sigma = symbol_from_expr("xi", SymbolClassParams(0.0), name="never")
     sigma.fn = fn
-    quad = KernelQuadrature(sigma, PROFILE)
+    quad = KernelQuadrature(sigma, LEVEL)
     with pytest.raises(InvalidInputError):
         quad.values(0.0, [1.0], [2.0], deriv=(2, 0, 0))
 
@@ -370,7 +368,7 @@ def test_values_reject_a_complex_symbol():
     # the AST is real and even; the evaluator put in its place is not
     sigma = symbol_from_expr("sqrt(1+xi^2+eta^2)", SymbolClassParams(1.0), name="cplx")
     sigma.fn = lambda x, xi, eta: np.sqrt(1 + xi ** 2 + eta ** 2) * np.exp(1j * (xi - 2 * eta) / 7)
-    quad = KernelQuadrature(sigma, TruncationProfile(16.0))
+    quad = KernelQuadrature(sigma, 16.0)
     with pytest.raises(DomainError, match="'cplx'"):
         quad.values(0.0, [1.0], [2.0])
 
@@ -379,7 +377,7 @@ def test_values_reject_a_complex_symbol():
 def test_batched_decay_maxima_match_one_call_per_radius(name, deriv):
     sig = catalog_symbol(name)
     rep = fit_kernel_decay(sig, deriv=deriv, level=32.0, stability_levels=(32.0,))
-    quad = KernelQuadrature(sig, TruncationProfile(32.0))
+    quad = KernelQuadrature(sig, 32.0)
     for r, got in zip(rep.radii, rep.maxima):
         th = np.linspace(0, 2 * np.pi, 8, endpoint=False) + 0.1
         norm = np.abs(np.cos(th)) + np.abs(np.sin(th))
@@ -398,7 +396,7 @@ def test_non_finite_symbol_is_a_domain_error_in_every_kernel_check():
     grid = Grid(dim=1, points_per_axis=64)
     a = GridFunction(grid, np.sin(grid.nodes_1d()))
     with pytest.raises(DomainError):
-        kernel_slice(sig, PROFILE, 0.0, [(1.0, 2.0)])
+        kernel_slice(sig, LEVEL, 0.0, [(1.0, 2.0)])
     with pytest.raises(DomainError):
         fit_kernel_decay(sig)
     with pytest.raises(DomainError):
@@ -419,7 +417,7 @@ def test_identity_symbol_kernel_factorizes():
     one = catalog_symbol("one")
     F = lambda u: quadrature_1d(lambda xi: np.ones_like(xi), u)
     for (x, y, z) in [(0.0, 0.7, 5.9), (1.0, 1.5, 0.3), (3.0, 2.6, 3.5)]:
-        got = kernel_at(one, PROFILE, x, y, z)
+        got = kernel_at(one, LEVEL, x, y, z)
         want = F(wrap(x - y)) * F(wrap(x - z))
         assert abs(got - want) < 1e-8
 
@@ -429,7 +427,7 @@ def test_multiplier_product_symbol_kernel_factorizes():
     sig = symbol_from_expr(node, SymbolClassParams(0.0, 1.0, 0.0))
     k = lambda u: quadrature_1d(lambda xi: 1.0 / (1.0 + xi**2), u)
     for (x, y, z) in [(0.0, 0.9, 4.8), (2.0, 1.1, 2.9)]:
-        got = kernel_at(sig, PROFILE, x, y, z)
+        got = kernel_at(sig, LEVEL, x, y, z)
         want = k(wrap(x - y)) * k(wrap(x - z))
         assert abs(got - want) < 1e-8 * abs(want)
 
@@ -438,9 +436,9 @@ def test_kernel_translation_invariance_on_torus():
     # x-independent symbols give convolution kernels; shifting all three
     # points together, even across the period seam, changes nothing
     sig = catalog_symbol("sqrt1")
-    base = kernel_at(sig, PROFILE, 0.3, 1.0, 2.2)
-    shifted = kernel_at(sig, PROFILE, 2.0, 2.7, 3.9)
-    wrapped = kernel_at(sig, PROFILE, 5.3, 6.0, 2.2 + 5.0)
+    base = kernel_at(sig, LEVEL, 0.3, 1.0, 2.2)
+    shifted = kernel_at(sig, LEVEL, 2.0, 2.7, 3.9)
+    wrapped = kernel_at(sig, LEVEL, 5.3, 6.0, 2.2 + 5.0)
     assert abs(shifted - base) < 1e-10 * abs(base)
     assert abs(wrapped - base) < 1e-10 * abs(base)
 
@@ -450,35 +448,35 @@ def test_kernel_at_rejects_only_the_triple_diagonal():
     # point is where both separations vanish, period wraps included
     sig = catalog_symbol("sqrt1")
     with pytest.raises(DomainError):
-        kernel_at(sig, PROFILE, 1.0, 1.0, 1.0)
+        kernel_at(sig, LEVEL, 1.0, 1.0, 1.0)
     with pytest.raises(DomainError):
-        kernel_at(sig, PROFILE, 1.0 + L, 1.0, 1.0)
-    assert np.isfinite(kernel_at(sig, PROFILE, 1.0, 1.0, 2.0))
-    assert np.isfinite(kernel_at(sig, PROFILE, 1.0, 2.0, 2.0))
+        kernel_at(sig, LEVEL, 1.0 + L, 1.0, 1.0)
+    assert np.isfinite(kernel_at(sig, LEVEL, 1.0, 1.0, 2.0))
+    assert np.isfinite(kernel_at(sig, LEVEL, 1.0, 2.0, 2.0))
 
 
 def test_kernel_quadrature_guard_trips_on_coarse_spacing():
     sig = catalog_symbol("sqrt1")
     with pytest.raises(ToleranceError):
-        kernel_at(sig, PROFILE, 0.0, 1.0, 2.0, spacing=4.0)
+        kernel_at(sig, LEVEL, 0.0, 1.0, 2.0, spacing=4.0)
     # guard can be waived explicitly
-    v = kernel_at(sig, PROFILE, 0.0, 1.0, 2.0, spacing=4.0, guard=False)
+    v = kernel_at(sig, LEVEL, 0.0, 1.0, 2.0, spacing=4.0, guard=False)
     assert np.isfinite(v)
 
 
 def test_kernel_slice_matches_pointwise_values():
     sig = catalog_symbol("sqrt1")
     offsets = [(1.0, 2.0), (0.5, 5.8), (2.5, 4.0)]
-    sl = kernel_slice(sig, PROFILE, 0.0, offsets)
+    sl = kernel_slice(sig, LEVEL, 0.0, offsets)
     assert sl.offsets == tuple(offsets)
     for (y, z), v in zip(offsets, sl.values):
-        assert abs(v - kernel_at(sig, PROFILE, 0.0, y, z)) < 1e-12
+        assert abs(v - kernel_at(sig, LEVEL, 0.0, y, z)) < 1e-12
 
 
 def test_kernel_slice_rejects_diagonal_offsets():
     sig = catalog_symbol("sqrt1")
     with pytest.raises(DomainError):
-        kernel_slice(sig, PROFILE, 1.0, [(2.0, 3.0), (1.0, 1.0)])
+        kernel_slice(sig, LEVEL, 1.0, [(2.0, 3.0), (1.0, 1.0)])
 
 
 # ---------------------------------------------------------------- decay fits
@@ -512,6 +510,11 @@ def test_kernel_gradient_decay_gains_one_order():
 def test_decay_fit_radii_must_stay_off_diagonal():
     with pytest.raises(InvalidInputError):
         fit_kernel_decay(catalog_symbol("sqrt1"), radii=(0.0, 0.1))
+    # every kernel path builds a KernelQuadrature, which refuses a level <= 0
+    for read in (lambda: fit_kernel_decay(catalog_symbol("sqrt1"), level=0.0),
+                 lambda: kernel_slice(catalog_symbol("sqrt1"), -1.0, 0.0, [(1.0, 2.0)])):
+        with pytest.raises(InvalidInputError, match="truncation level must be positive"):
+            read()
 
 
 # ------------------------------------------------------------- certificates
@@ -572,7 +575,7 @@ def reference_certificate(sigma, a, slot, samples, level, seed=0, octave_count=3
     period = a.grid.period
     base_radius = period / 256
     rng = np.random.default_rng(seed)
-    quad = KernelQuadrature(sigma, TruncationProfile(level), period)
+    quad = KernelQuadrature(sigma, level)
     per_octave = samples // octave_count
     xpool = rng.uniform(0, period, size=8)
 

@@ -14,6 +14,7 @@ from bilop.analysis import check_t1_conditions
 from bilop.errors import InvalidInputError
 from bilop.grid import Grid, GridFunction
 from bilop.operator import (
+    CommutatorOperator,
     apply,
     commutator,
     dense_tensor,
@@ -132,7 +133,9 @@ def _oracle_check(op, base, f, g, h):
     """
     grid = op.grid
     W, Wb = dense_tensor(op), np.abs(dense_tensor(base))
-    size = np.prod([2 * np.max(np.abs(a.values)) for _, a in getattr(op, "steps", ())])
+    size, step = 1.0, op
+    while isinstance(step, CommutatorOperator):  # one factor 2 max|a| per step
+        size, step = size * 2 * np.max(np.abs(step.mult.values)), step.inner
     dxn = grid.spacing ** grid.dim
     phi = np.einsum("jpq,j,p,q->", W, h.values.ravel(), f.values.ravel(),
                     g.values.ravel()) * dxn
