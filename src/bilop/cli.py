@@ -100,10 +100,13 @@ def _resolve_op(cfg, grid):
     return commutator(T, *steps) if steps else T
 
 
-def _int_list(text) -> tuple:
-    if isinstance(text, (list, tuple)):
-        return tuple(int(v) for v in text)
-    return tuple(int(tok) for tok in str(text).split(",") if tok.strip())
+def _int_list(cfg, key: str) -> tuple:
+    """cfg[key], a list or comma-separated text, as ints; ConfigError names a
+    bad token."""
+    value = cfg[key]
+    tokens = value if isinstance(value, (list, tuple)) else [
+        tok for tok in str(value).split(",") if tok.strip()]
+    return tuple(_typed(key, tok, 0) for tok in tokens)
 
 
 # ------------------------------------------------------------------ runners
@@ -146,8 +149,8 @@ def _run_kernel_slice(cfg):
 def _run_fit_decay(cfg):
     sigma = resolve_symbol(cfg)
     L = float(cfg["period"])
-    deriv = _int_list(cfg["deriv"])
-    levels = tuple(float(v) for v in _int_list(cfg["levels"]))
+    deriv = _int_list(cfg, "deriv")
+    levels = tuple(float(v) for v in _int_list(cfg, "levels"))
     radii = np.geomspace(L / float(cfg["r_min_div"]), L / float(cfg["r_max_div"]),
                          int(cfg["count"]))
     report = fit_kernel_decay(sigma, deriv=deriv, radii=radii,
@@ -197,7 +200,7 @@ def _run_check_t1(cfg):
 def _run_wbp_scan(cfg):
     grid = _grid(cfg)
     U = _resolve_op(cfg, grid)
-    scales = tuple(grid.period / d for d in _int_list(cfg["t_divisors"]))
+    scales = tuple(grid.period / d for d in _int_list(cfg, "t_divisors"))
     report = wbp_scan(U, order=int(cfg["order"]), scales=scales,
                       config=str(cfg["geometry"]))
     table = (("t", "pairing", "constant"),
@@ -429,9 +432,16 @@ def load_config_document(path: str) -> dict:
 _BOOL_TEXT = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
+# keys whose None default is derived by their runner, and which are else floats
+_OPTIONAL_FLOATS = frozenset({"r"})
+
+
 def _typed(key: str, value, default):
-    """A config document's value as the type of its default when that is bool,
-    int or float: no bool read as a number, no fraction or NaN let through."""
+    """A config value as the type of its default when that is bool, int or
+    float (float for a set key of _OPTIONAL_FLOATS): no bool read as a
+    number, no fraction or NaN let through."""
+    if default is None and value is not None and key in _OPTIONAL_FLOATS:
+        default = 0.0
     kind = type(default)
     try:
         if kind is bool:
@@ -460,7 +470,7 @@ def effective_config(subcommand: str, args: argparse.Namespace) -> dict:
     for key in defaults:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
-            cfg[key] = flag_value
+            cfg[key] = _typed(key, flag_value, defaults[key])
     return cfg
 
 

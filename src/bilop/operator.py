@@ -14,9 +14,10 @@ a(x) b(xi, eta), and factors each frequency part (M = N^n mesh points):
 _separate multiplies out sums, negations, products, positive integer
 powers, quotients by and negative powers of a single term a b, exp of a
 sum or difference, abs of a product and Quad (FTC) nodes, grouping terms
-by x-factor, and drops a term with a literal 0 factor.  A factor mixing x
-with a frequency, or over M / 8 groups, leaves no expansion: make_operator
-selects direct; an explicit multiplier raises BudgetError.
+by x-factor, and drops a literal 0 (the parser has folded 0 u to 0).  A
+factor mixing x with a frequency, or over M / 8 groups, leaves no
+expansion: make_operator selects direct; an explicit multiplier raises
+BudgetError.
 
 Each S_s is factored by an adaptive randomized range finder (Halko,
 Martinsson and Tropp, arXiv:0909.4061) with a fixed seed: the Gaussian
@@ -35,14 +36,27 @@ The expansion gives Phi = sum_{s,r} <w_s h, (B_{s,r} f)(C_{s,r} g)> with
 B and C the multipliers U and V, hence T^{*1}(h, g) = sum_{s,r}
 B~_{s,r}(w_s h C_{s,r} g), B~ being B read at frequency index (-k) mod N
 per axis; T^{*2} swaps the roles of U and V.  direct leaves the matching
-index of its chunked sum open.  A commutator step [U, a]_slot reads its
-inner form U as Phi(..., a x_slot, ...) - Phi(a h, f, g), so an iterated
-commutator recurses through its chain of steps.  dense_tensor
-materializes the tensor at small N as the oracle of the tests.
+index of its chunked sum open.  dense_tensor materializes the tensor at
+small N as the oracle of the tests.
+
+A commutator step [U, a]_slot has the form Phi_U(..., a x_slot, ...) -
+Phi_U(a x0, x1, x2).  _read unwinds a chain of d steps, through any
+transposes in it, into 2^d signed terms Phi_base(W0 x0, W1 x1, W2 x2),
+where each step's multiplier lands on its own slot or on slot 0, and a
+transpose permutes the slots.  A multiplier base reads every term in one
+pass, and each distinct weighted input goes through its rank stack of
+multipliers once: [[T, a]_1, b]_1(f, g) transforms a b f, a f, b f, f and
+g, five inputs where one read per term would transform eight.  apply
+reduces each term over the rank at once, a cheap weighted sum; a
+transpose's reduction transforms a whole stack, so it sums the terms of
+one open-slot weight first (pointwise in slot 0 where they share the
+other slot's weight) and applies that weight after it.  Direct and dense
+bases read the terms one at a time.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -102,7 +116,7 @@ def _separate(node: Node, cap: int) -> dict:
     of a (a divisor marked 1); ValueError says why not in at most cap terms."""
     free, xs, one = node.free_vars(), {"x", "x1", "x2"}, Num(1.0)
     if not free & xs or free <= xs:  # a frequency factor or an x-factor
-        if _is_zero(node):
+        if _is(node, 0):  # the parser folds a literal 0 factor to 0
             return {}
         return {((repr(node), 0),): (node, one)} if free & xs else {(): (one, node)}
     if isinstance(node, Call) and isinstance(node.arg, BinOp):  # as products:
@@ -133,13 +147,6 @@ def _separate(node: Node, cap: int) -> dict:
             out = _merge(_times(out.items(), base), cap)
         return out
     raise ValueError("a factor mixes x with a frequency")
-
-
-def _is_zero(node: Node) -> bool:
-    """node is a literal 0 or a product with such a factor."""
-    if isinstance(node, BinOp) and node.op == "*":
-        return _is_zero(node.left) or _is_zero(node.right)
-    return _is(node, 0)
 
 
 def _inverse(term):
@@ -361,46 +368,105 @@ def _read_direct(op: BilinearOperator, free: int, ins: dict) -> np.ndarray:
     return out.reshape(grid.shape) / grid.period ** (2 * n)
 
 
-def _read_multiplier(op: BilinearOperator, free: int, ins: dict) -> np.ndarray:
-    """sum_s sum_r <w_s x0, (B_sr x1)(C_sr x2)> with slot `free` open, where
-    B_sr and C_sr are the Fourier multipliers u and v of the expansion."""
+def _read_multiplier(op: BilinearOperator, free: int, ins: dict, terms, weight) -> np.ndarray:
+    """sum_t sign_t W_free sum_s sum_r <w_s W_0 x0, (B_sr W_1 x1)(C_sr W_2 x2)> over
+    the terms of _read with slot `free` open, B_sr and C_sr the Fourier
+    multipliers u and v of the expansion.  Each distinct weighted input passes
+    through its multipliers once.  The stacks of one transformed slot are
+    kept; those of slot 1 under apply are made one at a time, since a higher
+    peak of (rank,) + shape arrays lets the allocator hand memory back and
+    fault it in again on every read, which at N = 4096 cost more than the
+    transforms it saved."""
     low, grid = op.lowrank(), op.grid
     shape, axes = (low.rank,) + grid.shape, tuple(range(1, grid.dim + 1))
     mult = {1: low.u.reshape(shape), 2: low.v.reshape(shape)}
-    # the (N/L)^{2n} of the inverse sums cancels the dx^{2n} of fhat and ghat
-    a, b = (v if k == 0 else np.fft.ifftn(mult[k] * np.fft.fftn(v), axes=axes)
-            for k, v in sorted(ins.items()))
-    terms = a * b * low.w.reshape(shape)
-    if free == 0:
-        return terms.sum(axis=0)
-    # a multiplier's transpose is the multiplier read at index (-k) mod N per axis
-    flipped = np.roll(np.flip(mult[free], axes), 1, axes)
-    return np.fft.ifftn(np.sum(flipped * np.fft.fftn(terms, axes=axes), axis=0))
+    w = low.w.reshape(shape)
+    kept = 2 if free == 0 else 3 - free  # the transformed slot whose stacks are kept
+    stacks = {}
+
+    def through(k, key):  # slot k's input weighted by key, through its multipliers
+        # the (N/L)^{2n} of the inverse sums cancels the dx^{2n} of fhat and ghat
+        return np.fft.ifftn(mult[k] * np.fft.fftn(weight(key, ins[k])), axes=axes)
+
+    def stack(key):
+        if key not in stacks:
+            stacks[key] = through(kept, key)
+        return stacks[key]
+
+    def on(k):  # a term's weight key on slot k
+        return lambda term: term[1][k]
+
+    for _, keys in terms:  # the long-lived stacks first: then the heap does not
+        stack(keys[kept])  # grow and shrink (page faults) under the streamed ones
+    out = 0
+    if free == 0:  # the reduction is a weighted sum over r: each term reduces at once
+        for key, group in groupby(sorted(terms, key=on(1)), on(1)):
+            x = through(1, key)
+            for sign, keys in group:
+                y = weight(keys[0], (x * stack(keys[2]) * w).sum(axis=0))
+                out = out + y if sign > 0 else out - y
+            del x  # before the next group's stack is made
+        return out
+    # the reduction transforms a whole stack: sum every term of one open
+    # weight first, those sharing the kept slot's weight pointwise in slot 0
+    flipped = np.roll(np.flip(mult[free], axes), 1, axes)  # the transposed multiplier
+    order = sorted(terms, key=lambda term: (term[1][free], term[1][kept]))
+    for key, by_open in groupby(order, on(free)):
+        total = None
+        for key_kept, group in groupby(by_open, on(kept)):
+            x = stack(key_kept) * sum(sign * weight(keys[0], ins[0]) for sign, keys in group)
+            total = x if total is None else np.add(total, x, out=total)
+        total *= w
+        total = np.fft.fftn(total, axes=axes)
+        total *= flipped
+        out = out + weight(key, np.fft.ifftn(total.sum(axis=0)))
+    return out
 
 
 def _read(op, free: int, ins: dict) -> np.ndarray:
     """Read op's trilinear form Phi(x0, x1, x2) = <op(x1, x2), x0> with slot
     `free` open: the grid array X with Phi = <X, x_free>, given the values
     ins = {slot: array} of the two other slots.  apply reads slot 0; the
-    transposes read slots 1 and 2."""
-    if isinstance(op, TransposedOperator):
-        return _read(op.base, op.perm[free], {op.perm[k]: v for k, v in ins.items()})
-    if isinstance(op, CommutatorOperator):  # [U, a]_slot, U = op.inner
-        a = op.mult.values
+    transposes read slots 1 and 2.
 
-        def times(k):  # U's form with x_k multiplied by a
-            if k == free:
-                return a * _read(op.inner, free, ins)
-            return _read(op.inner, free, {**ins, k: a * ins[k]})
+    Transposes and commutator steps above the base operator unwind into
+    signed terms Phi = sum_t sign_t Phi_base(W_0 x0, W_1 x1, W_2 x2): a step
+    [U, a]_slot splits each term in two, a on its slot and minus a on slot 0,
+    and a transpose permutes the slots.  Each W_k is a key of step indices,
+    the product of those steps' multipliers."""
+    mults, terms = [], [(1, ((), (), ()))]
+    while isinstance(op, (TransposedOperator, CommutatorOperator)):
+        if isinstance(op, TransposedOperator):
+            p = op.perm
+            free, ins = p[free], {p[k]: v for k, v in ins.items()}
+            terms = [(sign, tuple(keys[p.index(k)] for k in range(3))) for sign, keys in terms]
+            op = op.base
+            continue
+        i = len(mults)
+        mults.append(op.mult.values)
+        terms = [(sign * s, tuple(key + (i,) if k == to else key for k, key in enumerate(keys)))
+                 for sign, keys in terms for s, to in ((1, op.slot), (-1, 0))]
+        op = op.inner
 
-        return times(op.slot) - times(0)
-    if isinstance(op, DenseBilinearOperator):
-        lo, hi = (ins[k].ravel() for k in sorted(ins))
-        return np.einsum("jpq,p,q->j", np.moveaxis(op.tensor, free, 0),
-                         lo, hi).reshape(op.grid.shape)
-    if op.strategy == "direct":
-        return _read_direct(op, free, ins)
-    return _read_multiplier(op, free, ins)
+    def weight(key, x):  # x times the multipliers of the steps in key
+        for i in key:
+            x = mults[i] * x
+        return x
+
+    if isinstance(op, BilinearOperator) and op.strategy == "multiplier":
+        return _read_multiplier(op, free, ins, terms, weight)
+    read = _read_direct if isinstance(op, BilinearOperator) else _read_dense
+    out = 0
+    for sign, keys in terms:
+        term = weight(keys[free], read(op, free, {k: weight(keys[k], v) for k, v in ins.items()}))
+        out = out + term if sign > 0 else out - term
+    return out
+
+
+def _read_dense(op: DenseBilinearOperator, free: int, ins: dict) -> np.ndarray:
+    """The tensor contracted with the two given slots."""
+    lo, hi = (ins[k].ravel() for k in sorted(ins))
+    return np.einsum("jpq,p,q->j", np.moveaxis(op.tensor, free, 0), lo, hi).reshape(op.grid.shape)
 
 
 def apply(op, f: GridFunction, g: GridFunction) -> GridFunction:

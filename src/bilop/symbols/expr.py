@@ -11,7 +11,10 @@ Grammar (precedence low to high: +,- then *,/ then unary - then ^):
 '-' and '/' associate to the left; '^' takes integer exponents only and
 chains left, (x^2)^3.  Variables: x, xi, eta in 1D; x1, x2, xi1, xi2,
 eta1, eta2 in 2D.  Functions: sin, cos, exp, sqrt, abs, log, sign
-(sign(0) = 0).  Parse errors carry a 1-based byte offset.
+(sign(0) = 0).  Parse errors carry a 1-based byte offset.  The parser
+builds with the folding constructors below, so a literal 0 factor or term
+is gone before anything evaluates the expression: 0*log(x) is 0 for every
+strategy, not a NaN at x = 0 that only some of them see.
 
 Node.diff(var) returns the exact partial derivative as a new AST:
 Num -> 0; Var -> 1 or 0; Neg, +, -, * by the sum and product rules;
@@ -369,21 +372,21 @@ class _Parser:
     def expr(self):
         node = self.term()
         while self.peek().kind in ("+", "-"):
-            op = self.take().kind
-            node = BinOp(op, node, self.term())
+            fold = _add if self.take().kind == "+" else _sub
+            node = fold(node, self.term())
         return node
 
     def term(self):
         node = self.unary()
         while self.peek().kind in ("*", "/"):
-            op = self.take().kind
-            node = BinOp(op, node, self.unary())
+            fold = _mul if self.take().kind == "*" else _div
+            node = fold(node, self.unary())
         return node
 
     def unary(self):
         if self.peek().kind == "-":
             self.take()
-            return Neg(self.unary())
+            return _neg(self.unary())
         return self.power()
 
     def power(self):

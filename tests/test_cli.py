@@ -97,6 +97,46 @@ def test_config_values_take_the_type_of_their_default(tmp_path, capsys):
     assert capsys.readouterr().err == "bilop: config error: expected int, got 'abc' (at $.samples)\n"
 
 
+def test_an_optional_number_is_checked_by_flag_and_by_config(tmp_path, capsys):
+    # r defaults to None (derived from p and q); set, it must be a float
+    error = "bilop: config error: expected float, got 'abc' (at $.r)\n"
+    assert cli_main(["kato-ponce", "--r", "abc", "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == error
+    assert _run_config(tmp_path, "kato-ponce", {"r": "abc"}) == 1
+    assert capsys.readouterr().err == error
+    assert _run_config(tmp_path, "kato-ponce", {"r": "2"}, "--n", "64", "--k-max", "8") == 0
+    assert json.loads(capsys.readouterr().out)["config"]["r"] == 2.0
+    assert _run_config(tmp_path, "kato-ponce", {"r": None}, "--n", "64", "--k-max", "8") == 0
+
+
+@pytest.mark.parametrize("key, value, token", [
+    ("deriv", "a,b", "a"), ("deriv", "0,1.5,0", "1.5"), ("levels", "32,x", "x"),
+    ("t_divisors", "16, y", " y")])
+def test_a_bad_list_token_is_a_config_error_by_flag_and_by_config(tmp_path, capsys,
+                                                                  key, value, token):
+    name = "wbp-scan" if key == "t_divisors" else "fit-decay"
+    error = f"bilop: config error: expected int, got {token!r} (at $.{key})\n"
+    flag = "--" + key.replace("_", "-")
+    assert cli_main([name, flag, value, "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == error
+    for document in ({key: value}, {key: value.split(",")}):
+        assert _run_config(tmp_path, name, document) == 1
+        assert capsys.readouterr().err == error
+    assert not any(p.suffix != ".json" for p in tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("strategy", [[], ["--strategy", "direct"]], ids=["multiplier", "direct"])
+def test_a_literal_zero_term_means_the_same_to_both_strategies(tmp_path, capsys, strategy):
+    # 0*log(x) folds at parse time, so neither strategy meets log(0) at x = 0
+    base = ["apply", "--n", "16", "--out-dir", str(tmp_path)]
+    assert cli_main([*base, "--symbol", "sqrt(1+xi^2+eta^2)", *strategy]) == 0
+    want = json.loads(capsys.readouterr().out)["data"]
+    assert cli_main([*base, "--symbol", "sqrt(1+xi^2+eta^2)+0*log(x)", *strategy]) == 0
+    got = json.loads(capsys.readouterr().out)["data"]
+    assert got["strategy"] == (strategy[-1] if strategy else "multiplier")
+    assert got["values"] == want["values"]
+
+
 @pytest.mark.parametrize("name, args", [
     ("seminorms", ["--samples", "100", "--box", "64", "--max-order", "1"]),
     ("decompose", ["--probes", "100"])])

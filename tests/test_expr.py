@@ -244,6 +244,15 @@ def test_diff_folds_zeros_and_ones():
     assert pretty(parse_symbol_expr("log(1 + xi^2)").diff("xi")) == "2*xi/(1+xi^2)"
 
 
+def test_the_parser_folds_literal_zeros():
+    # 0*log(x) is gone before anything evaluates it: no NaN at x = 0
+    assert pretty(parse_symbol_expr("sqrt(1+xi^2)+0*log(x)")) == "sqrt(1+xi^2)"
+    assert pretty(parse_symbol_expr("0*eta*log(x)")) == "0"
+    assert pretty(parse_symbol_expr("xi+0-0")) == "xi"
+    assert pretty(parse_symbol_expr("0-xi")) == "-xi"
+    assert parse_symbol_expr("(x-x)*xi").free_vars() == {"x", "xi"}  # not a literal 0
+
+
 def test_abs_differentiates_to_sign_with_sign_zero_at_the_kink():
     d = parse_symbol_expr("abs(xi) + abs(eta)").diff("xi")
     assert pretty(d) == "sign(xi)"

@@ -230,10 +230,11 @@ def x_expansions(draw):
 @settings(max_examples=20, deadline=None)
 @given(expr=x_expansions(), level=st.integers(8, 16), seed=st.integers(0, 99))
 def test_x_terms_match_sigma_frozen_at_each_x(expr, level, seed):
-    # + 0*cos(x*xi) leaves the values alone but has no x-expansion, so the
-    # same sigma goes through the frozen path, with d_x sigma at alpha = 1
+    # + (x-x)*cos(x*xi) leaves the values alone (a literal 0 factor would fold
+    # at parse time) but has no x-expansion, so the same sigma goes through
+    # the frozen path, with d_x sigma at alpha = 1
     quad = KernelQuadrature(symbol_from_expr(expr, SymbolClassParams(2.0)), float(level))
-    frozen = KernelQuadrature(symbol_from_expr(expr + "+0*cos(x*xi)", SymbolClassParams(2.0)),
+    frozen = KernelQuadrature(symbol_from_expr(expr + "+(x-x)*cos(x*xi)", SymbolClassParams(2.0)),
                               float(level))
     assert quad.account()["x_terms"] >= 1 and "no_x_expansion" in frozen.account()
     rng = np.random.default_rng(seed)
@@ -554,11 +555,11 @@ def test_certificate_scales_linearly_in_multiplier():
 
 
 def test_x_dependent_certificate_path_matches_the_shared_kernel_path():
-    # +0*x makes the AST depend on x but not its values: the per-base-point
+    # +(x-x) makes the AST depend on x but not its values: the per-base-point
     # kernels and the two-step x-gradient must give sqrt1's sups
     grid = Grid(dim=1, points_per_axis=64)
     a = GridFunction(grid, np.sin(grid.nodes_1d()))
-    sig = symbol_from_expr("sqrt(1+xi^2+eta^2)+0*x", SymbolClassParams(1.0))
+    sig = symbol_from_expr("sqrt(1+xi^2+eta^2)+(x-x)", SymbolClassParams(1.0))
     assert not sig.x_independent
     got = certify_cz_commutator_kernel(sig, a, samples=200, level=32.0)
     want = certify_cz_commutator_kernel(catalog_symbol("sqrt1"), a, samples=200, level=32.0)

@@ -547,8 +547,8 @@ def test_ast_expansion_is_exact_on_random_products_2d(expr, seed):
 @pytest.mark.parametrize("expr", ["exp(sin(x)-xi^2-eta^2)",
                                   "((2+sin(x))*sqrt(1+xi^2+eta^2))^-1",
                                   "abs((2+sin(x))*xi)",
-                                  # a term with a literal 0 factor drops, and so
-                                  # may every term: sigma = 1 * 0
+                                  # a term with a literal 0 factor folds at parse
+                                  # time, and so may every term: sigma = 0
                                   "sqrt(1+xi^2+eta^2)+0*x", "0*x", "sin(x)*xi+0*eta*x"])
 def test_exp_of_a_sum_negative_power_and_abs_of_a_product_factor_at_x_rank_one(expr):
     grid = Grid(dim=1, points_per_axis=64)
