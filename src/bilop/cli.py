@@ -30,7 +30,7 @@ from .errors import BilopError, ConfigError, DomainError, SymbolParseError
 from .grid import Grid, GridFunction, lp_norm
 from .kernel import (certify_cz_commutator_kernel, fit_kernel_decay,
                      kernel_slice, ray_offsets)
-from .operator import (apply, commutator, make_operator,
+from .operator import (FACTOR_RTOL, apply, commutator, make_operator,
                        verify_transpose_identities)
 from .reports import envelope, write_report
 from .symbols import (FAMILY_NAMES, MULTIPLIER_NAMES, SymbolClassParams,
@@ -121,7 +121,8 @@ def _run_apply(cfg):
     data = {"strategy": T.strategy}
     if T.strategy == "multiplier":
         low = T.lowrank()
-        data.update(rank=low.rank, residual=low.residual, x_rank=low.x_rank)
+        data.update(rank=low.rank, residual=low.residual, factor_rtol=FACTOR_RTOL,
+                    basis_widths=list(low.widths), x_rank=low.x_rank)
     data.update(l2_norm=lp_norm(out, 2), linf_norm=lp_norm(out, np.inf),
                 values=out.values)
     flat = out.values.ravel()

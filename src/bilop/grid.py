@@ -173,8 +173,17 @@ def phase_table(step: float, offsets, count: int, block: int, start: int = 0):
     exponentials stand for count rows.
     """
     p = np.asarray(offsets, dtype=float)
-    coarse = np.exp(1j * np.outer((start + np.arange(0, count, block)) * step, p))
-    return coarse, np.exp(1j * np.outer(np.arange(block) * step, p))
+    return tuple(_expi(np.outer(t * step, p))
+                 for t in (start + np.arange(0, count, block), np.arange(block)))
+
+
+def _expi(t: np.ndarray) -> np.ndarray:
+    """e^{i t} for real t: cos and sin written into the real and imaginary
+    views of one complex array, without np.exp(1j * t)'s complex temporaries."""
+    out = np.empty(t.shape, dtype=complex)
+    np.cos(t, out=out.real)
+    np.sin(t, out=out.imag)
+    return out
 
 
 def eval_at(f: GridFunction, *coords) -> np.ndarray:

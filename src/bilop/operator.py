@@ -20,13 +20,18 @@ expansion: make_operator selects direct; an explicit multiplier raises
 BudgetError.
 
 Each S_s is factored by an adaptive randomized range finder (Halko,
-Martinsson and Tropp, arXiv:0909.4061) with a fixed seed: the Gaussian
-sketch doubles until a held-out probe W gives ||(S - Q Q^H S) W|| <=
-FACTOR_RTOL ||S W|| or it spans all M columns, and the SVD of Q^H S is
-cut at the same relative tail.  S is evaluated in FACTOR_BUDGET-entry
-row blocks: once if one holds it, else per sketch round and for Q^H S;
-a sketch past FACTOR_BUDGET / M columns raises BudgetError.  Operators
-are built whole; non-finite symbol values and outputs raise DomainError.
+Martinsson and Tropp, arXiv:0909.4061) with a fixed seed, in two widths.
+A pass over S draws Gaussian sketch columns, 64 on the first and as many
+again as are held on each later one.  The basis Q spans prefixes 16, 32,
+64, ... of the columns drawn and stops at the first where a held-out
+probe W gives ||(S - Q Q^H S) W|| <= FACTOR_RTOL ||S W||, or that spans
+all M columns; only a prefix wider than the columns drawn makes another
+pass.  So S is evaluated as often as by a basis that takes whole passes,
+while QR and the SVD of Q^H S, cut at the same relative tail, run at the
+width the rank needs.  S is evaluated in FACTOR_BUDGET-entry row blocks:
+once if one holds it, else per pass and for Q^H S; a pass past
+FACTOR_BUDGET / M columns raises BudgetError.  Operators are built
+whole; non-finite symbol values and outputs raise DomainError.
 
 Each operator is read as a trilinear form Phi(h, f, g) = <T(f,g), h>
 under the bilinear dual pairing <u, v> = sum_j u_j v_j dx^n (no
@@ -70,7 +75,8 @@ DIRECT_BUDGET = 2 ** 28
 DENSE_BUDGET = 2 ** 24
 FACTOR_BUDGET = 2 ** 22
 FACTOR_RTOL = 1e-14
-SKETCH_START = 64   # first sketch width
+SKETCH_START = 64   # first pass width
+BASIS_START = 16    # first basis width, a prefix of the first pass
 SKETCH_PROBES = 10  # held-out probe columns
 SKETCH_SEED = 0
 
@@ -85,13 +91,15 @@ def _flat(mesh) -> np.ndarray:
 @dataclass(frozen=True)
 class LowRank:
     """sigma(x_j, xi_k, eta_l) ~ sum_r w[r, j] u[r, k] v[r, l]: (rank, M) arrays in
-    blocks of sizes ranks, w_s on each row of block s; residual of the probes."""
+    blocks of sizes ranks, w_s on each row of block s; the largest residual of
+    the probes, and each block's basis width."""
 
     u: np.ndarray
     v: np.ndarray
     w: np.ndarray
     ranks: tuple
     residual: float
+    widths: tuple
 
     @property
     def rank(self) -> int:
@@ -195,11 +203,16 @@ def _expand(sigma: Symbol, grid: Grid):
     u, v = (np.concatenate([p[i] for p in parts]) for i in (0, 1))
     ranks = tuple(len(p[0]) for p in parts)
     w = [_values(a, grid, x, zero, zero) for a, _ in terms]
-    return LowRank(u, v, np.repeat(w, ranks, axis=0), ranks, max(p[2] for p in parts))
+    return LowRank(u, v, np.repeat(w, ranks, axis=0), ranks, max(p[2] for p in parts),
+                   tuple(p[3] for p in parts))
 
 
 def _factorize(sigma: Symbol, grid: Grid):
-    """(u, v, residual) with S ~ u.T @ v for S[k, l] = sigma(x_0, xi_k, eta_l)."""
+    """(u, v, residual, width) with S ~ u.T @ v for S[k, l] = sigma(x_0, xi_k, eta_l)
+    and the basis width reached.  A pass draws SKETCH_START + SKETCH_PROBES
+    columns of S Omega, a later one as many as Y holds; Q spans prefixes of
+    Y of widths BASIS_START, 2 BASIS_START, ..., and a pass is made only when
+    a prefix outgrows Y.  From the first pass width on, Q is that of all Y."""
     M = grid.points_per_axis ** grid.dim
     step = max(1, FACTOR_BUDGET // M)
     x, xi = _flat(grid.node_mesh()), _flat(grid.frequency_mesh())
@@ -216,21 +229,23 @@ def _factorize(sigma: Symbol, grid: Grid):
 
     rng = np.random.default_rng(SKETCH_SEED)
     Y = np.empty((M, 0))
-    probe, residual = None, np.inf
-    while Y.shape[1] < M and residual > FACTOR_RTOL:
-        width = min(M, max(2 * Y.shape[1], SKETCH_START))
-        if width * M > FACTOR_BUDGET:
-            raise BudgetError(
-                f"symbol {sigma.name!r} needs a rank above {Y.shape[1]} on {M} "
-                f"frequencies (held-out residual {residual:.3g} > {FACTOR_RTOL:g}); "
-                f"its factors would exceed {FACTOR_BUDGET} entries: shrink N")
-        new = width - Y.shape[1]
-        omega = rng.standard_normal((M, new if probe is not None else new + SKETCH_PROBES))
-        sketch = np.concatenate([S @ omega for _, S in blocks()])
-        if probe is None:
-            probe = sketch[:, new:]
-        Y = np.hstack([Y, sketch[:, :new]])
-        Q = np.linalg.qr(Y)[0]
+    probe, residual, k = None, np.inf, 0
+    while k < M and residual > FACTOR_RTOL:
+        k = min(M, max(2 * k, BASIS_START))
+        if k > Y.shape[1]:  # the basis outgrew the columns drawn: one more pass
+            width = min(M, max(2 * Y.shape[1], SKETCH_START))
+            if width * M > FACTOR_BUDGET:
+                raise BudgetError(
+                    f"symbol {sigma.name!r} reached basis width {Y.shape[1]} on {M} "
+                    f"frequencies (held-out residual {residual:.3g} > {FACTOR_RTOL:g}); "
+                    f"a wider sketch would exceed {FACTOR_BUDGET} entries: shrink N")
+            new = width - Y.shape[1]
+            omega = rng.standard_normal((M, new if probe is not None else new + SKETCH_PROBES))
+            sketch = np.concatenate([S @ omega for _, S in blocks()])
+            if probe is None:
+                probe = sketch[:, new:]
+            Y = np.hstack([Y, sketch[:, :new]])
+        Q = np.linalg.qr(Y[:, :k])[0]
         scale = np.linalg.norm(probe)
         residual = np.linalg.norm(probe - Q @ (Q.conj().T @ probe)) / scale if scale else 0.0
 
@@ -238,7 +253,7 @@ def _factorize(sigma: Symbol, grid: Grid):
                              full_matrices=False)
     tail = np.sqrt(np.cumsum(s[::-1] ** 2)[::-1])  # tail[r] = ||s[r:]||
     rank = int(np.count_nonzero(tail > FACTOR_RTOL * tail[0]))
-    return ((Q @ u[:, :rank]) * s[:rank]).T, vh[:rank], float(residual)
+    return ((Q @ u[:, :rank]) * s[:rank]).T, vh[:rank], float(residual), k
 
 
 @dataclass(frozen=True)

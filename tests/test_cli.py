@@ -137,6 +137,18 @@ def test_a_literal_zero_term_means_the_same_to_both_strategies(tmp_path, capsys,
     assert got["values"] == want["values"]
 
 
+@pytest.mark.parametrize("symbol, widths", [("sqrt1", [32]), ("one", [16]),
+                                            ("sin(x)*xi+cos(x)*sqrt(1+xi^2+eta^2)", [16, 32])])
+def test_apply_reports_each_basis_width_next_to_the_factor_tolerance(tmp_path, capsys,
+                                                                     symbol, widths):
+    assert cli_main(["apply", "--n", "256", "--symbol", symbol, "--out-dir", str(tmp_path)]) == 0
+    data = json.loads(capsys.readouterr().out)["data"]
+    assert (data["basis_widths"], data["factor_rtol"]) == (widths, 1e-14)
+    assert len(data["basis_widths"]) == data["x_rank"]
+    assert data["residual"] <= data["factor_rtol"]
+    assert data["rank"] <= sum(widths)
+
+
 @pytest.mark.parametrize("name, args", [
     ("seminorms", ["--samples", "100", "--box", "64", "--max-order", "1"]),
     ("decompose", ["--probes", "100"])])

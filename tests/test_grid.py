@@ -287,6 +287,18 @@ def test_two_level_phase_table_matches_the_direct_exponentials(step, start, coun
         assert np.allclose(reach, np.abs(tp), rtol=4 * np.finfo(float).eps, atol=0)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_phase_table_rows_are_the_complex_exponentials(seed):
+    # each row is e^{i t p} for its own t, written as cos + i sin
+    rng = np.random.default_rng(seed)
+    step, p = rng.uniform(0.01, 2.0), rng.uniform(-40.0, 40.0, 33)
+    start, count, block = int(rng.integers(-600, 600)), int(rng.integers(1, 1200)), 16
+    coarse, fine = phase_table(step, p, count, block, start=start)
+    t = (start + np.arange(0, count, block)) * step
+    assert np.max(np.abs(coarse - np.exp(1j * np.outer(t, p)))) <= 1e-15
+    assert np.max(np.abs(fine - np.exp(1j * np.outer(np.arange(block) * step, p)))) <= 1e-15
+
+
 def dense_eval_at(f, *coords):
     """The point-by-frequency phase matrix of trigonometric interpolation, in
     extended precision where numpy has it."""

@@ -431,6 +431,61 @@ def test_symbol_over_the_factor_budget_is_refused(monkeypatch):
         make_operator(sigma, grid)
 
 
+def _frequency_matrix(sigma, grid):
+    """S[k, l] = sigma(0, xi_k, eta_l) over the flattened frequency mesh."""
+    xi = np.stack([a.ravel() for a in grid.frequency_mesh()])
+    zero = np.zeros((grid.dim, 1, 1))
+    pack = (lambda a: a[0]) if grid.dim == 1 else tuple
+    S = sigma.eval(pack(zero), pack(xi[:, :, None]), pack(xi[:, None, :]))
+    return np.broadcast_to(S, (xi.shape[1],) * 2)
+
+
+def _check_factors(sigma, grid):
+    low = make_operator(sigma, grid).lowrank()
+    S = _frequency_matrix(sigma, grid)
+    assert low.x_rank == 1 and np.all(low.w == 1.0)
+    assert np.linalg.norm(S - low.u.T @ low.v) <= 10 * FACTOR_RTOL * np.linalg.norm(S)
+    s = np.linalg.svd(S, compute_uv=False)
+    tail = np.sqrt(np.cumsum(s[::-1] ** 2)[::-1])
+    assert low.rank <= np.count_nonzero(tail > FACTOR_RTOL * tail[0])
+    return low
+
+
+_X_FREE = [(dim, n, name) for dim, sizes in ((1, (16, 64, 256)), (2, (8, 16)))
+           for n in sizes for name, sigma in symbol_catalog(dim).items()
+           if sigma.x_independent]
+
+
+@pytest.mark.parametrize("dim, n, name", _X_FREE, ids=[f"{d}d-{n}-{m}" for d, n, m in _X_FREE])
+def test_factors_reproduce_the_frequency_matrix_at_its_tail_cut_rank(dim, n, name):
+    low = _check_factors(catalog_symbol(name, dim), Grid(dim=dim, points_per_axis=n))
+    # the basis stops at a power of two prefix of the sketch, which holds the rank
+    assert low.rank <= low.widths[0] <= n ** dim
+
+
+def test_full_rank_symbol_is_reached_through_several_passes():
+    sigma = symbol_from_expr("1/(1+(xi-eta)^2)", SymbolClassParams(0.0))
+    low = _check_factors(sigma, Grid(dim=1, points_per_axis=256))
+    assert (low.rank, low.widths) == (256, (256,))
+
+
+def test_full_rank_symbol_over_the_factor_budget_names_the_basis_width():
+    # FACTOR_BUDGET / M = 1024 columns at N = 4096: the pass to 2048 is refused
+    sigma = symbol_from_expr("1/(1+(xi-eta)^2)", SymbolClassParams(0.0))
+    with pytest.raises(BudgetError, match=r"reached basis width 1024 on 4096 frequencies"):
+        make_operator(sigma, Grid(dim=1, points_per_axis=4096))
+
+
+def test_streamed_factorization_evaluates_each_block_once_per_pass(monkeypatch):
+    # N = 4096: S is four 1024-row blocks; one sketch pass and Q^H S read each once
+    blocks = []
+    values = operator_module._values
+    monkeypatch.setattr(operator_module, "_values", lambda sigma, grid, x, xi, eta: blocks.append(
+        np.shape(xi)[1]) or values(sigma, grid, x, xi, eta))
+    make_operator(catalog_symbol("sqrt1"), Grid(dim=1, points_per_axis=4096))
+    assert [b for b in blocks if b > 1] == [1024] * 8
+
+
 # ------------------------------------- x-dependent symbols: skeleton expansion
 
 _SPATIAL = ("(2+sin({k}*x))", "exp(cos({k}*x))", "(1.5+cos(x)*sin({k}*x))", "sin({k}*x)")
