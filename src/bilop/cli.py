@@ -4,7 +4,8 @@ Each subcommand maps 1:1 to a library operation.  Options may come
 from a single JSON config document (--config) with explicit flags
 winning; unknown config keys are rejected with their JSON path.  Every
 run prints the shared report envelope {operation, config, verdict,
-data} and appends JSON (plus CSV for scan tables) under the output
+data} as one line of JSON (``python -m json.tool`` indents it) and
+appends the same line (plus CSV for scan tables) under the output
 directory, in files named {subcommand}-{timestamp}-{seedhash}.
 
 Exit status: 0 when the verdict is PASS/BOUNDED/complete (or the
@@ -34,8 +35,8 @@ from .operator import (FACTOR_RTOL, apply, commutator, make_operator,
                        verify_transpose_identities)
 from .reports import envelope, write_report
 from .symbols import (FAMILY_NAMES, MULTIPLIER_NAMES, SymbolClassParams,
-                      estimate_seminorms, ftc_decompose,
-                      multiplier_function, parse_symbol_expr,
+                      catalog_names, catalog_symbol, estimate_seminorms,
+                      ftc_decompose, multiplier_function, parse_symbol_expr,
                       reconstruction_residual, symbol_catalog,
                       symbol_from_expr)
 from .symbols.expr import VARIABLES
@@ -56,9 +57,8 @@ class _Parser(argparse.ArgumentParser):
 def resolve_symbol(cfg):
     name = str(cfg["symbol"])
     dim = int(cfg["dim"])
-    catalog = symbol_catalog(dim)
-    if name in catalog:
-        return catalog[name]
+    if name in catalog_names(dim):  # only the named entry is parsed
+        return catalog_symbol(name, dim)
     params = SymbolClassParams(float(cfg["m"]), float(cfg["rho"]), float(cfg["delta"]))
     return symbol_from_expr(name, params, dim=dim)
 
@@ -486,7 +486,7 @@ def main(argv=None) -> int:
         if name == "list-catalog":
             print("\n".join(data["listing"]))
             return 0
-        text = json.dumps(envelope(name, cfg, verdict, data), indent=2)
+        text = json.dumps(envelope(name, cfg, verdict, data))  # the C encoder: one line
         print(text)
         write_report(cfg["out_dir"], name, cfg.get("seed", 0), text,
                      table=table, basename=cfg.get("out"))

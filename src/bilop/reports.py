@@ -9,8 +9,14 @@ so scans from different runs can sit side by side and be compared.
 Numpy scalars and arrays are converted to plain Python, arrays in bulk
 through ``tolist``; complex values become {"re": ..., "im": ...}
 objects and non-finite floats the strings "nan", "inf" and "-inf".
-A command encodes its envelope once, as indented JSON: it prints that
-text, and ``write_report`` writes the same text to the file.
+A command encodes its envelope once, as one line of JSON by the C
+encoder (indenting would force the pure-Python one, over twice as
+slow on a 256-value ``apply`` envelope): it prints that line, and
+``write_report`` writes the same line to the file.  ``python -m json.tool FILE`` gives an
+indented view.  CSV cells that are plain ``int``, ``float`` or ``str``
+go to ``csv.writer`` as they are, which writes them as ``to_jsonable``
+would (a non-finite float as nan, inf or -inf); other cells are
+converted first.
 """
 from __future__ import annotations
 
@@ -22,6 +28,11 @@ import time
 from pathlib import Path
 
 import numpy as np
+
+
+# CSV cells written as they are, by exact type: a subclass such as
+# np.float64 or bool is converted as before, whatever csv.writer makes of it
+_PLAIN = (int, float, str)
 
 
 def _real_lists(arr: np.ndarray):
@@ -117,6 +128,7 @@ def write_report(directory, subcommand: str, seed, text: str,
         with open(cpath, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            writer.writerows([to_jsonable(c) for c in row] for row in rows)
+            writer.writerows([c if type(c) in _PLAIN else to_jsonable(c) for c in row]
+                             for row in rows)
         paths.append(cpath)
     return paths

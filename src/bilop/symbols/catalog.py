@@ -45,20 +45,25 @@ _CATALOG = {
 }
 
 
-def symbol_catalog(dim: int = 1) -> dict:
-    """All built-in symbols for the given dimension, keyed by name."""
+def catalog_names(dim: int = 1) -> tuple:
+    """The built-in symbol names for the given dimension."""
     if dim not in _CATALOG:
         raise InvalidInputError(f"dim must be 1 or 2, got {dim}")
-    return {name: symbol_from_expr(src, SymbolClassParams(m), dim=dim, name=name)
-            for name, (src, m) in _CATALOG[dim].items()}
+    return tuple(_CATALOG[dim])
 
 
 def catalog_symbol(name: str, dim: int = 1) -> Symbol:
-    cat = symbol_catalog(dim)
-    if name not in cat:
+    """The built-in symbol `name`; only that entry is parsed."""
+    if name not in catalog_names(dim):
         raise InvalidInputError(
-            f"unknown catalog symbol '{name}' (have {sorted(cat)})")
-    return cat[name]
+            f"unknown catalog symbol '{name}' (have {sorted(_CATALOG[dim])})")
+    src, m = _CATALOG[dim][name]
+    return symbol_from_expr(src, SymbolClassParams(m), dim=dim, name=name)
+
+
+def symbol_catalog(dim: int = 1) -> dict:
+    """All built-in symbols for the given dimension, keyed by name."""
+    return {name: catalog_symbol(name, dim) for name in catalog_names(dim)}
 
 
 # symbols whose declared class is honest (the two bad_* entries exist to fail)

@@ -1,11 +1,16 @@
 """Command line: every subcommand end to end at a small size, and config documents."""
 
+import csv
+import io
 import json
 
 import pytest
 
+import bilop.cli as cli_module
+import bilop.symbols.catalog as catalog_module
 from bilop.cli import SUBCOMMANDS
 from bilop.cli import main as cli_main
+from bilop.reports import to_jsonable
 
 # (subcommand, small-size flags, exit code, verdict)
 SMOKE = [
@@ -190,6 +195,44 @@ def test_printed_envelope_is_the_report_file_text(tmp_path, capsys):
     rows = (tmp_path / "run.csv").read_text().splitlines()
     assert rows[0] == "index,re,im" and len(rows) == len(values) + 1
     assert rows[1] == f"0,{values[0]['re']!r},{values[0]['im']!r}"
+
+
+def test_the_envelope_is_one_line_of_json(tmp_path, capsys):
+    assert cli_main(["verify-transpose", "--n", "16", "--out-dir", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out
+    assert printed.count("\n") == 1
+    assert printed == json.dumps(json.loads(printed)) + "\n"
+
+
+@pytest.mark.parametrize("argv", [["apply", "--n", "16"],
+                                  ["kernel-slice", "--level", "32", "--count", "4"],
+                                  ["wbp-scan", "--n", "1024"]], ids=lambda a: a[0])
+def test_table_cells_are_written_as_converting_every_cell_wrote_them(tmp_path, capsys, argv):
+    # plain int, float and str cells skip to_jsonable; the bytes stay those
+    # of converting every cell first
+    assert cli_main([*argv, "--out-dir", str(tmp_path), "--out", "run"]) == 0
+    name = argv[0]
+    cfg = cli_module.effective_config(name, cli_module.build_parser().parse_args(argv))
+    _, _, (header, rows) = SUBCOMMANDS[name][1](cfg)
+    want = io.StringIO()
+    writer = csv.writer(want)
+    writer.writerow(header)
+    writer.writerows([to_jsonable(c) for c in row] for row in rows)
+    assert (tmp_path / "run.csv").read_bytes() == want.getvalue().encode()
+
+
+def test_a_catalog_name_parses_only_its_own_entry(monkeypatch):
+    parsed = []
+    original = catalog_module.symbol_from_expr
+
+    def counted(src, *args, **kwargs):
+        parsed.append(src)
+        return original(src, *args, **kwargs)
+
+    monkeypatch.setattr(catalog_module, "symbol_from_expr", counted)
+    cfg = {"symbol": "sqrt1", "dim": 2, "m": 0.0, "rho": 1.0, "delta": 0.0}
+    assert cli_module.resolve_symbol(cfg).name == "sqrt1"
+    assert parsed == ["sqrt(1+xi1^2+xi2^2+eta1^2+eta2^2)"]
 
 
 def test_one_process_keeps_no_flags_between_runs(tmp_path, capsys):

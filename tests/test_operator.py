@@ -486,6 +486,16 @@ def test_streamed_factorization_evaluates_each_block_once_per_pass(monkeypatch):
     assert [b for b in blocks if b > 1] == [1024] * 8
 
 
+def test_streamed_factorization_starts_its_basis_at_the_first_pass_width(monkeypatch):
+    # sqrt1's rank at N = 4096 needs width 64: one QR, not three (16, 32, 64)
+    widths = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *args: widths.append(a.shape[1]) or qr(a, *args))
+    low = make_operator(catalog_symbol("sqrt1"), Grid(dim=1, points_per_axis=4096)).lowrank()
+    assert widths == [operator_module.SKETCH_START]
+    assert low.widths == (operator_module.SKETCH_START,) and low.residual <= FACTOR_RTOL
+
+
 # ------------------------------------- x-dependent symbols: skeleton expansion
 
 _SPATIAL = ("(2+sin({k}*x))", "exp(cos({k}*x))", "(1.5+cos(x)*sin({k}*x))", "sin({k}*x)")
