@@ -1,4 +1,4 @@
-from .bmo import BmoReport, bmo_estimate, bmo_norm
+from .bmo import BmoReport, bmo_norm
 from .bumps import bump, normalized_profile, profile_derivative_bound, raw_profile
 from .calderon import (CalderonScanReport, ConverseReport, calderon_demo,
                        calderon_ratio, calderon_scan, converse_check)
@@ -12,7 +12,7 @@ from .wbp import CONFIGS as WBP_CONFIGS
 from .wbp import WbpReport, default_scales, wbp_scan
 
 __all__ = [
-    "BmoReport", "bmo_estimate", "bmo_norm",
+    "BmoReport", "bmo_norm",
     "bump", "normalized_profile", "profile_derivative_bound", "raw_profile",
     "CalderonScanReport", "ConverseReport", "calderon_demo", "calderon_ratio",
     "calderon_scan", "converse_check",

@@ -66,7 +66,3 @@ def bmo_norm(u: GridFunction, s_max: int | None = None) -> BmoReport:
         cumulative.append(max(per_scale))
     return BmoReport(scales=tuple(scales), per_scale=tuple(per_scale),
                      cumulative=tuple(cumulative), value=cumulative[-1])
-
-
-def bmo_estimate(u: GridFunction) -> float:
-    return bmo_norm(u).value

@@ -20,8 +20,9 @@ from ..errors import InvalidInputError
 from ..grid import Grid, GridFunction, fractional_derivative, lp_norm, spectral_derivative
 from ..operator import apply, commutator, make_operator
 from ..symbols import catalog_symbol
+from ..verdict import GAP_BUDGET, SLOPE_BOUNDED, SUP_BUDGET, ZERO_FLOOR, check, log_fit
 from .bumps import bump
-from .scans import _fit_slope, _ladder, family_member
+from .scans import family_member, k_ladder
 
 
 def calderon_demo(a: GridFunction, f: GridFunction) -> GridFunction:
@@ -52,20 +53,23 @@ class CalderonScanReport:
     ratios: tuple
     slope: float
     verdict: str
+    bounds: tuple
 
 
 def calderon_scan(a: GridFunction, k_values=tuple(range(1, 65)),
                   family: str = "modulated-bump", seed: int = 0) -> CalderonScanReport:
     """Commutator-to-Lipschitz ratio across the frequency ladder."""
     grid = a.grid
-    k_values = _ladder(k_values)
+    k_values = k_ladder(k_values)
     ratios = [calderon_ratio(a, family_member(family, grid, k, seed=seed))
               for k in k_values]
-    slope = _fit_slope(k_values, ratios)
-    ok = slope < 0.2 and max(ratios) < 10.0
+    slope = log_fit(k_values, ratios)[0]
+    bounds = (check("slope", slope, "<", SLOPE_BOUNDED),
+              check("max_ratio", max(ratios), "<", SUP_BUDGET))
     return CalderonScanReport(k_values=k_values,
                               ratios=tuple(ratios), slope=slope,
-                              verdict="PASS" if ok else "FAILED")
+                              verdict="PASS" if all(b.holds for b in bounds) else "FAILED",
+                              bounds=bounds)
 
 
 @dataclass(frozen=True)
@@ -77,6 +81,7 @@ class ConverseReport:
     gradient_sup: float
     relative_gap: float
     verdict: str
+    bounds: tuple
 
 
 def converse_check(a: GridFunction, width: float | None = None,
@@ -102,12 +107,13 @@ def converse_check(a: GridFunction, width: float | None = None,
         estimates.append(lp_norm(out, 2) / denom)
     operator_estimate = float(max(estimates))
     gradient_sup = lp_norm(spectral_derivative(a, 0), np.inf)
-    gap = abs(operator_estimate - gradient_sup) / max(gradient_sup, 1e-300)
-    if gradient_sup <= 1e-14:
-        gap = operator_estimate  # both should vanish together
-    verdict = "PASS" if gap <= 0.2 else "FAILED"
+    # at a zero gradient both should vanish together
+    gap = (abs(operator_estimate - gradient_sup) / gradient_sup if gradient_sup > ZERO_FLOOR
+           else operator_estimate)
+    bound = check("relative_gap", gap, "<=", GAP_BUDGET, floor=ZERO_FLOOR)
     return ConverseReport(width=float(width), centers=centers,
                           estimates=tuple(float(e) for e in estimates),
                           operator_estimate=operator_estimate,
                           gradient_sup=float(gradient_sup),
-                          relative_gap=float(gap), verdict=verdict)
+                          relative_gap=bound.statistic,
+                          verdict="PASS" if bound.holds else "FAILED", bounds=(bound,))

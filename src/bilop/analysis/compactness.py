@@ -21,9 +21,11 @@ from ..errors import InvalidInputError
 from ..grid import lp_norm, lp_norms
 from ..operator import apply
 from ..parallel import thread_map
+from ..verdict import COVER_SHRINK, ZERO_FLOOR, check
 from .scans import check_holder, family_member
 
 EPS_FRACTIONS = (0.5, 0.2, 0.1)
+COVER_EPS = 0.2  # the eps fraction whose covering counts are compared
 
 
 @dataclass(frozen=True)
@@ -100,6 +102,7 @@ class CompactnessComparison:
     shared_covering: dict   # eps fraction -> (smooth count, rough count)
     covering_halved: bool
     verdict: str
+    bounds: tuple
 
 
 def compare_probes(smooth: CompactnessProbe, rough: CompactnessProbe) -> CompactnessComparison:
@@ -113,17 +116,21 @@ def compare_probes(smooth: CompactnessProbe, rough: CompactnessProbe) -> Compact
         raise InvalidInputError("probes must share shifts and family size")
     if not smooth.outputs or not rough.outputs:
         raise InvalidInputError("probes must carry their outputs for comparison")
-    curve_dominated = all(a <= b + 1e-14 for a, b in
-                          zip(smooth.equicontinuity, rough.equicontinuity))
     r = smooth.triple[2]
     scale = max(smooth.max_norm, rough.max_norm)
     counts = [_greedy_covering_counts(p.outputs[0].grid, np.stack([u.values for u in p.outputs]),
                                       r, scale) for p in (smooth, rough)]
     shared = {frac: (counts[0][frac], counts[1][frac]) for frac in EPS_FRACTIONS}
-    covering_halved = shared[0.2][0] <= shared[0.2][1] / 2
-    ok = curve_dominated and covering_halved
-    verdict = "consistent with compactness" if ok else "inconclusive"
+    excess = max((a - b for a, b in zip(smooth.equicontinuity, rough.equicontinuity)),
+                 default=0.0)
+    cover_smooth, cover_rough = shared[COVER_EPS]
+    bounds = (check("curve_excess", excess, "<=", ZERO_FLOOR, floor=ZERO_FLOOR),
+              # integer counts: "<=" against "<" changes outcomes here
+              check("covering_count", cover_smooth, "<=", cover_rough * COVER_SHRINK))
+    ok = all(b.holds for b in bounds)
     return CompactnessComparison(smooth=smooth, rough=rough,
-                                 curve_dominated=curve_dominated,
+                                 curve_dominated=bounds[0].holds,
                                  shared_covering=shared,
-                                 covering_halved=covering_halved, verdict=verdict)
+                                 covering_halved=bounds[1].holds,
+                                 verdict="consistent with compactness" if ok else "inconclusive",
+                                 bounds=bounds)

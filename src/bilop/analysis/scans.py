@@ -18,13 +18,11 @@ from ..grid import Grid, GridFunction, fractional_derivative, lp_norm
 from ..operator import apply, commutator, make_operator
 from ..parallel import thread_map
 from ..symbols import FAMILY_NAMES
+from ..verdict import (RATIO_BUDGET, SLOPE_BOUNDED, SLOPE_GROWING, SUP_BUDGET,
+                       check, log_fit, spread)
 from .bumps import bump
 
 HOLDER_TOL = 1e-12
-SLOPE_GROWING = 0.8
-SLOPE_BOUNDED = 0.2
-RATIO_BUDGET = 4.0
-KATO_PONCE_BUDGET = 10.0
 
 
 def holder_r(p: float, q: float) -> float:
@@ -79,9 +77,10 @@ class NormScanReport:
     slope: float
     max_min_ratio: float
     verdict: str
+    bounds: tuple
 
 
-def _ladder(k_values) -> tuple:
+def k_ladder(k_values) -> tuple:
     """The k values as ints; a slope or a max/min ratio needs two of them."""
     ks = tuple(int(k) for k in k_values)
     if len(ks) < 2:
@@ -89,17 +88,11 @@ def _ladder(k_values) -> tuple:
     return ks
 
 
-def _fit_slope(ks, vals) -> float:
-    lk = np.log(np.asarray(ks, dtype=float))
-    lv = np.log(np.maximum(np.asarray(vals, dtype=float), 1e-300))
-    return float(np.polyfit(lk, lv, 1)[0])
-
-
 def norm_scan(U, p: float, q: float, family: str = "modulated-bump",
               k_values=tuple(range(1, 65)), seed: int = 0) -> NormScanReport:
     r = holder_r(p, q)
     grid = U.grid
-    k_values = _ladder(k_values)
+    k_values = k_ladder(k_values)
 
     def ratio_at(k):
         f = family_member(family, grid, k, seed=seed)
@@ -108,18 +101,20 @@ def norm_scan(U, p: float, q: float, family: str = "modulated-bump",
         return lp_norm(out, r) / (lp_norm(f, p) * lp_norm(g, q))
 
     ratios = thread_map(ratio_at, k_values)
-    slope = _fit_slope(k_values, ratios)
-    top, bot = max(ratios), min(ratios)
-    max_min = top / max(bot, 1e-300) if top > 1e-14 else 1.0
-    if slope >= SLOPE_GROWING:
+    slope = log_fit(k_values, ratios)[0]
+    max_min = spread(ratios)
+    flat = check("growing_slope", slope, "<", SLOPE_GROWING)
+    bounds = (flat, check("bounded_slope", slope, "<=", SLOPE_BOUNDED),
+              check("max_min_ratio", max_min, "<", RATIO_BUDGET))
+    if not flat.holds:
         verdict = "GROWING"
-    elif slope <= SLOPE_BOUNDED and max_min < RATIO_BUDGET:
+    elif all(b.holds for b in bounds):
         verdict = "BOUNDED"
     else:
         verdict = "INCONCLUSIVE"
     return NormScanReport(triple=(p, q, r), family=family, k_values=k_values,
                           ratios=tuple(float(v) for v in ratios), slope=slope,
-                          max_min_ratio=float(max_min), verdict=verdict)
+                          max_min_ratio=max_min, verdict=verdict, bounds=bounds)
 
 
 @dataclass(frozen=True)
@@ -154,6 +149,7 @@ class KatoPonceReport:
     slope: float
     budget: float
     verdict: str
+    bounds: tuple
 
 
 def kato_ponce_check(alpha: float, p: float, q: float, r: float, grid: Grid,
@@ -163,7 +159,7 @@ def kato_ponce_check(alpha: float, p: float, q: float, r: float, grid: Grid,
     if alpha <= 0:
         raise InvalidInputError(f"alpha must be positive, got {alpha}")
     check_holder(p, q, r)
-    k_values = _ladder(k_values)
+    k_values = k_ladder(k_values)
 
     def ratio_at(k):
         f = family_member(family, grid, k, seed=seed)
@@ -175,9 +171,11 @@ def kato_ponce_check(alpha: float, p: float, q: float, r: float, grid: Grid,
         return num / den
 
     ratios = thread_map(ratio_at, k_values)
-    slope = _fit_slope(k_values, ratios)
-    ok = max(ratios) < KATO_PONCE_BUDGET and slope < SLOPE_BOUNDED
+    slope = log_fit(k_values, ratios)[0]
+    bounds = (check("max_ratio", max(ratios), "<", SUP_BUDGET),
+              check("slope", slope, "<", SLOPE_BOUNDED))
     return KatoPonceReport(alpha=float(alpha), triple=(p, q, r), family=family,
                            k_values=k_values, ratios=tuple(float(v) for v in ratios),
-                           slope=slope, budget=KATO_PONCE_BUDGET,
-                           verdict="PASS" if ok else "FAILED")
+                           slope=slope, budget=SUP_BUDGET,
+                           verdict="PASS" if all(b.holds for b in bounds) else "FAILED",
+                           bounds=bounds)

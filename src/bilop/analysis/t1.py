@@ -31,9 +31,8 @@ from ..grid import (GridFunction, SpectralFunction, fft_forward, fft_inverse,
 from ..operator import (BilinearOperator, apply, commutator, make_operator,
                         transpose)
 from ..symbols import ftc_decompose
+from ..verdict import IDENTITY_TOL, PLATEAU_REL, ROUNDOFF_FLOOR, Bound, check
 from .bmo import BmoReport, bmo_norm
-
-ROUTE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -46,6 +45,7 @@ class T1Report:
     plateaued: dict             # image name -> bool
     decomposition_available: bool
     verdict: str
+    bounds: tuple
 
 
 def project_top_mode(a: GridFunction) -> GridFunction:
@@ -60,18 +60,17 @@ def project_top_mode(a: GridFunction) -> GridFunction:
     return fft_inverse(SpectralFunction(a.grid, vals))
 
 
-def _plateaued(report: BmoReport, rel: float = 0.05) -> bool:
+def _plateau(name: str, report: BmoReport) -> Bound:
+    """Rise of the cumulative BMO value over its last two scales against
+    PLATEAU_REL of its top (0 below three scales or at a roundoff top)."""
     cum = report.cumulative
-    if len(cum) < 3:
-        return True
     top = cum[-1]
-    if top <= 1e-10:
-        return True
-    return (top - cum[-3]) <= rel * top
+    rise = 0.0 if len(cum) < 3 or top <= ROUNDOFF_FLOOR else top - cum[-3]
+    return check(f"{name}_plateau", rise, "<=", PLATEAU_REL * top, floor=ROUNDOFF_FLOOR)
 
 
 def check_t1_conditions(T: BilinearOperator, a: GridFunction,
-                        quad_points: int = 96, tol: float = ROUTE_TOL) -> T1Report:
+                        quad_points: int = 96, tol: float = IDENTITY_TOL) -> T1Report:
     """Compare commutator-on-constants routes and report mean oscillation."""
     grid = T.grid
     if grid.dim != 1:
@@ -112,14 +111,14 @@ def check_t1_conditions(T: BilinearOperator, a: GridFunction,
         for i in (1, 2):
             bmo[f"{name}_star{i}"] = bmo_norm(apply(transpose(com, i), one, one))
 
-    plateaued = {k: _plateaued(v) for k, v in bmo.items()}
-    ok = all(plateaued.values())
+    bounds = [_plateau(k, v) for k, v in bmo.items()]
     if decomposition_available:
-        ok = ok and max(route_gaps.values()) <= tol
+        bounds.append(check("route_gap", max(route_gaps.values()), "<=", tol))
     if closed_form_error is not None:
-        ok = ok and closed_form_error <= 1e-10
+        bounds.append(check("closed_form_error", closed_form_error, "<=", ROUNDOFF_FLOOR))
     return T1Report(symbol=sigma.name, grid_points=grid.points_per_axis,
                     route_gaps=route_gaps, closed_form_error=closed_form_error,
-                    bmo=bmo, plateaued=plateaued,
+                    bmo=bmo, plateaued={k: b.holds for k, b in zip(bmo, bounds)},
                     decomposition_available=decomposition_available,
-                    verdict="PASS" if ok else "FAILED")
+                    verdict="PASS" if all(b.holds for b in bounds) else "FAILED",
+                    bounds=tuple(bounds))

@@ -18,10 +18,10 @@ import numpy as np
 
 from ..errors import DomainError, InvalidInputError
 from ..operator import apply, pairing
+from ..verdict import RATIO_BUDGET, ZERO_FLOOR, check, spread
 from .bumps import bump
 
 CONFIGS = ("common-center", "separated")
-RATIO_BUDGET = 4.0
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,7 @@ class WbpReport:
     constants: tuple       # C(t) = P(t) / t^n
     ratio: float           # max C / min C
     verdict: str
+    bounds: tuple
 
 
 def default_scales(period: float) -> tuple:
@@ -70,12 +71,8 @@ def wbp_scan(T, order: int = 2, scales=None, config: str = "common-center",
         pairings.append(abs(pairing(apply(T, phi1, phi2), phi3)))
 
     constants = tuple(p / t ** n for p, t in zip(pairings, scales))
-    top, bot = max(constants), min(constants)
-    if top <= 1e-14:
-        ratio = 1.0  # operator annihilates the bumps at every scale
-    else:
-        ratio = top / max(bot, 1e-300)
-    verdict = "PASS" if ratio < RATIO_BUDGET else "FAILED"
+    bound = check("ratio", spread(constants), "<", RATIO_BUDGET, floor=ZERO_FLOOR)
     return WbpReport(config=config, order=order, scales=scales,
                      pairings=tuple(pairings), constants=constants,
-                     ratio=float(ratio), verdict=verdict)
+                     ratio=bound.statistic, verdict="PASS" if bound.holds else "FAILED",
+                     bounds=(bound,))

@@ -10,8 +10,10 @@ directory, in files named {subcommand}-{timestamp}-{seedhash}.
 
 Exit status: 0 when the verdict is PASS/BOUNDED/complete (or the
 comparative "consistent with compactness"), 2 when a check ran to
-completion but FAILED, 1 on errors of any kind (bad flags, bad config,
-parse errors, budget refusals).
+completion with any other verdict (FAILED, GROWING, INCONCLUSIVE or the
+comparative "inconclusive"), 1 on errors of any kind (bad flags, bad
+config, parse errors, budget refusals).  Each check's envelope lists its
+bounds: every statistic beside its cut-off and signed margin.
 """
 from __future__ import annotations
 
@@ -40,12 +42,14 @@ from .symbols import (FAMILY_NAMES, MULTIPLIER_NAMES, SymbolClassParams,
                       reconstruction_residual, symbol_catalog,
                       symbol_from_expr)
 from .symbols.expr import VARIABLES
+from .symbols.ftc import reconstruction_verdict
+from .verdict import IDENTITY_TOL
 
 PASS_VERDICTS = {"PASS", "BOUNDED", "complete", "consistent with compactness"}
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that exits 1 on usage problems (2 is reserved for FAILED)."""
+    """argparse that exits 1 on usage problems (2 is reserved for verdicts)."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -265,14 +269,15 @@ def _run_decompose(cfg):
                           guard=bool(cfg["guard"]), period=L)
     residual = reconstruction_residual(sigma, comps, probes=int(cfg["probes"]), period=L,
                                        box=float(cfg["box"]), seed=int(cfg["seed"]))
+    verdict, bounds = reconstruction_verdict(residual)
     data = {
         "components": [{"name": c.name,
                         "order": c.declared_class.m,
                         "rho": c.declared_class.rho,
                         "delta": c.declared_class.delta} for c in comps],
         "reconstruction_residual": residual,
+        "bounds": bounds,
     }
-    verdict = "PASS" if residual <= 1e-8 else "FAILED"
     return verdict, data, None
 
 
@@ -283,8 +288,7 @@ def _run_seminorms(cfg):
                                 seed=int(cfg["seed"]), period=float(cfg["period"]))
     rows = [(str(e.alpha), str(e.beta), str(e.gamma), e.ratio, e.slope, e.verdict)
             for e in report.entries]
-    verdict = "BOUNDED" if report.all_bounded else "FAILED"
-    return verdict, report, (("alpha", "beta", "gamma", "ratio", "slope", "verdict"), rows)
+    return report.verdict, report, (("alpha", "beta", "gamma", "ratio", "slope", "verdict"), rows)
 
 
 def _run_calderon(cfg):
@@ -339,9 +343,9 @@ SUBCOMMANDS = {
                      "samples": 630, "level": 128.0, "radius_div": 256.0,
                      "octaves": 3}, _run_certify_czk),
     "verify-transpose": ({**_COMMON, **_SYMBOL, "a": "sinx", "n": 32,
-                          "trials": 20, "tol": 1e-8}, _run_verify_transpose),
+                          "trials": 20, "tol": IDENTITY_TOL}, _run_verify_transpose),
     "check-t1": ({**_COMMON, **_SYMBOL, "a": "sinx", "n": 64,
-                  "quad_points": 96, "tol": 1e-8}, _run_check_t1),
+                  "quad_points": 96, "tol": IDENTITY_TOL}, _run_check_t1),
     "wbp-scan": ({**_COMMON, **_SYMBOL, "symbol": "xi", "op": "commutator1",
                   "a": "sinx", "b": "bump", "order": 2,
                   "geometry": "common-center", "t_divisors": "16,32,64,128",

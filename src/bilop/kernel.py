@@ -61,6 +61,8 @@ from .errors import DomainError, InvalidInputError, ToleranceError
 from .grid import GridFunction, eval_at, phase_table
 from .operator import x_expansion
 from .symbols.core import Symbol
+from .verdict import (EXPONENT_SLACK, R2_MIN, STABILITY_BUDGET, TINY, ZERO_FLOOR,
+                      check, log_fit, spread)
 
 GUARD_REL_TOL = 1e-6
 DEFAULT_SPACING = 0.25
@@ -289,7 +291,7 @@ def kernel_at(sigma: Symbol, level: float, x: float, y: float, z: float,
     val = complex(kernel_slice(sigma, level, x, [(y, z)], deriv, period, spacing).values[0])
     if guard:
         ref = complex(kernel_slice(sigma, level, x, [(y, z)], deriv, period, spacing / 2).values[0])
-        if abs(val - ref) / max(abs(ref), 1e-300) > GUARD_REL_TOL:
+        if abs(val - ref) / max(abs(ref), TINY) > GUARD_REL_TOL:
             raise ToleranceError(
                 f"kernel quadrature not converged at (x,y,z)=({x},{y},{z}): "
                 f"{val} at spacing {spacing} vs {ref} at {spacing/2}",
@@ -311,6 +313,7 @@ class DecayFitReport:
     stability_ratio: float = 1.0
     verdict: str = ""
     quadrature: dict = field(default_factory=dict)  # KernelQuadrature.account
+    bounds: tuple = ()
 
 
 def ray_offsets(r, th):
@@ -352,34 +355,27 @@ def fit_kernel_decay(sigma: Symbol, deriv=(0, 0, 0), radii=None, directions: int
         return np.max(np.abs(vals).reshape(len(radii), directions), axis=1), quad
 
     maxima, quad = max_curve(level)
-    lr, lk = np.log(np.array(radii)), np.log(maxima)
-    A = np.vstack([lr, np.ones_like(lr)]).T
-    coef, *_ = np.linalg.lstsq(A, lk, rcond=None)
-    pred = A @ coef
-    ss_res = float(np.sum((lk - pred) ** 2))
-    ss_tot = float(np.sum((lk - lk.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
+    p_hat, intercept, r2 = log_fit(radii, maxima)
 
     stability = {}
     for lev in stability_levels:
         curve = maxima if lev == level else max_curve(lev)[0]
         stability[float(lev)] = float(np.max(curve * np.array(radii) ** (-target)))
-    consts = list(stability.values())
-    ratio = max(consts) / max(min(consts), 1e-300) if consts else 1.0
 
-    p_hat = float(coef[0])
-    if r2 < 0.9:
+    fitted = check("r_squared", r2, ">=", R2_MIN)
+    decay = check("exponent", p_hat, "<=", target + EXPONENT_SLACK)
+    if not fitted.holds:
         verdict = "INCONCLUSIVE"
-    elif p_hat <= target + 0.3:
+    elif decay.holds:
         verdict = "BOUNDED"
     else:
         verdict = "FAILED"
-    return DecayFitReport(exponent_fit=p_hat, constant=float(np.exp(coef[1])),
+    return DecayFitReport(exponent_fit=p_hat, constant=float(np.exp(intercept)),
                           r_squared=r2, target=float(target), radii=radii,
                           maxima=tuple(float(m) for m in maxima), level=level,
                           deriv=tuple(deriv), stability=stability,
-                          stability_ratio=float(ratio), verdict=verdict,
-                          quadrature=quad.account(deriv[0]))
+                          stability_ratio=spread(stability.values()), verdict=verdict,
+                          quadrature=quad.account(deriv[0]), bounds=(fitted, decay))
 
 
 @dataclass(frozen=True)
@@ -392,6 +388,7 @@ class CzCertification:
     level: float
     verdict: str
     quadrature: dict  # KernelQuadrature.account
+    bounds: tuple
 
 
 def certify_cz_commutator_kernel(sigma: Symbol, a: GridFunction, slot: int = 1,
@@ -463,16 +460,11 @@ def certify_cz_commutator_kernel(sigma: Symbol, a: GridFunction, slot: int = 1,
         size_sup = np.maximum(size_sup, np.max(np.abs(w[0] * k0) * S ** (2 * n), axis=1))
         grad_sup = np.maximum(grad_sup, np.max(gnorm * S ** (2 * n + 1), axis=1))
     octaves = [(float(l), float(2 * l)) for l in lo]
-
-    def stable(sups):
-        top, bot = max(sups), min(sups)
-        if top < 1e-14:
-            return True  # identically zero kernel
-        return top / max(bot, 1e-300) < 2.0
-
-    verdict = "BOUNDED" if stable(size_sup) and stable(grad_sup) else "FAILED"
+    bounds = tuple(check(f"{name}_spread", spread(sups), "<", STABILITY_BUDGET, floor=ZERO_FLOOR)
+                   for name, sups in (("size", size_sup), ("grad", grad_sup)))
     return CzCertification(slot=slot, octaves=tuple(octaves),
                            size_sup=tuple(size_sup.tolist()),
                            grad_sup=tuple(grad_sup.tolist()),
                            samples=per_octave * octave_count, level=level,
-                           verdict=verdict, quadrature=quad.account())
+                           verdict="BOUNDED" if all(b.holds for b in bounds) else "FAILED",
+                           quadrature=quad.account(), bounds=bounds)

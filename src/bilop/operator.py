@@ -89,6 +89,7 @@ from .grid import Grid, GridFunction
 from .symbols.core import Symbol, _pack, symbol_from_expr
 from .symbols.expr import BinOp, Call, Neg, Node, Num, Pow, _add, _div, _is, _mul, _neg
 from .symbols.ftc import Quad
+from .verdict import IDENTITY_TOL, check
 
 DIRECT_BUDGET = 2 ** 28
 DENSE_BUDGET = 2 ** 24
@@ -587,7 +588,7 @@ def dense_tensor(op) -> np.ndarray:
 
 def verify_transpose_identities(T: BilinearOperator, a: GridFunction,
                                 trials: int = 20, seed: int = 0,
-                                tol: float = 1e-8) -> dict:
+                                tol: float = IDENTITY_TOL) -> dict:
     """Check the transposes of C = [T, a]_1 and [T, a]_2 on random triples
     against their defining pairings <C(f,g), h> = <C^{*1}(h,g), f> = <C^{*2}(f,h), g>.
 
@@ -632,10 +633,12 @@ def verify_transpose_identities(T: BilinearOperator, a: GridFunction,
                 results[key] = max([results[key]] + [
                     abs(p - q) / norm for p, q, norm in zip(lhs, rhs, norms)])
 
+    bound = check("max_residual", max(results.values()), "<=", tol)
     return {
         "residuals": results,
-        "max_residual": max(results.values()),
-        "verdict": "PASS" if max(results.values()) <= tol else "FAILED",
+        "max_residual": bound.statistic,
+        "verdict": "PASS" if bound.holds else "FAILED",
         "trials": trials,
         "grid_points": grid.points_per_axis,
+        "bounds": (bound,),
     }

@@ -99,13 +99,16 @@ def report_basename(subcommand: str, seed) -> str:
     return f"{subcommand}-{stamp}-{seed_hash(seed)}"
 
 
-def _fresh_path(directory: Path, base: str, ext: str) -> Path:
-    path = directory / f"{base}{ext}"
-    k = 1
-    while path.exists():  # append-only: never clobber an earlier report
-        path = directory / f"{base}-{k}{ext}"
-        k += 1
-    return path
+def _claim(directory: Path, base: str, ext: str, newline=None):
+    """(path, file) of the first of {base}{ext}, {base}-1{ext}, ... that did not
+    exist, created exclusively: two writers can never claim the same name."""
+    k = 0
+    while True:
+        path = directory / (f"{base}-{k}{ext}" if k else f"{base}{ext}")
+        try:
+            return path, open(path, "x", newline=newline)
+        except FileExistsError:  # append-only: never clobber an earlier report
+            k += 1
 
 
 def write_report(directory, subcommand: str, seed, text: str,
@@ -118,14 +121,14 @@ def write_report(directory, subcommand: str, seed, text: str,
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     base = basename or report_basename(subcommand, seed)
-    paths = []
-    jpath = _fresh_path(directory, base, ".json")
-    jpath.write_text(text + "\n")
-    paths.append(jpath)
+    jpath, fh = _claim(directory, base, ".json")
+    with fh:
+        fh.write(text + "\n")
+    paths = [jpath]
     if table is not None:
         header, rows = table
-        cpath = _fresh_path(directory, base, ".csv")
-        with open(cpath, "w", newline="") as fh:
+        cpath, fh = _claim(directory, base, ".csv", newline="")
+        with fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows([c if type(c) in _PLAIN else to_jsonable(c) for c in row]

@@ -21,6 +21,7 @@ import functools
 import numpy as np
 
 from ..errors import InvalidInputError, ToleranceError
+from ..verdict import IDENTITY_TOL, check
 from .core import Symbol, SymbolClassParams, _pack, symbol_from_expr
 from .expr import VARIABLES, Node, _is
 
@@ -139,3 +140,9 @@ def reconstruction_residual(sigma: Symbol, components: list, probes: int = 200,
         acc = acc + xic[j] * components[j].eval(x, xi, eta)
         acc = acc + etac[j] * components[dim + j].eval(x, xi, eta)
     return float(np.max(np.abs(acc - base)))
+
+
+def reconstruction_verdict(residual: float) -> tuple:
+    """(verdict, bounds) of a reconstruction residual: PASS within IDENTITY_TOL."""
+    bound = check("reconstruction_residual", residual, "<=", IDENTITY_TOL)
+    return "PASS" if bound.holds else "FAILED", (bound,)

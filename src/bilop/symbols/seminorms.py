@@ -27,12 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import InvalidInputError
+from ..verdict import (INCREMENT_FLOOR, INCREMENT_RATIO_CUTOFF, SLOPE_BOUNDED, check,
+                       log_fit)
 from .core import Symbol, _pack, absnorm
 
-GROWTH_SLOPE_THRESHOLD = 0.2
 AXIS_DEPTH = 20
-INCREMENT_RATIO_CUTOFF = 0.5
-INCREMENT_FLOOR = 1e-9  # relative to max(m_k); below it an increment is roundoff
 
 
 @dataclass(frozen=True)
@@ -64,10 +63,8 @@ class SeminormReport:
     max_order: int
     entries: tuple
     near_zero: NearZeroEntry
-
-    @property
-    def all_bounded(self) -> bool:
-        return all(e.verdict == "bounded" for e in (*self.entries, self.near_zero))
+    verdict: str  # BOUNDED when every entry and near_zero are bounded, else FAILED
+    bounds: tuple
 
     def entry(self, alpha, beta, gamma) -> SeminormEntry:
         for e in self.entries:
@@ -92,16 +89,9 @@ def _shell_probes(rng, s: int, samples: int, dim: int, period: float):
     return rng.uniform(0.0, period, size=(samples, dim)), z
 
 
-def _growth_slope(maxima: np.ndarray) -> float:
-    positive = maxima > 0
-    if positive.sum() < 2:
-        return 0.0
-    return float(np.polyfit(np.nonzero(positive)[0], np.log2(maxima[positive]), 1)[0])
-
-
-def _near_zero(sigma: Symbol, rng, samples: int, period: float) -> NearZeroEntry:
-    """Order-0 maxima on paths to xi = 0, eta = 0 and the origin, one row per
-    scale 2^-k, all scales in one evaluation."""
+def _near_zero(sigma: Symbol, rng, samples: int, period: float) -> tuple:
+    """(NearZeroEntry, its bounds): order-0 maxima on paths to xi = 0, eta = 0
+    and the origin, one row per scale 2^-k, all scales in one evaluation."""
     dim = sigma.dim
     x = _pack(tuple(rng.uniform(0.0, period, size=(dim, 3 * samples))), dim)
     z = rng.uniform(-1.0, 1.0, size=(2, dim, 3 * samples))
@@ -117,13 +107,17 @@ def _near_zero(sigma: Symbol, rng, samples: int, period: float) -> NearZeroEntry
     with np.errstate(all="ignore"):
         last, before = m[-1] - m[-6], m[-6] - m[-11]  # m_20 - m_15, m_15 - m_10
         increment_ratio = float(last / before) if finite else float("nan")
-    singular = not finite or (last > INCREMENT_FLOOR * np.max(m)
-                              and last > INCREMENT_RATIO_CUTOFF * before)
+    bounds = [check("near_zero_nonfinite", np.count_nonzero(~np.isfinite(m)), "<=", 0)]
+    if finite:
+        floor = INCREMENT_FLOOR * np.max(m)
+        bounds.append(check("near_zero_increment", last, "<=",
+                            max(floor, INCREMENT_RATIO_CUTOFF * before), floor=floor))
     zero = (0,) * dim
-    return NearZeroEntry(zero, zero, zero, ratio=float(np.max(m)), shell_max=tuple(m.tolist()),
-                         slope=_growth_slope(m) if finite else float("nan"),
-                         verdict="singular" if singular else "bounded",
-                         increment_ratio=increment_ratio)
+    entry = NearZeroEntry(zero, zero, zero, ratio=float(np.max(m)), shell_max=tuple(m.tolist()),
+                          slope=log_fit(2.0 ** k.ravel(), m)[0] if finite else float("nan"),
+                          verdict="bounded" if all(b.holds for b in bounds) else "singular",
+                          increment_ratio=increment_ratio)
+    return entry, tuple(bounds)
 
 
 def estimate_seminorms(sigma: Symbol, max_order: int = 2, box: float = 8192.0,
@@ -137,7 +131,8 @@ def estimate_seminorms(sigma: Symbol, max_order: int = 2, box: float = 8192.0,
         raise InvalidInputError(f"box must be >= 2, got {box}")
     dim = sigma.dim
     s_max = int(round(np.log2(box))) - 1
-    shells = tuple((2.0 ** s, 2.0 ** (s + 1)) for s in range(s_max + 1))
+    scales = 2.0 ** np.arange(s_max + 1)
+    shells = tuple((lo, 2 * lo) for lo in scales.tolist())
 
     rng = np.random.default_rng(seed)
     x, z = (np.stack(v) for v in zip(*(_shell_probes(rng, s, samples, dim, period)
@@ -162,13 +157,19 @@ def estimate_seminorms(sigma: Symbol, max_order: int = 2, box: float = 8192.0,
                                          verdict="indeterminate",
                                          shell_max=tuple(maxima)))
             continue
-        slope = _growth_slope(maxima)
-        verdict = "growing" if slope > GROWTH_SLOPE_THRESHOLD else "bounded"
+        slope = log_fit(scales, maxima)[0]
+        verdict = "bounded" if slope <= SLOPE_BOUNDED else "growing"
         entries.append(SeminormEntry(a, b, g, ratio=float(np.max(maxima)), slope=slope,
                                      verdict=verdict, shell_max=tuple(maxima)))
 
+    near_zero, near_bounds = _near_zero(sigma, rng, samples, period)
+    measured = [e.slope for e in entries if e.verdict != "indeterminate"]
+    bounds = (check("indeterminate_entries", len(entries) - len(measured), "<=", 0),
+              check("growth_slope", max(measured, default=0.0), "<=", SLOPE_BOUNDED),
+              *near_bounds)
     return SeminormReport(symbol=sigma.name,
                           declared_class=(cls.m, cls.rho, cls.delta),
                           box=float(box), shells=shells, samples=samples,
-                          max_order=max_order, entries=tuple(entries),
-                          near_zero=_near_zero(sigma, rng, samples, period))
+                          max_order=max_order, entries=tuple(entries), near_zero=near_zero,
+                          verdict="BOUNDED" if all(b.holds for b in bounds) else "FAILED",
+                          bounds=bounds)

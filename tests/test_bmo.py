@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bilop.analysis import bmo_estimate, bmo_norm
+from bilop.analysis import bmo_norm
 from bilop.errors import InvalidInputError
 from bilop.grid import Grid, GridFunction
 
@@ -50,7 +50,6 @@ def test_cumulative_is_monotone_and_matches_value():
     assert np.all(np.diff(rep.cumulative) >= 0)
     assert rep.value == rep.cumulative[-1]
     assert rep.value == max(rep.per_scale)
-    assert bmo_estimate(u) == rep.value
 
 
 def test_smooth_oscillation_plateaus_by_coarse_scales():

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
@@ -22,6 +23,7 @@ SMOKE = [
     ("check-t1", ["--n", "32"], 0, "PASS"),
     ("wbp-scan", ["--n", "1024"], 0, "PASS"),
     ("norm-scan", ["--n", "256", "--k-max", "32"], 2, "GROWING"),
+    ("norm-scan", ["--n", "256", "--k-max", "16"], 2, "INCONCLUSIVE"),  # not FAILED, still 2
     ("kato-ponce", ["--n", "64", "--k-max", "8"], 0, "PASS"),
     ("compactness-probe", ["--n", "128"], 0, "consistent with compactness"),
     ("decompose", ["--probes", "100"], 0, "PASS"),
@@ -35,12 +37,18 @@ def test_smoke_cases_cover_every_subcommand():
     assert {name for name, *_ in SMOKE} | {"list-catalog"} == set(SUBCOMMANDS)
 
 
-@pytest.mark.parametrize("name,args,rc,verdict", SMOKE, ids=[c[0] for c in SMOKE])
+@pytest.mark.parametrize("name,args,rc,verdict", SMOKE,
+                         ids=[c[0] + ("-inconclusive" if c[3] == "INCONCLUSIVE" else "")
+                              for c in SMOKE])
 def test_subcommand_runs_to_its_verdict(tmp_path, capsys, name, args, rc, verdict):
     assert cli_main([name, *args, "--out-dir", str(tmp_path)]) == rc
     payload = json.loads(capsys.readouterr().out)
     assert (payload["operation"], payload["verdict"]) == (name, verdict)
     assert any(tmp_path.iterdir())
+    if verdict != "complete":  # every check reports each statistic beside its cut-off
+        bounds = payload["data"]["bounds"]
+        assert bounds and all(isinstance(b[k], float) and math.isfinite(b[k])
+                              for b in bounds for k in ("statistic", "cutoff", "margin"))
 
 
 def test_list_catalog_prints_the_listing(capsys):

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bilop.cli as cli_module
@@ -30,6 +30,7 @@ from bilop.operator import (
 from bilop.parallel import thread_map
 from bilop.symbols import (SymbolClassParams, catalog_symbol, ftc_decompose,
                            parse_symbol_expr, symbol_catalog, symbol_from_expr)
+from bilop.symbols.core import _pack
 
 
 def brute_force_apply(sigma, f, g):
@@ -587,6 +588,19 @@ def separable_symbols(draw, dim):
     return shape.format(p=pair(), q=pair(), r=pair(), s=single())
 
 
+def _term_scale(sigma, f, g):
+    """max over nodes x of sum_{k,l} |sigma(x, xi_k, eta_l) fhat_k ghat_l| / L^{2n}:
+    the size of the terms of the defining sum, which sets its roundoff."""
+    grid, dim = f.grid, f.grid.dim
+    m = grid.points_per_axis ** dim
+    k = grid.frequency_mesh()
+    S = sigma.eval(_pack([c.reshape(-1, 1, 1) for c in grid.node_mesh()], dim),
+                   _pack([c.reshape(1, -1, 1) for c in k], dim),
+                   _pack([c.reshape(1, 1, -1) for c in k], dim))
+    fh, gh = (np.abs(fft_forward(u).coefficients).ravel() for u in (f, g))
+    return np.max((np.abs(np.broadcast_to(S, (m, m, m))) @ gh) @ fh) / grid.period ** (2 * dim)
+
+
 def _check_expansion_is_exact(expr, grid, seed):
     sigma = symbol_from_expr(expr, SymbolClassParams(1.0), dim=grid.dim)
     T = make_operator(sigma, grid)
@@ -594,9 +608,17 @@ def _check_expansion_is_exact(expr, grid, seed):
     fast = apply(T, f, g).values
     slow = apply(make_operator(sigma, grid, strategy="direct"), f, g).values
     assert T.strategy == "multiplier", expr
-    assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow)), expr
+    # relative to the terms, not to the output, which a cancelling symbol makes small;
+    # the largest node's terms, as FFT roundoff spreads over the grid and a node
+    # where sigma vanishes ((1+sin(x))*sqrt(1+xi^2+eta^2) at x = 3 pi/2) has none
+    assert np.max(np.abs(fast - slow)) <= 1e-12 * _term_scale(sigma, f, g), expr
 
 
+# this cancelling symbol's gap is 1.4e-12 of max|direct| and 1.9e-13 of its terms
+@example(expr="(((2+sin(1*x))*(1*exp(-(xi^2+eta^2)/1^2)+3.5*exp(-(xi^2+eta^2)/1^2)"
+              "+-0.5*cos(xi/sqrt(1+xi^2+eta^2)))-(1*exp(-(xi^2+eta^2)/1^2)"
+              "+3.5*exp(-(xi^2+eta^2)/1^2)+3.5*exp(-(xi^2+eta^2)/1^2)))/(1+xi^2))^3",
+         seed=0)
 @settings(max_examples=30, deadline=None)
 @given(expr=separable_symbols(1), seed=st.integers(0, 99))
 def test_ast_expansion_is_exact_on_random_products_1d(expr, seed):

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,3 +146,12 @@ def test_write_report_writes_the_given_text_and_table(tmp_path):
                                         ["1", "0.5", "-inf"]]
     again = write_report(tmp_path, "apply", 0, text, basename="run")
     assert [p.name for p in again] == ["run-1.json"]  # append-only
+
+
+def test_write_report_never_clobbers_a_name_taken_after_a_check(tmp_path, monkeypatch):
+    # a writer that checked a name free before another claimed it must not overwrite
+    (tmp_path / "run.json").write_text("earlier\n")
+    monkeypatch.setattr(Path, "exists", lambda self: False)
+    paths = write_report(tmp_path, "apply", 0, "{}", basename="run")
+    assert (tmp_path / "run.json").read_text() == "earlier\n"
+    assert [p.name for p in paths] == ["run-1.json"]

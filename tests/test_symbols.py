@@ -146,7 +146,7 @@ def test_near_zero_probe_flags_symbols_singular_at_the_axes():
                                  max_order=1, box=1024.0, samples=100)
         assert rep.near_zero.verdict == "singular", expr
         assert rep.near_zero.slope == pytest.approx(slope, abs=0.05), expr
-        assert not rep.all_bounded
+        assert rep.verdict == "FAILED"
     for dim in (1, 2):
         for name in ("one", "sqrt1", "cm0", "theta_sqrt1"):
             rep = estimate_seminorms(catalog_symbol(name, dim=dim), max_order=1,
