@@ -5,8 +5,8 @@ from .calderon import (CalderonScanReport, ConverseReport, calderon_demo,
 from .compactness import (CompactnessComparison, CompactnessProbe,
                           compactness_probe, compare_probes)
 from .scans import (FAMILY_NAMES, KatoPonceReport, NormScanReport,
-                    SmoothingContrastReport, check_holder, family_member,
-                    holder_r, kato_ponce_check, norm_scan, smoothing_contrast)
+                    SmoothingContrastReport, family_member, holder_r,
+                    kato_ponce_check, norm_scan, smoothing_contrast)
 from .t1 import T1Report, check_t1_conditions, project_top_mode
 from .wbp import CONFIGS as WBP_CONFIGS
 from .wbp import WbpReport, default_scales, wbp_scan
@@ -19,7 +19,7 @@ __all__ = [
     "CompactnessComparison", "CompactnessProbe", "compactness_probe",
     "compare_probes",
     "FAMILY_NAMES", "KatoPonceReport", "NormScanReport",
-    "SmoothingContrastReport", "check_holder", "family_member", "holder_r",
+    "SmoothingContrastReport", "family_member", "holder_r",
     "kato_ponce_check", "norm_scan", "smoothing_contrast",
     "T1Report", "check_t1_conditions", "project_top_mode",
     "WBP_CONFIGS", "WbpReport", "default_scales", "wbp_scan",

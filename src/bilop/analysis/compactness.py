@@ -22,7 +22,7 @@ from ..grid import lp_norm, lp_norms
 from ..operator import apply
 from ..parallel import thread_map
 from ..verdict import COVER_SHRINK, ZERO_FLOOR, check
-from .scans import check_holder, family_member
+from .scans import family_member, holder_r
 
 EPS_FRACTIONS = (0.5, 0.2, 0.1)
 COVER_EPS = 0.2  # the eps fraction whose covering counts are compared
@@ -55,12 +55,12 @@ def _greedy_covering_counts(grid, stack: np.ndarray, r: float, scale: float) -> 
 
 
 def compactness_probe(U, multiplier_kind: str, family_size: int = 50,
-                      p: float = 4.0, q: float = 4.0, r: float = 2.0,
-                      mode_budget: int = 32, shifts=None,
-                      seed: int = 0) -> CompactnessProbe:
+                      p: float = 4.0, q: float = 4.0, mode_budget: int = 32,
+                      shifts=None, seed: int = 0) -> CompactnessProbe:
+    """U on a random family with ||f||_p = ||g||_q = 1, in L^r for r = holder_r(p, q)."""
     if family_size < 50:
         raise InvalidInputError(f"need family_size >= 50, got {family_size}")
-    check_holder(p, q, r)
+    r = holder_r(p, q)
     grid = U.grid
     n_axis = grid.points_per_axis
     if shifts is None:

@@ -22,20 +22,12 @@ from ..verdict import (RATIO_BUDGET, SLOPE_BOUNDED, SLOPE_GROWING, SUP_BUDGET,
                        check, log_fit, spread)
 from .bumps import bump
 
-HOLDER_TOL = 1e-12
-
 
 def holder_r(p: float, q: float) -> float:
     """r with 1/p + 1/q = 1/r."""
     if p < 1 or q < 1:
         raise InvalidInputError(f"exponents must be >= 1, got ({p}, {q})")
     return 1.0 / (1.0 / p + 1.0 / q)
-
-
-def check_holder(p: float, q: float, r: float):
-    if abs(1.0 / p + 1.0 / q - 1.0 / r) > HOLDER_TOL:
-        raise InvalidInputError(
-            f"(p, q, r) = ({p}, {q}, {r}) violates 1/p + 1/q = 1/r")
 
 
 def family_member(name: str, grid: Grid, k: int, seed: int = 0,
@@ -152,13 +144,14 @@ class KatoPonceReport:
     bounds: tuple
 
 
-def kato_ponce_check(alpha: float, p: float, q: float, r: float, grid: Grid,
+def kato_ponce_check(alpha: float, p: float, q: float, grid: Grid,
                      family: str = "modulated-bump",
                      k_values=tuple(range(1, 65)), seed: int = 0) -> KatoPonceReport:
-    """Fractional Leibniz ratio ||D^a(fg)||_r over the sum of cross terms."""
+    """Fractional Leibniz ratio ||D^a(fg)||_r over the sum of cross terms,
+    with r = holder_r(p, q)."""
     if alpha <= 0:
         raise InvalidInputError(f"alpha must be positive, got {alpha}")
-    check_holder(p, q, r)
+    r = holder_r(p, q)
     k_values = k_ladder(k_values)
 
     def ratio_at(k):

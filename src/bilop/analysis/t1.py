@@ -70,8 +70,9 @@ def _plateau(name: str, report: BmoReport) -> Bound:
 
 
 def check_t1_conditions(T: BilinearOperator, a: GridFunction,
-                        quad_points: int = 96, tol: float = IDENTITY_TOL) -> T1Report:
-    """Compare commutator-on-constants routes and report mean oscillation."""
+                        quad_points: int = 96) -> T1Report:
+    """Compare commutator-on-constants routes (within IDENTITY_TOL) and report
+    mean oscillation."""
     grid = T.grid
     if grid.dim != 1:
         raise InvalidInputError("the constants check is implemented for 1D")
@@ -113,7 +114,7 @@ def check_t1_conditions(T: BilinearOperator, a: GridFunction,
 
     bounds = [_plateau(k, v) for k, v in bmo.items()]
     if decomposition_available:
-        bounds.append(check("route_gap", max(route_gaps.values()), "<=", tol))
+        bounds.append(check("route_gap", max(route_gaps.values()), "<=", IDENTITY_TOL))
     if closed_form_error is not None:
         bounds.append(check("closed_form_error", closed_form_error, "<=", ROUNDOFF_FLOOR))
     return T1Report(symbol=sigma.name, grid_points=grid.points_per_axis,

@@ -2,7 +2,10 @@
 
 Each subcommand maps 1:1 to a library operation.  Options may come
 from a single JSON config document (--config) with explicit flags
-winning; unknown config keys are rejected with their JSON path.  Every
+winning; unknown config keys are rejected with their JSON path.  Flags
+and config values go through one parser, _typed, as the type of their
+default.  No option has only one valid value: r follows from 1/r = 1/p +
+1/q, and identity checks compare against verdict.IDENTITY_TOL.  Every
 run prints the shared report envelope {operation, config, verdict,
 data} as one line of JSON (``python -m json.tool`` indents it) and
 appends the same line (plus CSV for scan tables) under the output
@@ -28,7 +31,7 @@ import numpy as np
 
 from .analysis import (calderon_scan, check_t1_conditions,
                        compactness_probe, compare_probes, converse_check,
-                       holder_r, kato_ponce_check, norm_scan, wbp_scan)
+                       kato_ponce_check, norm_scan, wbp_scan)
 from .errors import BilopError, ConfigError, DomainError, SymbolParseError
 from .grid import Grid, GridFunction, lp_norm
 from .kernel import (certify_cz_commutator_kernel, fit_kernel_decay,
@@ -43,7 +46,6 @@ from .symbols import (FAMILY_NAMES, MULTIPLIER_NAMES, SymbolClassParams,
                       symbol_from_expr)
 from .symbols.expr import VARIABLES
 from .symbols.ftc import reconstruction_verdict
-from .verdict import IDENTITY_TOL
 
 PASS_VERDICTS = {"PASS", "BOUNDED", "complete", "consistent with compactness"}
 
@@ -126,7 +128,8 @@ def _run_apply(cfg):
     if T.strategy == "multiplier":
         low = T.lowrank()
         data.update(rank=low.rank, residual=low.residual, factor_rtol=FACTOR_RTOL,
-                    basis_widths=list(low.widths), x_rank=low.x_rank)
+                    factor_floor=low.floor, basis_widths=list(low.widths),
+                    x_rank=low.x_rank)
     data.update(l2_norm=lp_norm(out, 2), linf_norm=lp_norm(out, np.inf),
                 values=out.values)
     flat = out.values.ravel()
@@ -186,8 +189,7 @@ def _run_verify_transpose(cfg):
     a = resolve_multiplier(cfg["a"], grid)
     T = make_operator(resolve_symbol(cfg), grid)
     result = verify_transpose_identities(T, a, trials=int(cfg["trials"]),
-                                         seed=int(cfg["seed"]),
-                                         tol=float(cfg["tol"]))
+                                         seed=int(cfg["seed"]))
     table = (("identity", "residual"), sorted(result["residuals"].items()))
     return result["verdict"], result, table
 
@@ -196,8 +198,7 @@ def _run_check_t1(cfg):
     grid = _grid(cfg)
     a = resolve_multiplier(cfg["a"], grid)
     T = make_operator(resolve_symbol(cfg), grid)
-    report = check_t1_conditions(T, a, quad_points=int(cfg["quad_points"]),
-                                 tol=float(cfg["tol"]))
+    report = check_t1_conditions(T, a, quad_points=int(cfg["quad_points"]))
     rows = [(name, rep.value) for name, rep in sorted(report.bmo.items())]
     return report.verdict, report, (("image", "bmo_value"), rows)
 
@@ -226,11 +227,8 @@ def _run_norm_scan(cfg):
 
 def _run_kato_ponce(cfg):
     grid = _grid(cfg)
-    r = cfg["r"]
-    p, q = float(cfg["p"]), float(cfg["q"])
-    r = holder_r(p, q) if r is None else float(r)
     ks = tuple(range(1, int(cfg["k_max"]) + 1))
-    report = kato_ponce_check(float(cfg["alpha"]), p, q, r, grid,
+    report = kato_ponce_check(float(cfg["alpha"]), float(cfg["p"]), float(cfg["q"]), grid,
                               family=str(cfg["family"]), k_values=ks,
                               seed=int(cfg["seed"]))
     table = (("k", "ratio"), list(zip(report.k_values, report.ratios)))
@@ -248,8 +246,7 @@ def _run_compactness(cfg):
         U = commutator(T, 1, a, 1, b)
         probes[kind] = compactness_probe(
             U, kind, family_size=int(cfg["family_size"]), p=float(cfg["p"]),
-            q=float(cfg["q"]), r=float(cfg["r"]),
-            mode_budget=int(cfg["mode_budget"]), seed=int(cfg["seed"]))
+            q=float(cfg["q"]), mode_budget=int(cfg["mode_budget"]), seed=int(cfg["seed"]))
     comparison = compare_probes(probes["smooth"], probes["rough"])
     # raw output functions stay in memory only
     payload = dataclasses.replace(
@@ -343,9 +340,9 @@ SUBCOMMANDS = {
                      "samples": 630, "level": 128.0, "radius_div": 256.0,
                      "octaves": 3}, _run_certify_czk),
     "verify-transpose": ({**_COMMON, **_SYMBOL, "a": "sinx", "n": 32,
-                          "trials": 20, "tol": IDENTITY_TOL}, _run_verify_transpose),
+                          "trials": 20}, _run_verify_transpose),
     "check-t1": ({**_COMMON, **_SYMBOL, "a": "sinx", "n": 64,
-                  "quad_points": 96, "tol": IDENTITY_TOL}, _run_check_t1),
+                  "quad_points": 96}, _run_check_t1),
     "wbp-scan": ({**_COMMON, **_SYMBOL, "symbol": "xi", "op": "commutator1",
                   "a": "sinx", "b": "bump", "order": 2,
                   "geometry": "common-center", "t_divisors": "16,32,64,128",
@@ -353,12 +350,12 @@ SUBCOMMANDS = {
     "norm-scan": ({**_COMMON, **_SYMBOL, "op": "base", "a": "sinx", "b": "bump",
                    "p": 4.0, "q": 4.0, "family": "modulated-bump", "k_max": 64},
                   _run_norm_scan),
-    "kato-ponce": ({**_COMMON, "alpha": 1.0, "p": 4.0, "q": 4.0, "r": None,
+    "kato-ponce": ({**_COMMON, "alpha": 1.0, "p": 4.0, "q": 4.0,
                     "family": "modulated-bump", "k_max": 64, "n": 512},
                    _run_kato_ponce),
     "compactness-probe": ({**_COMMON, **_SYMBOL, "a": "sinx",
                            "b_smooth": "bump", "b_rough": "step",
-                           "family_size": 50, "p": 4.0, "q": 4.0, "r": 2.0,
+                           "family_size": 50, "p": 4.0, "q": 4.0,
                            "mode_budget": 32}, _run_compactness),
     "decompose": ({**_OFF_GRID, **_SYMBOL, "quad_points": 64, "guard": True,
                    "probes": 200, "box": 64.0, "seed": 1}, _run_decompose),
@@ -398,24 +395,13 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True,
                                 parser_class=_Parser)
     for name, (defaults, _) in SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=_HELP[name])
+        # no prefix matching: a removed flag such as --r must not become --rho
+        p = sub.add_parser(name, help=_HELP[name], allow_abbrev=False)
         p.add_argument("--config", default=None,
                        help="JSON config document; explicit flags win")
-        for key, default in defaults.items():
-            flag = "--" + key.replace("_", "-")
-            if isinstance(default, bool):
-                p.add_argument(flag, default=None,
-                               type=lambda s: s.lower() in ("1", "true", "yes"),
-                               help=f"default {default}")
-            elif isinstance(default, int):
-                p.add_argument(flag, type=int, default=None,
-                               help=f"default {default}")
-            elif isinstance(default, float):
-                p.add_argument(flag, type=float, default=None,
-                               help=f"default {default:g}")
-            else:
-                p.add_argument(flag, default=None,
-                               help=f"default {default}" if default else None)
+        for key, default in defaults.items():  # text: effective_config types it
+            p.add_argument("--" + key.replace("_", "-"), default=None,
+                           help=None if default is None else f"default {default}")
     return parser
 
 
@@ -437,16 +423,9 @@ def load_config_document(path: str) -> dict:
 _BOOL_TEXT = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-# keys whose None default is derived by their runner, and which are else floats
-_OPTIONAL_FLOATS = frozenset({"r"})
-
-
 def _typed(key: str, value, default):
-    """A config value as the type of its default when that is bool, int or
-    float (float for a set key of _OPTIONAL_FLOATS): no bool read as a
-    number, no fraction or NaN let through."""
-    if default is None and value is not None and key in _OPTIONAL_FLOATS:
-        default = 0.0
+    """A flag or config value as the type of its default when that is bool,
+    int or float: no bool read as a number, no fraction or NaN let through."""
     kind = type(default)
     try:
         if kind is bool:

@@ -24,11 +24,14 @@ Martinsson and Tropp, arXiv:0909.4061) with a fixed seed, in two widths.
 A pass over S draws Gaussian sketch columns, 64 on the first and as many
 again as are held on each later one.  The basis Q spans prefixes 16, 32,
 64, ... of the columns drawn and stops at the first where a held-out
-probe W gives ||(S - Q Q^H S) W|| <= FACTOR_RTOL ||S W||, or that spans
-all M columns; only a prefix wider than the columns drawn makes another
-pass.  So S is evaluated as often as by a basis that takes whole passes,
-while QR and the SVD of Q^H S, cut at the same relative tail, run at the
-width the rank needs.  S is evaluated in FACTOR_BUDGET-entry row blocks:
+probe W gives ||(S - Q Q^H S) W|| <= FACTOR_RTOL ||S W||, where a doubling
+failed to halve that residual within FACTOR_FLOOR_C eps sqrt(M), the
+roundoff of a sum of M terms (Higham 2002; an S constant along one axis,
+as for one and eta, stalls at 1-2.6e-14 at 1D N = 1024-8192), or that
+spans all M columns; only a prefix wider than the columns drawn makes
+another pass.  So S is evaluated as often as by a basis that takes whole
+passes, while QR and the SVD of Q^H S, cut at the same relative tail, run
+at the width the rank needs.  S is evaluated in FACTOR_BUDGET-entry row blocks:
 once if one holds it, else per pass and for Q^H S; a pass past
 FACTOR_BUDGET / M columns raises BudgetError.  A streamed S starts its
 basis at the first pass's width, since its evaluations dwarf one QR and
@@ -95,6 +98,7 @@ DIRECT_BUDGET = 2 ** 28
 DENSE_BUDGET = 2 ** 24
 FACTOR_BUDGET = 2 ** 22
 FACTOR_RTOL = 1e-14
+FACTOR_FLOOR_C = 4.0  # one and eta stall at up to 2.7 eps sqrt(M)
 SKETCH_START = 64   # first pass width
 BASIS_START = 16    # first basis width, a prefix of the first pass
 SKETCH_PROBES = 10  # held-out probe columns
@@ -113,7 +117,7 @@ def _flat(mesh) -> np.ndarray:
 class LowRank:
     """sigma(x_j, xi_k, eta_l) ~ sum_r w[r, j] u[r, k] v[r, l]: (rank, M) arrays in
     blocks of sizes ranks, w_s on each row of block s; the largest residual of
-    the probes, and each block's basis width."""
+    the probes, each block's basis width, and the roundoff floor."""
 
     u: np.ndarray
     v: np.ndarray
@@ -121,6 +125,7 @@ class LowRank:
     ranks: tuple
     residual: float
     widths: tuple
+    floor: float
 
     @property
     def rank(self) -> int:
@@ -220,21 +225,23 @@ def _expand(sigma: Symbol, grid: Grid):
     if isinstance(terms, str):
         return terms
     x, zero = _flat(grid.node_mesh()), np.zeros((grid.dim, 1))
-    parts = [_factorize(b, grid) for _, b in terms]
+    floor = FACTOR_FLOOR_C * np.finfo(float).eps * np.sqrt(x.shape[1])
+    parts = [_factorize(b, grid, floor) for _, b in terms]
     u, v = (np.concatenate([p[i] for p in parts]) for i in (0, 1))
     ranks = tuple(len(p[0]) for p in parts)
     w = [_values(a, grid, x, zero, zero) for a, _ in terms]
     return LowRank(u, v, np.repeat(w, ranks, axis=0), ranks, max(p[2] for p in parts),
-                   tuple(p[3] for p in parts))
+                   tuple(p[3] for p in parts), floor)
 
 
-def _factorize(sigma: Symbol, grid: Grid):
+def _factorize(sigma: Symbol, grid: Grid, floor: float):
     """(u, v, residual, width) with S ~ u.T @ v for S[k, l] = sigma(x_0, xi_k, eta_l)
     and the basis width reached.  A pass draws SKETCH_START + SKETCH_PROBES
     columns of S Omega, a later one as many as Y holds; Q spans prefixes of
     Y of widths BASIS_START, 2 BASIS_START, ... (SKETCH_START, 2 SKETCH_START,
     ... when S is streamed), and a pass is made only when a prefix outgrows
-    Y.  From the first pass width on, Q is that of all Y."""
+    Y.  From the first pass width on, Q is that of all Y.  A doubling that
+    fails to halve a residual at or below floor ends the search."""
     M = grid.points_per_axis ** grid.dim
     step = max(1, FACTOR_BUDGET // M)
     x, xi = _flat(grid.node_mesh()), _flat(grid.frequency_mesh())
@@ -251,10 +258,10 @@ def _factorize(sigma: Symbol, grid: Grid):
 
     rng = np.random.default_rng(SKETCH_SEED)
     Y = np.empty((M, 0))
-    probe, residual, k = None, np.inf, 0
+    probe, residual, last, k = None, np.inf, np.inf, 0
     first = BASIS_START if held else SKETCH_START  # a streamed S: QR the whole first pass
-    while k < M and residual > FACTOR_RTOL:
-        k = min(M, max(2 * k, first))
+    while k < M and residual > FACTOR_RTOL and not last / 2 < residual <= floor:
+        last, k = residual, min(M, max(2 * k, first))
         if k > Y.shape[1]:  # the basis outgrew the columns drawn: one more pass
             width = min(M, max(2 * Y.shape[1], SKETCH_START))
             if width * M > FACTOR_BUDGET:
@@ -587,17 +594,16 @@ def dense_tensor(op) -> np.ndarray:
 
 
 def verify_transpose_identities(T: BilinearOperator, a: GridFunction,
-                                trials: int = 20, seed: int = 0,
-                                tol: float = IDENTITY_TOL) -> dict:
+                                trials: int = 20, seed: int = 0) -> dict:
     """Check the transposes of C = [T, a]_1 and [T, a]_2 on random triples
     against their defining pairings <C(f,g), h> = <C^{*1}(h,g), f> = <C^{*2}(f,h), g>.
 
     The residual slot{j}_transpose{i} of C = [T, a]_j is |<C(f,g), h> -
     <C^{*i}(.,.), .>| normalized by ||f||_2 ||g||_2 ||h||_2, maximized over
-    the random triples.  The triples are drawn one after another, then
-    stacked: each of the six operators reads a chunk of trials at once,
-    the chunk's (trials, rank) + grid stack held under STACK_ENTRIES.  A
-    non-finite output raises DomainError.
+    the random triples, and passes within IDENTITY_TOL.  The triples are
+    drawn one after another, then stacked: each of the six operators reads a
+    chunk of trials at once, the chunk's (trials, rank) + grid stack held
+    under STACK_ENTRIES.  A non-finite output raises DomainError.
     """
     if trials < 10:
         raise InvalidInputError(f"need >= 10 trials, got {trials}")
@@ -633,7 +639,7 @@ def verify_transpose_identities(T: BilinearOperator, a: GridFunction,
                 results[key] = max([results[key]] + [
                     abs(p - q) / norm for p, q, norm in zip(lhs, rhs, norms)])
 
-    bound = check("max_residual", max(results.values()), "<=", tol)
+    bound = check("max_residual", max(results.values()), "<=", IDENTITY_TOL)
     return {
         "residuals": results,
         "max_residual": bound.statistic,

@@ -99,12 +99,20 @@ def report_basename(subcommand: str, seed) -> str:
     return f"{subcommand}-{stamp}-{seed_hash(seed)}"
 
 
+# (directory, base, ext) -> the suffix after this process's last claim; threads
+# racing on an entry cost a probe, never a name, as the create is exclusive
+_NEXT = {}
+
+
 def _claim(directory: Path, base: str, ext: str, newline=None):
     """(path, file) of the first of {base}{ext}, {base}-1{ext}, ... that did not
-    exist, created exclusively: two writers can never claim the same name."""
-    k = 0
+    exist, from the suffix after this process's last claim of the name on,
+    created exclusively: two writers can never claim the same name."""
+    key = (directory.absolute(), base, ext)
+    k = _NEXT.get(key, 0)
     while True:
         path = directory / (f"{base}-{k}{ext}" if k else f"{base}{ext}")
+        _NEXT[key] = k + 1  # the next claim starts past this one
         try:
             return path, open(path, "x", newline=newline)
         except FileExistsError:  # append-only: never clobber an earlier report

@@ -26,6 +26,8 @@ from .core import Symbol, SymbolClassParams, _pack, symbol_from_expr
 from .expr import VARIABLES, Node, _is
 
 GUARD_TOL = 1e-8
+GUARD_BOX = 64.0   # the guard's frequency probes are uniform in [-GUARD_BOX, GUARD_BOX]
+GUARD_SAMPLES = 50
 NODE_CHUNK_ENTRIES = 2 ** 18  # bounds the stacked arrays of one integrand evaluation
 
 
@@ -91,7 +93,6 @@ def _split(sigma: Symbol, q: int) -> list:
 
 
 def ftc_decompose(sigma: Symbol, quad_points: int = 64, guard: bool = True,
-                  guard_box: float = 64.0, guard_samples: int = 50,
                   period: float = 2 * np.pi) -> list:
     """Return [sigma_1..sigma_n, sigmatilde_1..sigmatilde_n].
 
@@ -104,9 +105,9 @@ def ftc_decompose(sigma: Symbol, quad_points: int = 64, guard: bool = True,
     comps = _split(sigma, quad_points)
     if guard:
         rng = np.random.default_rng(0)
-        x = rng.uniform(0, period, size=guard_samples)
-        z = rng.uniform(-guard_box, guard_box, size=(guard_samples, 2 * dim))
-        xp = _pack((x, *rng.uniform(0, period, size=(dim - 1, guard_samples))), dim)
+        x = rng.uniform(0, period, size=GUARD_SAMPLES)
+        z = rng.uniform(-GUARD_BOX, GUARD_BOX, size=(GUARD_SAMPLES, 2 * dim))
+        xp = _pack((x, *rng.uniform(0, period, size=(dim - 1, GUARD_SAMPLES))), dim)
         xip, etap = _pack(tuple(z[:, :dim].T), dim), _pack(tuple(z[:, dim:].T), dim)
         for c, fine in zip(comps, _split(sigma, 2 * quad_points)):
             v1, v2 = c.eval(xp, xip, etap), fine.eval(xp, xip, etap)

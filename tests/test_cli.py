@@ -11,6 +11,7 @@ import bilop.cli as cli_module
 import bilop.symbols.catalog as catalog_module
 from bilop.cli import SUBCOMMANDS
 from bilop.cli import main as cli_main
+from bilop.operator import FACTOR_FLOOR_C
 from bilop.reports import to_jsonable
 
 # (subcommand, small-size flags, exit code, verdict)
@@ -108,18 +109,25 @@ def test_config_values_take_the_type_of_their_default(tmp_path, capsys):
     capsys.readouterr()
     assert _run_config(tmp_path, "certify-czk", {"samples": "abc"}) == 1
     assert capsys.readouterr().err == "bilop: config error: expected int, got 'abc' (at $.samples)\n"
+    # "on" is no bool spelling, as a flag or as a config value: neither runs the guard off
+    for document, flags in (({"guard": "on"}, ()), ({}, ("--guard", "on"))):
+        assert _run_config(tmp_path, "decompose", document, *flags) == 1
+        assert capsys.readouterr().err == \
+            "bilop: config error: expected bool, got 'on' (at $.guard)\n"
 
 
-def test_an_optional_number_is_checked_by_flag_and_by_config(tmp_path, capsys):
-    # r defaults to None (derived from p and q); set, it must be a float
-    error = "bilop: config error: expected float, got 'abc' (at $.r)\n"
-    assert cli_main(["kato-ponce", "--r", "abc", "--out-dir", str(tmp_path)]) == 1
-    assert capsys.readouterr().err == error
-    assert _run_config(tmp_path, "kato-ponce", {"r": "abc"}) == 1
-    assert capsys.readouterr().err == error
-    assert _run_config(tmp_path, "kato-ponce", {"r": "2"}, "--n", "64", "--k-max", "8") == 0
-    assert json.loads(capsys.readouterr().out)["config"]["r"] == 2.0
-    assert _run_config(tmp_path, "kato-ponce", {"r": None}, "--n", "64", "--k-max", "8") == 0
+@pytest.mark.parametrize("name, key", [("kato-ponce", "r"), ("compactness-probe", "r"),
+                                       ("verify-transpose", "tol"), ("check-t1", "tol")])
+def test_a_value_the_code_fixes_is_no_option(tmp_path, capsys, name, key):
+    # r is derived from 1/r = 1/p + 1/q, and the identity checks compare against
+    # IDENTITY_TOL: neither is a flag or a config key
+    with pytest.raises(SystemExit) as stop:
+        cli_main([name, f"--{key}", "2", "--out-dir", str(tmp_path)])
+    assert stop.value.code == 1
+    assert f"unrecognized arguments: --{key} 2" in capsys.readouterr().err
+    assert _run_config(tmp_path, name, {key: 2.0}) == 1
+    assert capsys.readouterr().err == f"bilop: config error: unknown config key (at $.{key})\n"
+    assert not any(p.suffix != ".json" for p in tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("key, value, token", [
@@ -157,6 +165,7 @@ def test_apply_reports_each_basis_width_next_to_the_factor_tolerance(tmp_path, c
     assert cli_main(["apply", "--n", "256", "--symbol", symbol, "--out-dir", str(tmp_path)]) == 0
     data = json.loads(capsys.readouterr().out)["data"]
     assert (data["basis_widths"], data["factor_rtol"]) == (widths, 1e-14)
+    assert data["factor_floor"] == FACTOR_FLOOR_C * 2.0 ** -52 * 16  # c eps sqrt(M), M = 256
     assert len(data["basis_widths"]) == data["x_rank"]
     assert data["residual"] <= data["factor_rtol"]
     assert data["rank"] <= sum(widths)

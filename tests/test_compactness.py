@@ -169,12 +169,6 @@ def test_small_family_rejected():
         compactness_probe(U, "smooth", family_size=10)
 
 
-def test_non_holder_triple_rejected():
-    U = iterated_commutator("sqrt1", "bump")
-    with pytest.raises(InvalidInputError):
-        compactness_probe(U, "smooth", family_size=50, p=4.0, q=4.0, r=3.0)
-
-
 def test_comparison_requires_matching_probes():
     U = iterated_commutator("sqrt1", "bump")
     a = compactness_probe(U, "smooth", family_size=50)

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 import bilop.cli as cli_module
 import bilop.operator as operator_module
 from bilop.cli import main as cli_main
+from bilop.analysis import project_top_mode
 from bilop.errors import BudgetError, DomainError, InvalidInputError
-from bilop.grid import Grid, GridFunction, fft_forward
+from bilop.grid import Grid, GridFunction, fft_forward, spectral_derivative
 from bilop.operator import (
     DENSE_BUDGET,
     DIRECT_BUDGET,
@@ -495,6 +496,26 @@ def test_streamed_factorization_starts_its_basis_at_the_first_pass_width(monkeyp
     low = make_operator(catalog_symbol("sqrt1"), Grid(dim=1, points_per_axis=4096)).lowrank()
     assert widths == [operator_module.SKETCH_START]
     assert low.widths == (operator_module.SKETCH_START,) and low.residual <= FACTOR_RTOL
+
+
+@pytest.mark.parametrize("name", ["one", "eta"])
+def test_a_residual_stalled_at_roundoff_ends_the_basis(name):
+    # S is constant along one axis, so the held-out residual is roundoff above
+    # FACTOR_RTOL from the first basis on (1.0e-14 at width 64, 1.1e-14 at 128):
+    # the doubling that fails to halve it ends the basis at rank 1
+    grid = Grid(dim=1, points_per_axis=4096)
+    T = make_operator(catalog_symbol(name), grid)
+    low = T.lowrank()
+    assert (low.rank, low.widths) == (1, (128,))
+    assert FACTOR_RTOL < low.residual <= low.floor
+    assert low.floor == operator_module.FACTOR_FLOOR_C * np.finfo(float).eps * 64
+    # closed forms: T_one(f, g) = f g and T_eta(f, g) = f D g, D = -i d/dx, which
+    # is blind to g's unpaired -N/2 mode
+    f, g = random_pair(grid, seed=5)
+    g = project_top_mode(g)
+    want = f.values * (g if name == "one" else spectral_derivative(g, 0)).values
+    gap = np.max(np.abs(apply(T, f, g).values - want))
+    assert gap <= 1e-12 * np.max(np.abs(want))
 
 
 # ------------------------------------- x-dependent symbols: skeleton expansion

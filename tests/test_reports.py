@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bilop.reports as reports_module
 from bilop.reports import to_jsonable, write_report
 
 
@@ -155,3 +156,24 @@ def test_write_report_never_clobbers_a_name_taken_after_a_check(tmp_path, monkey
     paths = write_report(tmp_path, "apply", 0, "{}", basename="run")
     assert (tmp_path / "run.json").read_text() == "earlier\n"
     assert [p.name for p in paths] == ["run-1.json"]
+
+
+def test_repeated_names_in_one_process_probe_no_taken_name(tmp_path, monkeypatch):
+    # after the first claim, a write under the same name starts past the
+    # suffixes this process took, so no exclusive create fails
+    write_report(tmp_path, "apply", 0, "{}", table=(("k",), [(0,)]), basename="run")
+    refused = []
+
+    def counted_open(*args, **kwargs):
+        try:
+            return open(*args, **kwargs)
+        except FileExistsError:
+            refused.append(args[0])
+            raise
+
+    monkeypatch.setattr(reports_module, "open", counted_open, raising=False)
+    for _ in range(5):
+        write_report(tmp_path, "apply", 0, "{}", table=(("k",), [(0,)]), basename="run")
+    assert refused == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"run{s}{ext}" for s in ("", "-1", "-2", "-3", "-4", "-5") for ext in (".json", ".csv"))
