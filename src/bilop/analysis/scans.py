@@ -24,10 +24,11 @@ from .bumps import bump
 
 
 def holder_r(p: float, q: float) -> float:
-    """r with 1/p + 1/q = 1/r."""
+    """r with 1/p + 1/q = 1/r (inf when p and q are)."""
     if p < 1 or q < 1:
         raise InvalidInputError(f"exponents must be >= 1, got ({p}, {q})")
-    return 1.0 / (1.0 / p + 1.0 / q)
+    inverse = 1.0 / p + 1.0 / q
+    return 1.0 / inverse if inverse else np.inf
 
 
 def family_member(name: str, grid: Grid, k: int, seed: int = 0,

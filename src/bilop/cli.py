@@ -24,6 +24,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -38,6 +39,7 @@ from .kernel import (certify_cz_commutator_kernel, fit_kernel_decay,
                      kernel_slice, ray_offsets)
 from .operator import (FACTOR_RTOL, apply, commutator, make_operator,
                        verify_transpose_identities)
+from .parallel import blas
 from .reports import envelope, write_report
 from .symbols import (FAMILY_NAMES, MULTIPLIER_NAMES, SymbolClassParams,
                       catalog_names, catalog_symbol, estimate_seminorms,
@@ -420,6 +422,8 @@ def load_config_document(path: str) -> dict:
     return doc
 
 
+# Lebesgue exponents include infinity; every other float option is finite
+_MAY_BE_INFINITE = frozenset({"p", "q"})
 _BOOL_TEXT = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
@@ -455,6 +459,10 @@ def effective_config(subcommand: str, args: argparse.Namespace) -> dict:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             cfg[key] = _typed(key, flag_value, defaults[key])
+    for key, value in cfg.items():
+        if type(defaults[key]) is float and key not in _MAY_BE_INFINITE \
+                and not math.isfinite(value):
+            raise ConfigError(f"expected a finite float, got {value!r}", path=f"$.{key}")
     return cfg
 
 
@@ -465,7 +473,8 @@ def main(argv=None) -> int:
     try:
         cfg = effective_config(name, args)
         _, runner = SUBCOMMANDS[name]
-        verdict, data, table = runner(cfg)
+        with blas():  # one BLAS thread but for the products that pay for more
+            verdict, data, table = runner(cfg)
         if name == "list-catalog":
             print("\n".join(data["listing"]))
             return 0

@@ -60,6 +60,7 @@ import numpy as np
 from .errors import DomainError, InvalidInputError, ToleranceError
 from .grid import GridFunction, eval_at, phase_table
 from .operator import x_expansion
+from .parallel import blas
 from .symbols.core import Symbol
 from .verdict import (EXPONENT_SLACK, R2_MIN, STABILITY_BUDGET, TINY, ZERO_FLOOR,
                       check, log_fit, spread)
@@ -217,7 +218,9 @@ class KernelQuadrature:
         docstring; G_c is the c-th run of n columns of G."""
         ev, parity, uses = stream
         for (a, b), S in _blocks(ev, parity, x, tk, self._half, self.sigma.name).items():
-            W = S @ G[b][:, :n * (1 + max(c for _, c, _ in uses))]  # the columns read
+            cols = n * (1 + max(c for _, c, _ in uses))  # the columns read
+            with blas(S.shape[0] * S.shape[1] * cols):
+                W = S @ G[b][:, :cols]
             for f, c, k in uses:
                 part = np.einsum("kb,kb->b", (Fs[f].real, Fs[f].imag)[a][:, iu],
                                  W[:, c * n:(c + 1) * n][:, iv])

@@ -89,6 +89,7 @@ import numpy as np
 
 from .errors import BudgetError, DomainError, InvalidInputError
 from .grid import Grid, GridFunction
+from .parallel import blas, lapack_work
 from .symbols.core import Symbol, _pack, symbol_from_expr
 from .symbols.expr import BinOp, Call, Neg, Node, Num, Pow, _add, _div, _is, _mul, _neg
 from .symbols.ftc import Quad
@@ -271,16 +272,20 @@ def _factorize(sigma: Symbol, grid: Grid, floor: float):
                     f"a wider sketch would exceed {FACTOR_BUDGET} entries: shrink N")
             new = width - Y.shape[1]
             omega = rng.standard_normal((M, new if probe is not None else new + SKETCH_PROBES))
-            sketch = np.concatenate([S @ omega for _, S in blocks()])
+            with blas(min(step, M) * M * omega.shape[1]):
+                sketch = np.concatenate([S @ omega for _, S in blocks()])
             if probe is None:
                 probe = sketch[:, new:]
             Y = np.hstack([Y, sketch[:, :new]])
-        Q = np.linalg.qr(Y[:, :k])[0]
+        with blas(lapack_work(M, k)):
+            Q = np.linalg.qr(Y[:, :k])[0]
         scale = np.linalg.norm(probe)
         residual = np.linalg.norm(probe - Q @ (Q.conj().T @ probe)) / scale if scale else 0.0
 
-    u, s, vh = np.linalg.svd(sum(Q[rows].conj().T @ S for rows, S in blocks()),
-                             full_matrices=False)
+    with blas(k * min(step, M) * M):
+        R = sum(Q[rows].conj().T @ S for rows, S in blocks())  # Q^H S
+    with blas(lapack_work(M, k)):
+        u, s, vh = np.linalg.svd(R, full_matrices=False)
     tail = np.sqrt(np.cumsum(s[::-1] ** 2)[::-1])  # tail[r] = ||s[r:]||
     rank = int(np.count_nonzero(tail > FACTOR_RTOL * tail[0]))
     return ((Q @ u[:, :rank]) * s[:rank]).T, vh[:rank], float(residual), k

@@ -186,6 +186,8 @@ def test_holder_triple_arithmetic():
     assert holder_r(4, 4) == pytest.approx(2.0)
     assert holder_r(8, 8) == pytest.approx(4.0)
     assert holder_r(2, 2) == pytest.approx(1.0)
+    assert holder_r(np.inf, 4) == pytest.approx(4.0)
+    assert holder_r(np.inf, np.inf) == np.inf
 
 
 def test_norm_scan_plane_wave_ratios_have_closed_form():

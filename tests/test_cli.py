@@ -116,6 +116,21 @@ def test_config_values_take_the_type_of_their_default(tmp_path, capsys):
             "bilop: config error: expected bool, got 'on' (at $.guard)\n"
 
 
+@pytest.mark.parametrize("name, key", [("decompose", "box"), ("seminorms", "box"),
+                                       ("certify-czk", "level"), ("kernel-slice", "level")])
+def test_an_infinite_float_option_is_a_config_error(tmp_path, capsys, name, key):
+    assert cli_main([name, f"--{key}", "inf", "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == \
+        f"bilop: config error: expected a finite float, got inf (at $.{key})\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_an_infinite_lebesgue_exponent_stays_valid(tmp_path, capsys):
+    args = ["--n", "64", "--k-max", "4", "--p", "inf", "--q", "inf"]
+    cli_main(["norm-scan", *args, "--out-dir", str(tmp_path)])
+    assert json.loads(capsys.readouterr().out)["config"]["p"] == "inf"
+
+
 @pytest.mark.parametrize("name, key", [("kato-ponce", "r"), ("compactness-probe", "r"),
                                        ("verify-transpose", "tol"), ("check-t1", "tol")])
 def test_a_value_the_code_fixes_is_no_option(tmp_path, capsys, name, key):

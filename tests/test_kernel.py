@@ -44,10 +44,13 @@ def wrap(u):
     return (u + L / 2) % L - L / 2
 
 
+_trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 names it trapz
+
+
 def quadrature_1d(mult, u, level=128.0, dxi=0.002, span=2.0):
     # independent single-axis oracle: plain trapezoid over the cutoff window
     xi = np.arange(-span * level, span * level + dxi, dxi)
-    return np.trapezoid(cutoff_profile(xi / level) * mult(xi) * np.exp(1j * xi * u), xi) / L
+    return _trapezoid(cutoff_profile(xi / level) * mult(xi) * np.exp(1j * xi * u), xi) / L
 
 
 # -------------------------------------------------------------- cutoff shape
