@@ -4,7 +4,8 @@ Each subcommand maps 1:1 to a library operation.  Options may come
 from a single JSON config document (--config) with explicit flags
 winning; unknown config keys are rejected with their JSON path.  Flags
 and config values go through one parser, _typed, as the type of their
-default.  No option has only one valid value: r follows from 1/r = 1/p +
+default; every float option but the Lebesgue exponents p and q must be
+finite.  No option has only one valid value: r follows from 1/r = 1/p +
 1/q, and identity checks compare against verdict.IDENTITY_TOL.  Every
 run prints the shared report envelope {operation, config, verdict,
 data} as one line of JSON (``python -m json.tool`` indents it) and
