@@ -132,6 +132,7 @@ def _run_apply(cfg):
         low = T.lowrank()
         data.update(rank=low.rank, residual=low.residual, factor_rtol=FACTOR_RTOL,
                     factor_floor=low.floor, basis_widths=list(low.widths),
+                    parities=list(low.parities), folded_shapes=[list(f) for f in low.folds],
                     x_rank=low.x_rank)
     data.update(l2_norm=lp_norm(out, 2), linf_norm=lp_norm(out, np.inf),
                 values=out.values)

@@ -29,7 +29,7 @@ four quadrants +-xi, +-eta sum to real products over t, s >= 0:
 
 S_ab(t, s) being the part of S even (e) or odd (o) in xi, then in eta:
 S_eo(t, s) = sum over signs c, d of d S(c t, d s), and so on.  S's parity
-in xi and in eta, read off its AST (Node.parity), decides which quadrants
+in xi and in eta, read off its AST (frequency_parity), decides which quadrants
 are evaluated and which blocks are nonzero: a variable of known parity is
 read at + only and its - side follows by the parity.  So sqrt1 evaluates
 one quadrant into one block, and a symbol of no parity four quadrants into
@@ -62,6 +62,7 @@ from .grid import GridFunction, eval_at, phase_table
 from .operator import x_expansion
 from .parallel import blas
 from .symbols.core import Symbol
+from .symbols.expr import frequency_parity
 from .verdict import (EXPONENT_SLACK, R2_MIN, STABILITY_BUDGET, TINY, ZERO_FLOOR,
                       check, log_fit, spread)
 
@@ -89,11 +90,6 @@ def cutoff_profile(s):
 
 def _wrap(u, period: float):
     return (np.asarray(u, dtype=float) + period / 2) % period - period / 2
-
-
-def _parity(node) -> tuple:
-    """(xi, eta) parities of an AST: +1 even, -1 odd, None undecided."""
-    return tuple(node.parity(v) for v in ("xi", "eta"))
 
 
 # A use (f, c, k) adds Fs[f]^T S G_c to output k, Fs = (F, i xi F) and G_c =
@@ -131,12 +127,12 @@ class KernelQuadrature:
     def account(self, alpha: int = 0) -> dict:
         """How values reads sigma: each x-term's frequency-factor parity, or why
         sigma has no x-expansion and its (and d_x sigma's) parity when frozen."""
-        named = lambda node: dict(zip(("xi", "eta"), _parity(node)))
         if isinstance(self.terms, str):
             node = self.sigma.node
-            return {"no_x_expansion": self.terms, "sigma_parity": named(node),
-                    **({"dx_sigma_parity": named(node.diff("x"))} if alpha else {})}
-        return {"x_terms": len(self.terms), "term_parity": [named(b.node) for _, b in self.terms]}
+            return {"no_x_expansion": self.terms, "sigma_parity": frequency_parity(node, 1),
+                    **({"dx_sigma_parity": frequency_parity(node.diff("x"), 1)} if alpha else {})}
+        return {"x_terms": len(self.terms),
+                "term_parity": [frequency_parity(b.node, 1) for _, b in self.terms]}
 
     def values(self, x, us, vs, deriv=(0, 0, 0)) -> np.ndarray:
         """K_N-derivative values at offsets u = x - y, v = x - z (batched); x is
@@ -150,9 +146,10 @@ class KernelQuadrature:
                            return_inverse=True)
         if isinstance(self.terms, str):  # sigma frozen at each x (d_x sigma beside it)
             sig = self.sigma
-            streams = [(sig.fn, _parity(sig.node), _PHASE if alpha else _K)]
+            streams = [(sig.fn, frequency_parity(sig.node, 1), _PHASE if alpha else _K)]
             if alpha == 1:
-                streams.append((sig.partial((1,), (0,), (0,)), _parity(sig.node.diff("x")), _K))
+                streams.append((sig.partial((1,), (0,), (0,)),
+                                frequency_parity(sig.node.diff("x"), 1), _K))
             groups = [(xv, ix == j, streams, np.ones((1, xq.size))) for j, xv in enumerate(xq)]
         else:  # one group: a_s' (alpha = 1) and a_s at each x weigh the rows of K
             weights = np.array([np.broadcast_to(ev(xq, 0.0, 0.0), xq.shape) for a, _ in self.terms
@@ -161,7 +158,8 @@ class KernelQuadrature:
                 raise DomainError(f"an x-factor of symbol {self.sigma.name!r} is not finite at "
                                   f"x = {xq[~np.all(np.isfinite(weights), axis=0)][0]:g}")
             uses = _K_AND_PHASE if alpha else _K
-            streams = [(b.fn, _parity(b.node), tuple((f, c, (1 + alpha) * s + k) for f, c, k in uses))
+            streams = [(b.fn, frequency_parity(b.node, 1),
+                        tuple((f, c, (1 + alpha) * s + k) for f, c, k in uses))
                        for s, (_, b) in enumerate(self.terms)]
             groups = [(None, slice(None), streams, weights)]
         vals = np.empty(us.size, dtype=complex)
@@ -191,7 +189,7 @@ class KernelQuadrature:
         alpha, beta, gamma = deriv
         vq, iv = np.unique(vs, return_inverse=True)
         width = max(1, PHASE_BUDGET // (2 * (1 + alpha) * self._half.size))
-        halves = {h for _, parity, _ in streams for h in _open_halves(parity[1])}
+        halves = {h for _, parity, _ in streams for h in _open_halves(parity["eta"])}
         got = np.zeros((1 + max(k for *_, uses in streams for *_, k in uses), 2, us.size))
         for lo in range(0, vq.size, width):
             mine = np.flatnonzero((iv >= lo) & (iv < lo + width))
@@ -246,7 +244,7 @@ def _blocks(ev, parity, x, tk, t, name) -> dict:
     a (b) being 0 for its half even in xi (eta) and 1 for the odd half; the
     symbol is evaluated, at x (a frequency factor at x = None), on the
     quadrants that its parity leaves open."""
-    xs, es = ((1.0,) if p is not None else (1.0, -1.0) for p in parity)
+    xs, es = ((1.0,) if p is not None else (1.0, -1.0) for p in parity.values())
     sig = np.asarray(ev(np.asarray(0.0 if x is None else x),
                         np.multiply.outer(xs, tk)[:, :, None, None], np.multiply.outer(es, t)))
     if np.iscomplexobj(sig) or not np.all(np.isfinite(sig)):
@@ -254,8 +252,8 @@ def _blocks(ev, parity, x, tk, t, name) -> dict:
             f"symbol {name!r} is not real and finite on the kernel frequency box "
             f"|xi|, |eta| <= {t[-1]:g}" + ("" if x is None else f" at x = {x:g}"))
     sig = np.broadcast_to(sig, (len(xs), tk.size, len(es), t.size))
-    return {(a, b): S for a, half in enumerate(_fold(sig, parity[0])) if half is not None
-            for b, S in enumerate(_fold(np.moveaxis(half, 1, 0), parity[1])) if S is not None}
+    return {(a, b): S for a, half in enumerate(_fold(sig, parity["xi"])) if half is not None
+            for b, S in enumerate(_fold(np.moveaxis(half, 1, 0), parity["eta"])) if S is not None}
 
 
 @dataclass(frozen=True)

@@ -24,20 +24,35 @@ Martinsson and Tropp, arXiv:0909.4061) with a fixed seed, in two widths.
 A pass over S draws Gaussian sketch columns, 64 on the first and as many
 again as are held on each later one.  The basis Q spans prefixes 16, 32,
 64, ... of the columns drawn and stops at the first where a held-out
-probe W gives ||(S - Q Q^H S) W|| <= FACTOR_RTOL ||S W||, where a doubling
+probe Z gives ||(S - Q Q^H S) Z|| <= FACTOR_RTOL ||S Z||, where a doubling
 failed to halve that residual within FACTOR_FLOOR_C eps sqrt(M), the
 roundoff of a sum of M terms (Higham 2002; an S constant along one axis,
-as for one and eta, stalls at 1-2.6e-14 at 1D N = 1024-8192), or that
-spans all M columns; only a prefix wider than the columns drawn makes
-another pass.  So S is evaluated as often as by a basis that takes whole
-passes, while QR and the SVD of Q^H S, cut at the same relative tail, run
-at the width the rank needs.  S is evaluated in FACTOR_BUDGET-entry row blocks:
-once if one holds it, else per pass and for Q^H S; a pass past
-FACTOR_BUDGET / M columns raises BudgetError.  A streamed S starts its
+as for eta, can stall above FACTOR_RTOL), or that spans S; only a prefix
+wider than the columns drawn makes another pass.  So S is evaluated as
+often as by a basis that takes whole passes, while QR and the SVD of Q^H S,
+cut at the same relative tail, run at the width the rank needs.  S, folded
+as below, is evaluated in FACTOR_BUDGET-entry row blocks: once if one holds
+it, else per pass and for Q^H S; a pass past FACTOR_BUDGET / Mr columns
+raises BudgetError.  A streamed S starts its
 basis at the first pass's width, since its evaluations dwarf one QR and
 narrower prefixes only add QRs (sqrt1's ranks 36-41 at N = 4096-16384
 need 64).  Operators are built
 whole; non-finite symbol values and outputs raise DomainError.
+
+The range finder runs on S folded by b_s's parity, read off its AST
+(frequency_parity) in each frequency variable.  An axis of parity p is
+evaluated at |k| = 0, ..., N/2 only, S at -k being p times S at k (the +N/2
+point stands in for the -N/2 mode); an axis of no parity keeps its N
+points.  With P the M x Mf map sending a folded index to the grid
+frequencies that fold onto it, signed by the parity, S = P_r S_f P_c^T and
+P^T P = D, the diagonal of how many grid frequencies fold onto each index.
+So P D^-1/2 has orthonormal columns, and W = D_r^1/2 S_f D_c^1/2 (Mr x Mc)
+has exactly S's singular values: FACTOR_RTOL, the tail cut, the probe
+residual and the floor keep their meaning on W.  Its factors are unfolded
+to all M frequencies by an index map and a sign.  A pure-parity part costs
+about a quarter of the evaluations and products in 1D and down to a
+sixteenth in 2D (sqrt1 at N = 1024 evaluates 513^2 points); a part of no
+parity runs the same code with the identity fold, bit for bit as unfolded.
 
 Each operator is read as a trilinear form Phi(h, f, g) = <T(f,g), h>
 under the bilinear dual pairing <u, v> = sum_j u_j v_j dx^n (no
@@ -91,7 +106,8 @@ from .errors import BudgetError, DomainError, InvalidInputError
 from .grid import Grid, GridFunction
 from .parallel import blas, lapack_work
 from .symbols.core import Symbol, _pack, symbol_from_expr
-from .symbols.expr import BinOp, Call, Neg, Node, Num, Pow, _add, _div, _is, _mul, _neg
+from .symbols.expr import (BinOp, Call, Neg, Node, Num, Pow, _add, _div, _is, _mul, _neg,
+                           frequency_parity)
 from .symbols.ftc import Quad
 from .verdict import IDENTITY_TOL, check
 
@@ -99,7 +115,7 @@ DIRECT_BUDGET = 2 ** 28
 DENSE_BUDGET = 2 ** 24
 FACTOR_BUDGET = 2 ** 22
 FACTOR_RTOL = 1e-14
-FACTOR_FLOOR_C = 4.0  # one and eta stall at up to 2.7 eps sqrt(M)
+FACTOR_FLOOR_C = 4.0  # one and eta stall at up to 1.4 eps sqrt(M), 2.7 unfolded
 SKETCH_START = 64   # first pass width
 BASIS_START = 16    # first basis width, a prefix of the first pass
 SKETCH_PROBES = 10  # held-out probe columns
@@ -118,7 +134,9 @@ def _flat(mesh) -> np.ndarray:
 class LowRank:
     """sigma(x_j, xi_k, eta_l) ~ sum_r w[r, j] u[r, k] v[r, l]: (rank, M) arrays in
     blocks of sizes ranks, w_s on each row of block s; the largest residual of
-    the probes, each block's basis width, and the roundoff floor."""
+    the probes, and per block its basis width, the parity of b_s folded in each
+    frequency variable ({var: +1, -1 or None}) and the folded block's shape
+    (Mr, Mc); the roundoff floor."""
 
     u: np.ndarray
     v: np.ndarray
@@ -126,6 +144,8 @@ class LowRank:
     ranks: tuple
     residual: float
     widths: tuple
+    parities: tuple
+    folds: tuple
     floor: float
 
     @property
@@ -232,63 +252,90 @@ def _expand(sigma: Symbol, grid: Grid):
     ranks = tuple(len(p[0]) for p in parts)
     w = [_values(a, grid, x, zero, zero) for a, _ in terms]
     return LowRank(u, v, np.repeat(w, ranks, axis=0), ranks, max(p[2] for p in parts),
-                   tuple(p[3] for p in parts), floor)
+                   *(tuple(p[i] for p in parts) for i in (3, 4, 5)), floor)
+
+
+def _fold(grid: Grid, parities) -> tuple:
+    """The flattened frequency mesh folded axis by axis: an axis of parity p onto
+    |k| = 0, ..., N/2, the -k side signed by p and the +N/2 point standing in
+    for the -N/2 mode; an axis of no parity onto itself.  Returns the folded
+    frequencies (dim, Mf), per grid frequency its folded index and sign (M,),
+    and per folded one the square root of how many grid frequencies fold onto it."""
+    n, f = grid.points_per_axis, grid.frequencies_1d()
+    k = np.fft.ifftshift(np.arange(n) - n // 2)  # the integer frequencies in FFT order
+    axes = [(f, np.arange(n), np.ones(n)) if p is None else
+            (np.abs(f[:n // 2 + 1]), np.abs(k), np.where(k < 0, float(p), 1.0)) for p in parities]
+    freqs, index, sign = ([a.ravel() for a in np.meshgrid(*part, indexing="ij")]
+                          for part in zip(*axes))
+    index = np.ravel_multi_index(index, [len(a) for a, _, _ in axes])
+    return np.stack(freqs), index, np.prod(sign, axis=0), np.sqrt(np.bincount(index))
 
 
 def _factorize(sigma: Symbol, grid: Grid, floor: float):
-    """(u, v, residual, width) with S ~ u.T @ v for S[k, l] = sigma(x_0, xi_k, eta_l)
-    and the basis width reached.  A pass draws SKETCH_START + SKETCH_PROBES
-    columns of S Omega, a later one as many as Y holds; Q spans prefixes of
-    Y of widths BASIS_START, 2 BASIS_START, ... (SKETCH_START, 2 SKETCH_START,
-    ... when S is streamed), and a pass is made only when a prefix outgrows
-    Y.  From the first pass width on, Q is that of all Y.  A doubling that
-    fails to halve a residual at or below floor ends the search."""
+    """(u, v, residual, width, parity, (Mr, Mc)) with S ~ u.T @ v for S[k, l] =
+    sigma(x_0, xi_k, eta_l), the basis width reached, sigma's frequency parity
+    and the folded block's shape.  The range finder runs on W = Dr^1/2 S_f
+    Dc^1/2, S_f being S on the frequencies folded by that parity (_fold) and D
+    the counts; u and v are unfolded after.  A pass draws SKETCH_START +
+    SKETCH_PROBES columns of W Omega, a later one as many as Y holds; Q spans
+    prefixes of Y of widths BASIS_START, 2 BASIS_START, ... (SKETCH_START, 2
+    SKETCH_START, ... when W is streamed), and a pass is made only when a
+    prefix outgrows Y.  From the first pass width on, Q is that of all Y.  A
+    doubling that fails to halve a residual at or below floor ends the search."""
     M = grid.points_per_axis ** grid.dim
-    step = max(1, FACTOR_BUDGET // M)
-    x, xi = _flat(grid.node_mesh()), _flat(grid.frequency_mesh())
+    parity = frequency_parity(sigma.node, grid.dim)
+    p = tuple(parity.values())
+    (xr, ir, sr, hr), (xc, ic, sc, hc) = (_fold(grid, q) for q in (p[:grid.dim], p[grid.dim:]))
+    Mr, Mc = xr.shape[1], xc.shape[1]
+    full = min(Mr, Mc)  # a basis this wide spans W
+    step = max(1, FACTOR_BUDGET // Mc)
+    x = _flat(grid.node_mesh())
 
-    def rows_of(rows):  # S[rows, :]
-        return _values(sigma, grid, x[:, :1, None], xi[:, rows, None], xi[:, None, :])
+    def rows_of(rows):  # S_f[rows, :]
+        return _values(sigma, grid, x[:, :1, None], xr[:, rows, None], xc[:, None, :])
 
-    held = [(slice(None), rows_of(slice(None)))] if step >= M else []
+    held = [(slice(None), rows_of(slice(None)))] if step >= Mr else []
 
     def blocks():
-        """(rows, S[rows, :]) pairs; S is evaluated once when it fits in one block."""
+        """(rows, S_f[rows, :]) pairs; S_f is evaluated once when it fits in one block."""
         return held or ((rows, rows_of(rows))
-                        for rows in (slice(i, i + step) for i in range(0, M, step)))
+                        for rows in (slice(i, i + step) for i in range(0, Mr, step)))
 
     rng = np.random.default_rng(SKETCH_SEED)
-    Y = np.empty((M, 0))
+    Y = np.empty((Mr, 0))
     probe, residual, last, k = None, np.inf, np.inf, 0
     first = BASIS_START if held else SKETCH_START  # a streamed S: QR the whole first pass
-    while k < M and residual > FACTOR_RTOL and not last / 2 < residual <= floor:
-        last, k = residual, min(M, max(2 * k, first))
+    while k < full and residual > FACTOR_RTOL and not last / 2 < residual <= floor:
+        last, k = residual, min(full, max(2 * k, first))
         if k > Y.shape[1]:  # the basis outgrew the columns drawn: one more pass
-            width = min(M, max(2 * Y.shape[1], SKETCH_START))
-            if width * M > FACTOR_BUDGET:
+            width = min(full, max(2 * Y.shape[1], SKETCH_START))
+            if width * Mr > FACTOR_BUDGET:
                 raise BudgetError(
                     f"symbol {sigma.name!r} reached basis width {Y.shape[1]} on {M} "
                     f"frequencies (held-out residual {residual:.3g} > {FACTOR_RTOL:g}); "
                     f"a wider sketch would exceed {FACTOR_BUDGET} entries: shrink N")
             new = width - Y.shape[1]
-            omega = rng.standard_normal((M, new if probe is not None else new + SKETCH_PROBES))
-            with blas(min(step, M) * M * omega.shape[1]):
-                sketch = np.concatenate([S @ omega for _, S in blocks()])
+            omega = rng.standard_normal((Mc, new if probe is not None else new + SKETCH_PROBES))
+            omega *= hc[:, None]
+            with blas(min(step, Mr) * Mc * omega.shape[1]):
+                sketch = np.concatenate([S @ omega for _, S in blocks()]) * hr[:, None]
             if probe is None:
                 probe = sketch[:, new:]
             Y = np.hstack([Y, sketch[:, :new]])
-        with blas(lapack_work(M, k)):
+        with blas(lapack_work(Mr, k)):
             Q = np.linalg.qr(Y[:, :k])[0]
         scale = np.linalg.norm(probe)
         residual = np.linalg.norm(probe - Q @ (Q.conj().T @ probe)) / scale if scale else 0.0
 
-    with blas(k * min(step, M) * M):
-        R = sum(Q[rows].conj().T @ S for rows, S in blocks())  # Q^H S
-    with blas(lapack_work(M, k)):
+    with blas(k * min(step, Mr) * Mc):
+        R = sum((Q[rows] * hr[rows, None]).conj().T @ S for rows, S in blocks()) * hc  # Q^H W
+    with blas(lapack_work(Mc, k)):
         u, s, vh = np.linalg.svd(R, full_matrices=False)
     tail = np.sqrt(np.cumsum(s[::-1] ** 2)[::-1])  # tail[r] = ||s[r:]||
     rank = int(np.count_nonzero(tail > FACTOR_RTOL * tail[0]))
-    return ((Q @ u[:, :rank]) * s[:rank]).T, vh[:rank], float(residual), k
+    u = ((Q @ u[:, :rank]) * s[:rank]).T / hr
+    return (u[:, ir] * sr, (vh[:rank] / hc)[:, ic] * sc, float(residual), k, parity,
+            (Mr, Mc))
 
 
 @dataclass(frozen=True)

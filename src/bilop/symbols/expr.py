@@ -35,7 +35,9 @@ raises u's parity to n; a function of an even argument is even, sin and
 sign of an odd one are odd, cos and abs of an odd one even.  Negation
 commutes with IEEE rounding, and u^n is evaluated as |u|^n, with u's sign
 for odd n (numpy's ** keeps parity exactly only for n = 2 and -1, which
-it evaluates), so the arithmetic rules hold bit for bit.
+it evaluates), so the arithmetic rules hold bit for bit.  frequency_parity
+reads it in every frequency variable of a dim, for the kernel quadrants and
+the factorization's fold alike.
 """
 from __future__ import annotations
 
@@ -274,6 +276,11 @@ def _div(u: Node, v: Node) -> Node:
 
 def _pow(u: Node, n: int) -> Node:
     return Num(1.0) if n == 0 else u if n == 1 else Pow(u, n)
+
+
+def frequency_parity(node: Node, dim: int) -> dict:
+    """{var: parity} over dim's frequency variables, the xi's then the eta's."""
+    return {var: node.parity(var) for var in VARIABLES[dim][dim:]}
 
 
 # parity of f(u) for an odd u; the other functions have none

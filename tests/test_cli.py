@@ -186,8 +186,19 @@ def test_apply_reports_each_basis_width_next_to_the_factor_tolerance(tmp_path, c
     assert data["rank"] <= sum(widths)
 
 
+def test_apply_reports_each_x_terms_parity_and_folded_block(tmp_path, capsys):
+    # at N = 64 an axis of known parity folds to 33 points; xi + xi^2 has none
+    symbol = "sin(x)*xi+cos(x)*sqrt(1+xi^2+eta^2)+eta^2*(xi+xi^2)"
+    assert cli_main(["apply", "--n", "64", "--symbol", symbol, "--out-dir", str(tmp_path)]) == 0
+    data = json.loads(capsys.readouterr().out)["data"]
+    assert data["parities"] == [{"xi": -1, "eta": 1}, {"xi": 1, "eta": 1},
+                                {"xi": None, "eta": 1}]
+    assert data["folded_shapes"] == [[33, 33], [33, 33], [64, 33]]
+    assert len(data["basis_widths"]) == data["x_rank"] == 3
+
+
 @pytest.mark.parametrize("name, args", [
-    ("seminorms", ["--samples", "100", "--box", "64", "--max-order", "1"]),
+    ("seminorms",["--samples", "100", "--box", "64", "--max-order", "1"]),
     ("decompose", ["--probes", "100"])])
 def test_period_moves_the_x_samples_of_symbol_checks(tmp_path, capsys, name, args):
     # theta_sqrt1 depends on x, so sampling x over [0, 1) changes the numbers

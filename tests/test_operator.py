@@ -479,13 +479,19 @@ def test_full_rank_symbol_over_the_factor_budget_names_the_basis_width():
 
 
 def test_streamed_factorization_evaluates_each_block_once_per_pass(monkeypatch):
-    # N = 4096: S is four 1024-row blocks; one sketch pass and Q^H S read each once
+    # N = 4096: one sketch pass and Q^H S read each block once.  With no parity
+    # S is four 1024-row blocks of 4096 columns; even in xi and eta it folds to
+    # 2049 x 2049, which FACTOR_BUDGET cuts after 2047 rows
     blocks = []
     values = operator_module._values
     monkeypatch.setattr(operator_module, "_values", lambda sigma, grid, x, xi, eta: blocks.append(
         np.shape(xi)[1]) or values(sigma, grid, x, xi, eta))
-    make_operator(catalog_symbol("sqrt1"), Grid(dim=1, points_per_axis=4096))
-    assert [b for b in blocks if b > 1] == [1024] * 8
+    for expr, rows in (("sqrt(1+xi^2+eta^2)+xi+eta", [1024] * 4),
+                       ("sqrt(1+xi^2+eta^2)", [2047, 2])):
+        blocks.clear()
+        make_operator(symbol_from_expr(expr, SymbolClassParams(1.0)),
+                      Grid(dim=1, points_per_axis=4096))
+        assert [b for b in blocks if b > 1] == rows * 2, expr
 
 
 def test_streamed_factorization_starts_its_basis_at_the_first_pass_width(monkeypatch):
@@ -500,14 +506,16 @@ def test_streamed_factorization_starts_its_basis_at_the_first_pass_width(monkeyp
 
 @pytest.mark.parametrize("name", ["one", "eta"])
 def test_a_residual_stalled_at_roundoff_ends_the_basis(name):
-    # S is constant along one axis, so the held-out residual is roundoff above
-    # FACTOR_RTOL from the first basis on (1.0e-14 at width 64, 1.1e-14 at 128):
-    # the doubling that fails to halve it ends the basis at rank 1
+    # S is constant along one axis, so the held-out residual is roundoff.  Folded
+    # to 2049 x 2049, one's meets FACTOR_RTOL at width 64 (5.5e-15); eta's stays
+    # above it (1.3e-14 at 128): the doubling that fails to halve it ends the
+    # basis at rank 1
     grid = Grid(dim=1, points_per_axis=4096)
     T = make_operator(catalog_symbol(name), grid)
     low = T.lowrank()
-    assert (low.rank, low.widths) == (1, (128,))
-    assert FACTOR_RTOL < low.residual <= low.floor
+    width = {"one": 64, "eta": 128}[name]
+    assert (low.rank, low.widths, low.folds) == (1, (width,), ((2049, 2049),))
+    assert (low.residual > FACTOR_RTOL) == (name == "eta") and low.residual <= low.floor
     assert low.floor == operator_module.FACTOR_FLOOR_C * np.finfo(float).eps * 64
     # closed forms: T_one(f, g) = f g and T_eta(f, g) = f D g, D = -i d/dx, which
     # is blind to g's unpaired -N/2 mode

@@ -16,7 +16,7 @@ from bilop.grid import Grid
 from bilop.kernel import KernelQuadrature
 from bilop.operator import FACTOR_FLOOR_C, FACTOR_RTOL, _factorize
 from bilop.parallel import blas, thread_map
-from bilop.symbols import catalog_symbol
+from bilop.symbols import SymbolClassParams, catalog_symbol, symbol_from_expr
 
 
 @pytest.fixture
@@ -189,13 +189,18 @@ def test_blas_without_a_handle_does_nothing(monkeypatch):
             assert (real[0]() if real else None) == before
 
 
+# even or odd in neither frequency, so S is factored unfolded
+PARITY_FREE = "sqrt(1+xi^2+eta^2)+xi+eta"
+
+
 def test_cli_runs_each_command_on_one_thread_and_lifts_large_products(fake_blas, tmp_path):
-    # apply at N = 16 makes only small products; at N = 512 its sketch S omega
-    # (512 x 512 x 74) passes BLAS_PARALLEL_WORK
+    # apply at N = 16 makes only small products; at N = 512 the sketch S omega
+    # of a parity-free symbol (512 x 512 x 74) passes BLAS_PARALLEL_WORK
     assert cli_main(["apply", "--n", "16", "--out-dir", str(tmp_path)]) == 0
     assert fake_blas.sets == [1, 5]
     fake_blas.sets.clear()
-    assert cli_main(["apply", "--n", "512", "--out-dir", str(tmp_path)]) == 0
+    assert cli_main(["apply", "--n", "512", "--symbol", PARITY_FREE,
+                     "--out-dir", str(tmp_path)]) == 0
     assert fake_blas.sets[0] == 1 and fake_blas.sets[-1] == 5
     assert set(fake_blas.sets[1:-1]) == {1, 2}
 
@@ -229,7 +234,7 @@ def _lifted_and_serial(real_blas, monkeypatch, run):
 
 def test_a_lifted_factorization_matches_a_serial_one(real_blas, monkeypatch):
     grid = Grid(dim=1, points_per_axis=512)  # S omega is 512 x 512 x 74
-    sigma = catalog_symbol("sqrt1", 1)
+    sigma = symbol_from_expr(PARITY_FREE, SymbolClassParams(1.0))
     floor = FACTOR_FLOOR_C * np.finfo(float).eps * np.sqrt(grid.points_per_axis)
     (u1, v1, *rest1), (u2, v2, *rest2) = _lifted_and_serial(
         real_blas, monkeypatch, lambda: _factorize(sigma, grid, floor))
