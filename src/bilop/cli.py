@@ -40,7 +40,7 @@ from .kernel import (certify_cz_commutator_kernel, fit_kernel_decay,
                      kernel_slice, ray_offsets)
 from .operator import (FACTOR_RTOL, apply, commutator, make_operator,
                        verify_transpose_identities)
-from .parallel import blas
+from .parallel import blas, worker_count
 from .reports import envelope, write_report
 from .symbols import (FAMILY_NAMES, MULTIPLIER_NAMES, SymbolClassParams,
                       catalog_names, catalog_symbol, estimate_seminorms,
@@ -133,7 +133,7 @@ def _run_apply(cfg):
         data.update(rank=low.rank, residual=low.residual, factor_rtol=FACTOR_RTOL,
                     factor_floor=low.floor, basis_widths=list(low.widths),
                     parities=list(low.parities), folded_shapes=[list(f) for f in low.folds],
-                    x_rank=low.x_rank)
+                    row_blocks=list(low.row_blocks), workers=worker_count(), x_rank=low.x_rank)
     data.update(l2_norm=lp_norm(out, 2), linf_norm=lp_norm(out, np.inf),
                 values=out.values)
     flat = out.values.ravel()
@@ -475,7 +475,7 @@ def main(argv=None) -> int:
     try:
         cfg = effective_config(name, args)
         _, runner = SUBCOMMANDS[name]
-        with blas():  # one BLAS thread but for the products that pay for more
+        with blas():  # one BLAS thread: thread_map is the one thread policy
             verdict, data, table = runner(cfg)
         if name == "list-catalog":
             print("\n".join(data["listing"]))

@@ -42,8 +42,15 @@ exponentials per offset, not L.  The eta phases of the distinct v are
 built once per pass while they fit PHASE_BUDGET real entries; past it the
 offsets are split by v into chunks, and S is streamed again for each
 chunk.  Each offset gathers its u and v columns, so no distinct-u x
-distinct-v table is built.  Memory is O(ROW_BLOCK L + PHASE_BUDGET) for an
-axis of length L, at any level and for any number of offsets.  A symbol
+distinct-v table is built.  A pass maps at most STREAM_CHUNKS equal
+contiguous chunks of row blocks on thread_map; each builds its own xi
+phase rows and S blocks, a row block at a time, and its partial sums are
+added in chunk order, so the values are the same bits on any number of
+workers.  thread_map runs two chunks in the calling thread, so 16 chunks
+take (2 + 14 / 2) / 16 of the serial time on 2 workers; 32 at level 256
+fall below the switch interval it asks of its second item.  Memory is
+O(workers ROW_BLOCK L + PHASE_BUDGET) for an axis of length L, at any
+level and for any number of offsets.  A symbol
 that is complex or not finite anywhere on the box, or an a_s not finite at
 a requested x, raises DomainError; a parity carries a non-finite value to
 its mirror image too.
@@ -60,7 +67,7 @@ import numpy as np
 from .errors import DomainError, InvalidInputError, ToleranceError
 from .grid import GridFunction, eval_at, phase_table
 from .operator import x_expansion
-from .parallel import blas
+from .parallel import thread_map
 from .symbols.core import Symbol
 from .symbols.expr import frequency_parity
 from .verdict import (EXPONENT_SLACK, R2_MIN, STABILITY_BUDGET, TINY, ZERO_FLOOR,
@@ -70,6 +77,7 @@ GUARD_REL_TOL = 1e-6
 DEFAULT_SPACING = 0.25
 ROW_BLOCK = 32  # frequency rows t >= 0 per block of sigma
 PHASE_BUDGET = 1 << 21  # real entries of eta phases held at once
+STREAM_CHUNKS = 16  # contiguous chunks of row blocks per pass
 
 
 def smooth_step(s):
@@ -104,8 +112,8 @@ class KernelQuadrature:
     spacing h on [-2N, 2N], the half axis t >= 0 weighted by psi(t / N).
 
     Stateless: each ``values`` call streams symbols through row blocks and
-    keeps no block, so its memory is O(ROW_BLOCK L + PHASE_BUDGET) for an
-    axis of length L, at any level and for any number of offsets.
+    keeps no block, so its memory is O(workers ROW_BLOCK L + PHASE_BUDGET)
+    for an axis of length L, at any level and for any number of offsets.
     """
 
     def __init__(self, sigma: Symbol, level: float, spacing: float = DEFAULT_SPACING):
@@ -123,16 +131,21 @@ class KernelQuadrature:
         self._weight = cutoff_profile(self._half / level)
         self._weight[0] *= 0.5  # the +-t folds count t = 0 twice
         self.terms = x_expansion(sigma, self._half.size // 8)  # [(a_s, b_s)] or a reason
+        blocks = -(-self._half.size // ROW_BLOCK)
+        self._chunks = np.array_split(np.arange(blocks), min(blocks, STREAM_CHUNKS))
 
     def account(self, alpha: int = 0) -> dict:
         """How values reads sigma: each x-term's frequency-factor parity, or why
-        sigma has no x-expansion and its (and d_x sigma's) parity when frozen."""
+        sigma has no x-expansion and its (and d_x sigma's) parity when frozen;
+        and the row chunks of each pass."""
+        chunks = {"row_chunks": len(self._chunks)}
         if isinstance(self.terms, str):
             node = self.sigma.node
             return {"no_x_expansion": self.terms, "sigma_parity": frequency_parity(node, 1),
-                    **({"dx_sigma_parity": frequency_parity(node.diff("x"), 1)} if alpha else {})}
+                    **({"dx_sigma_parity": frequency_parity(node.diff("x"), 1)} if alpha else {}),
+                    **chunks}
         return {"x_terms": len(self.terms),
-                "term_parity": [frequency_parity(b.node, 1) for _, b in self.terms]}
+                "term_parity": [frequency_parity(b.node, 1) for _, b in self.terms], **chunks}
 
     def values(self, x, us, vs, deriv=(0, 0, 0)) -> np.ndarray:
         """K_N-derivative values at offsets u = x - y, v = x - z (batched); x is
@@ -170,15 +183,18 @@ class KernelQuadrature:
         return self.spacing ** 2 / (2 * np.pi) ** 2 * vals
 
     def _phase_rows(self, p, power, alpha):
-        """(rows, tk, Es) per ROW_BLOCK rows t_k >= 0: Es = (E,) with E = psi
-        (-i t)^power e^{i t p} per offset p, or (E, i t E) when alpha = 1."""
+        """The function of a row block q giving (rows, tk, Es) for its ROW_BLOCK
+        rows t_k >= 0: Es = (E,) with E = psi (-i t)^power e^{i t p} per offset
+        p, or (E, i t E) when alpha = 1."""
         t = self._half
         coarse, fine = phase_table(self.spacing, p, t.size, ROW_BLOCK)
         amp = self._weight * (-1j * t) ** power
-        for q, lo in enumerate(range(0, t.size, ROW_BLOCK)):
-            rows = slice(lo, lo + ROW_BLOCK)
+
+        def block(q):
+            rows = slice(q * ROW_BLOCK, (q + 1) * ROW_BLOCK)
             E = coarse[q] * fine[:t[rows].size] * amp[rows, None]
-            yield rows, t[rows], ((E, E * (1j * t[rows])[:, None]) if alpha else (E,))
+            return rows, t[rows], ((E, E * (1j * t[rows])[:, None]) if alpha else (E,))
+        return block
 
     def _stream(self, x, streams, us, vs, deriv) -> np.ndarray:
         """The outputs of streams (evaluator, parity, uses) at offsets (us, vs),
@@ -196,17 +212,24 @@ class KernelQuadrature:
             vc = vq[lo:lo + width]
             G = [np.empty((self._half.size, (1 + alpha) * vc.size)) if b in halves else None
                  for b in (0, 1)]
-            for rows, _, Es in self._phase_rows(vc, gamma, alpha):
+            eta = self._phase_rows(vc, gamma, alpha)
+            for q in range(self._chunks[-1][-1] + 1):  # every row block
+                rows, _, Es = eta(q)
                 E = np.concatenate(Es, axis=1)
                 for g, half in zip(G, (E.real, E.imag)):
                     if g is not None:
                         g[rows] = half
             uq, iu = np.unique(us[mine], return_inverse=True)
-            part = np.zeros(got.shape[:2] + mine.shape)  # real and imaginary parts
-            for _, tk, Fs in self._phase_rows(uq, beta, alpha):
-                for stream in streams:
-                    self._contract(part, stream, x, tk, G, Fs, vc.size, iu, iv[mine] - lo)
-            got[:, :, mine] = part
+            xi = self._phase_rows(uq, beta, alpha)
+
+            def chunk(blocks):  # the real and imaginary parts over row blocks q in blocks
+                part = np.zeros(got.shape[:2] + mine.shape)
+                for q in blocks:
+                    _, tk, Fs = xi(q)
+                    for stream in streams:
+                        self._contract(part, stream, x, tk, G, Fs, vc.size, iu, iv[mine] - lo)
+                return part
+            got[:, :, mine] = sum(thread_map(chunk, self._chunks))
         return got[:, 0] + 1j * got[:, 1]
 
     def _contract(self, got, stream, x, tk, G, Fs, n, iu, iv):
@@ -217,8 +240,7 @@ class KernelQuadrature:
         ev, parity, uses = stream
         for (a, b), S in _blocks(ev, parity, x, tk, self._half, self.sigma.name).items():
             cols = n * (1 + max(c for _, c, _ in uses))  # the columns read
-            with blas(S.shape[0] * S.shape[1] * cols):
-                W = S @ G[b][:, :cols]
+            W = S @ G[b][:, :cols]
             for f, c, k in uses:
                 part = np.einsum("kb,kb->b", (Fs[f].real, Fs[f].imag)[a][:, iu],
                                  W[:, c * n:(c + 1) * n][:, iv])

@@ -31,13 +31,18 @@ as for eta, can stall above FACTOR_RTOL), or that spans S; only a prefix
 wider than the columns drawn makes another pass.  So S is evaluated as
 often as by a basis that takes whole passes, while QR and the SVD of Q^H S,
 cut at the same relative tail, run at the width the rank needs.  S, folded
-as below, is evaluated in FACTOR_BUDGET-entry row blocks: once if one holds
-it, else per pass and for Q^H S; a pass past FACTOR_BUDGET / Mr columns
-raises BudgetError.  A streamed S starts its
-basis at the first pass's width, since its evaluations dwarf one QR and
-narrower prefixes only add QRs (sqrt1's ranks 36-41 at N = 4096-16384
-need 64).  Operators are built
-whole; non-finite symbol values and outputs raise DomainError.
+as below, is evaluated once when it holds at most FACTOR_BUDGET entries;
+a larger S is evaluated by each pass and by Q^H S in equal contiguous row
+chunks of at most FACTOR_BUDGET / FACTOR_CHUNKS entries on thread_map, in
+memory O(workers FACTOR_BUDGET / FACTOR_CHUNKS).  A 2^20-entry chunk of
+sqrt1 (6-9 ms on one thread) outlasts the switch interval thread_map asks
+of its second item, and Q^H S adds the chunks in order, so the factors
+are the same bits on any number of workers.  A pass past FACTOR_BUDGET /
+Mr columns raises BudgetError.  A streamed S starts its basis at the
+first pass's width, since its evaluations dwarf one QR and narrower
+prefixes only add QRs (sqrt1's ranks 36-41 at N = 4096-16384 need 64).
+Operators are built whole; non-finite symbol values and outputs raise
+DomainError.
 
 The range finder runs on S folded by b_s's parity, read off its AST
 (frequency_parity) in each frequency variable.  An axis of parity p is
@@ -104,7 +109,7 @@ import numpy as np
 
 from .errors import BudgetError, DomainError, InvalidInputError
 from .grid import Grid, GridFunction
-from .parallel import blas, lapack_work
+from .parallel import thread_map
 from .symbols.core import Symbol, _pack, symbol_from_expr
 from .symbols.expr import (BinOp, Call, Neg, Node, Num, Pow, _add, _div, _is, _mul, _neg,
                            frequency_parity)
@@ -114,6 +119,7 @@ from .verdict import IDENTITY_TOL, check
 DIRECT_BUDGET = 2 ** 28
 DENSE_BUDGET = 2 ** 24
 FACTOR_BUDGET = 2 ** 22
+FACTOR_CHUNKS = 4  # row chunks of a streamed S_f per FACTOR_BUDGET entries
 FACTOR_RTOL = 1e-14
 FACTOR_FLOOR_C = 4.0  # one and eta stall at up to 1.4 eps sqrt(M), 2.7 unfolded
 SKETCH_START = 64   # first pass width
@@ -135,8 +141,9 @@ class LowRank:
     """sigma(x_j, xi_k, eta_l) ~ sum_r w[r, j] u[r, k] v[r, l]: (rank, M) arrays in
     blocks of sizes ranks, w_s on each row of block s; the largest residual of
     the probes, and per block its basis width, the parity of b_s folded in each
-    frequency variable ({var: +1, -1 or None}) and the folded block's shape
-    (Mr, Mc); the roundoff floor."""
+    frequency variable ({var: +1, -1 or None}), the folded block's shape
+    (Mr, Mc) and the row blocks it was evaluated in (1 when held); the
+    roundoff floor."""
 
     u: np.ndarray
     v: np.ndarray
@@ -146,6 +153,7 @@ class LowRank:
     widths: tuple
     parities: tuple
     folds: tuple
+    row_blocks: tuple
     floor: float
 
     @property
@@ -252,7 +260,7 @@ def _expand(sigma: Symbol, grid: Grid):
     ranks = tuple(len(p[0]) for p in parts)
     w = [_values(a, grid, x, zero, zero) for a, _ in terms]
     return LowRank(u, v, np.repeat(w, ranks, axis=0), ranks, max(p[2] for p in parts),
-                   *(tuple(p[i] for p in parts) for i in (3, 4, 5)), floor)
+                   *(tuple(p[i] for p in parts) for i in (3, 4, 5, 6)), floor)
 
 
 def _fold(grid: Grid, parities) -> tuple:
@@ -272,39 +280,46 @@ def _fold(grid: Grid, parities) -> tuple:
 
 
 def _factorize(sigma: Symbol, grid: Grid, floor: float):
-    """(u, v, residual, width, parity, (Mr, Mc)) with S ~ u.T @ v for S[k, l] =
-    sigma(x_0, xi_k, eta_l), the basis width reached, sigma's frequency parity
-    and the folded block's shape.  The range finder runs on W = Dr^1/2 S_f
+    """(u, v, residual, width, parity, (Mr, Mc), row blocks) with S ~ u.T @ v
+    for S[k, l] = sigma(x_0, xi_k, eta_l), the basis width reached, sigma's
+    frequency parity, the folded block's shape and how many row blocks S_f
+    was evaluated in.  The range finder runs on W = Dr^1/2 S_f
     Dc^1/2, S_f being S on the frequencies folded by that parity (_fold) and D
     the counts; u and v are unfolded after.  A pass draws SKETCH_START +
     SKETCH_PROBES columns of W Omega, a later one as many as Y holds; Q spans
     prefixes of Y of widths BASIS_START, 2 BASIS_START, ... (SKETCH_START, 2
     SKETCH_START, ... when W is streamed), and a pass is made only when a
     prefix outgrows Y.  From the first pass width on, Q is that of all Y.  A
-    doubling that fails to halve a residual at or below floor ends the search."""
+    doubling that fails to halve a residual at or below floor ends the search.
+    The rule holds the probe residual and the dropped singular-value tail each
+    at or below FACTOR_RTOL; the two errors are orthogonal, so ||S - u.T v||_F
+    is about sqrt(2) FACTOR_RTOL ||S||_F at most (or the floor), not
+    FACTOR_RTOL ||S||_F."""
     M = grid.points_per_axis ** grid.dim
     parity = frequency_parity(sigma.node, grid.dim)
     p = tuple(parity.values())
     (xr, ir, sr, hr), (xc, ic, sc, hc) = (_fold(grid, q) for q in (p[:grid.dim], p[grid.dim:]))
     Mr, Mc = xr.shape[1], xc.shape[1]
     full = min(Mr, Mc)  # a basis this wide spans W
-    step = max(1, FACTOR_BUDGET // Mc)
     x = _flat(grid.node_mesh())
 
     def rows_of(rows):  # S_f[rows, :]
         return _values(sigma, grid, x[:, :1, None], xr[:, rows, None], xc[:, None, :])
 
-    held = [(slice(None), rows_of(slice(None)))] if step >= Mr else []
+    held = rows_of(slice(None)) if Mr * Mc <= FACTOR_BUDGET else None
+    chunks = [slice(None)] if held is not None else np.array_split(  # row index arrays
+        np.arange(Mr), -(-Mr // max(1, FACTOR_BUDGET // (FACTOR_CHUNKS * Mc))))
 
-    def blocks():
-        """(rows, S_f[rows, :]) pairs; S_f is evaluated once when it fits in one block."""
-        return held or ((rows, rows_of(rows))
-                        for rows in (slice(i, i + step) for i in range(0, Mr, step)))
+    def over(fn):
+        """[fn(rows, S_f[rows, :])]: on the held S_f, else per row chunk on thread_map."""
+        if held is not None:
+            return [fn(chunks[0], held)]
+        return thread_map(lambda rows: fn(rows, rows_of(rows)), chunks)
 
     rng = np.random.default_rng(SKETCH_SEED)
     Y = np.empty((Mr, 0))
     probe, residual, last, k = None, np.inf, np.inf, 0
-    first = BASIS_START if held else SKETCH_START  # a streamed S: QR the whole first pass
+    first = BASIS_START if held is not None else SKETCH_START  # streamed: QR all the first pass
     while k < full and residual > FACTOR_RTOL and not last / 2 < residual <= floor:
         last, k = residual, min(full, max(2 * k, first))
         if k > Y.shape[1]:  # the basis outgrew the columns drawn: one more pass
@@ -317,25 +332,21 @@ def _factorize(sigma: Symbol, grid: Grid, floor: float):
             new = width - Y.shape[1]
             omega = rng.standard_normal((Mc, new if probe is not None else new + SKETCH_PROBES))
             omega *= hc[:, None]
-            with blas(min(step, Mr) * Mc * omega.shape[1]):
-                sketch = np.concatenate([S @ omega for _, S in blocks()]) * hr[:, None]
+            sketch = np.concatenate(over(lambda _, S: S @ omega)) * hr[:, None]
             if probe is None:
                 probe = sketch[:, new:]
             Y = np.hstack([Y, sketch[:, :new]])
-        with blas(lapack_work(Mr, k)):
-            Q = np.linalg.qr(Y[:, :k])[0]
+        Q = np.linalg.qr(Y[:, :k])[0]
         scale = np.linalg.norm(probe)
         residual = np.linalg.norm(probe - Q @ (Q.conj().T @ probe)) / scale if scale else 0.0
 
-    with blas(k * min(step, Mr) * Mc):
-        R = sum((Q[rows] * hr[rows, None]).conj().T @ S for rows, S in blocks()) * hc  # Q^H W
-    with blas(lapack_work(Mc, k)):
-        u, s, vh = np.linalg.svd(R, full_matrices=False)
+    R = sum(over(lambda rows, S: (Q[rows] * hr[rows, None]).conj().T @ S)) * hc  # Q^H W
+    u, s, vh = np.linalg.svd(R, full_matrices=False)
     tail = np.sqrt(np.cumsum(s[::-1] ** 2)[::-1])  # tail[r] = ||s[r:]||
     rank = int(np.count_nonzero(tail > FACTOR_RTOL * tail[0]))
     u = ((Q @ u[:, :rank]) * s[:rank]).T / hr
     return (u[:, ir] * sr, (vh[:rank] / hc)[:, ic] * sc, float(residual), k, parity,
-            (Mr, Mc))
+            (Mr, Mc), len(chunks))
 
 
 @dataclass(frozen=True)

@@ -1,62 +1,36 @@
-"""Thread policies: when thread_map pools, and how many threads BLAS runs on.
+"""bilop's one thread policy: thread_map, with numpy's OpenBLAS pinned to one thread.
 
-thread_map.  numpy releases the GIL inside its FFTs and array loops, so
-items that each run for a while overlap on a thread pool.  Short items
-lose: every hand-off between threads waits up to one switch interval
-(sys.getswitchinterval(), 5 ms by default) for the GIL, and a norm scan
-of 1-3 ms items (an apply, family members and norms) ran slower on two
-threads than on one.  thread_map therefore runs the first two items in
-the calling thread, the first paying for FFT plans and first
-allocations, and sends the rest to the pool only when the second, warm
-item took longer than a switch interval.
+thread_map.  numpy releases the GIL inside its FFTs, array loops and BLAS
+calls, so items that each run for a while overlap on a thread pool.
+Short items lose: every hand-off between threads waits up to one switch
+interval (sys.getswitchinterval(), 5 ms by default) for the GIL, and a
+norm scan of 1-3 ms items (an apply, family members and norms) ran
+slower on two threads than on one.  thread_map therefore runs the first
+two items in the calling thread, the first paying for FFT plans and
+first allocations, and sends the rest to the pool only when the second,
+warm item took longer than a switch interval.  Its callers split their
+work into items of fixed bounds: the family members of a scan, and the
+row chunks of a streamed frequency matrix (operator._factorize) and of a
+kernel's row-block stream (kernel.KernelQuadrature), whose partial sums
+are added in chunk order.  So a result does not depend on how many
+workers ran it.
 
 blas.  numpy's bundled OpenBLAS starts one thread per core and splits
 every call above its own small gates, but the paper's constructions make
 streams of small products (the randomized sketches, QRs and SVDs of each
 x-expansion, the row-block products of each truncated kernel), on which
-a second thread only spins or stalls: capped at one thread, the
-benchmark's verify workload used 43 % less cpu time at the same wall
-time.  Numpy gives no per-call thread count, so blas(work) sets
-OpenBLAS's process-wide one for the block it guards: one thread, or
-min(count at import, worker_count()) when the block's largest BLAS call
-does work >= BLAS_PARALLEL_WORK multiply-adds.  cli.main runs every
-command inside blas(), and the products that can be large pass their
-own count.  Since the count is process-wide, blas acts only on the main
-thread; thread_map's pool threads run at the count the main thread set,
-one inside a command, so pooled items never oversubscribe the cores.
-
-The crossover, on 2 cores (numpy 2.4.6, scipy-openblas 0.3.31), median
-of 5 alternations in one process; work counts multiply-adds, for a QR or
-SVD of an m x k panel those of its largest inner update (lapack_work):
-
-    call                      work   1 thread   2 threads  speed-up
-    GEMM 32 x 512 x 128       2^21     0.09 ms    0.06 ms      1.36
-    GEMM 256 x 256 x 74       2^22     0.18 ms    0.13 ms      1.32
-    GEMM 32 x 1024 x 256      2^23     0.33 ms    0.21 ms      1.59
-    GEMM 512 x 512 x 64       2^24     0.57 ms    0.30 ms      1.91
-    GEMM 32 x 1024 x 512      2^24     0.66 ms    0.37 ms      1.77
-    GEMM 512 x 8192 x 74      2^28    13.7 ms     7.5 ms       1.82
-    QR 1024 x 64              2^21     1.9 ms     5.1 ms       0.38
-    QR 4096 x 64              2^23    14.7 ms    21.0 ms       0.70
-    QR 1024 x 256             2^23    15.5 ms    26.6 ms       0.58
-    QR 8192 x 64              2^24    42.1 ms    45.5 ms       0.92
-    QR 8192 x 128             2^25   128 ms      98 ms         1.31
-    QR 16384 x 64             2^25    95 ms      78 ms         1.22
-    SVD 64 x 4096             2^23    18.8 ms    27.7 ms       0.68
-    SVD 64 x 8192             2^24    56.4 ms    55.9 ms       1.01
-    SVD 128 x 8192            2^25   178 ms     161 ms         1.11
-
-A GEMM gains from 2^21 on, but only from 2^24 does it run near the
-2-core limit; below that the second thread saves tens of microseconds
-per call, which one stall undoes: when another process holds a core,
-every threaded call can wait whole 4 ms scheduler ticks for its helper
-(a 32 x 512 x 128 GEMM took 18-32 ms instead of 0.1 ms, and a 5 ms
-apply 1 s), and a single thread waits for no helper.  A QR or SVD makes
-one threaded update per LAPACK_BLOCK columns between panel steps that a
-second thread slows, so counted by their total multiply-adds they would
-lift at sizes where they lose; counted by their largest update they
-lift where they break even or gain.  BILOP_THREADS caps both policies;
-1 never starts a pool and keeps BLAS on one thread.
+a second thread only spins or stalls.  Measured on 2 cores (numpy 2.4.6,
+scipy-openblas 0.3.31): every threaded call leaves its helper thread
+spinning for 60-100 ms after its last job, even after the count is set
+to one, and when another process holds a core, threaded products of
+2^21-2^24 multiply-adds took 8-24 ms against 0.1-0.8 ms on one thread,
+the helper waiting whole scheduler ticks.  Numpy gives no per-call
+thread count, so blas() sets OpenBLAS's process-wide one to 1 for the
+block it guards and restores it after; cli.main runs every command
+inside it.  Since the count is process-wide, blas acts only on the main
+thread, and thread_map's pool threads run at the one thread it set, so
+pooled items never oversubscribe the cores.  BILOP_THREADS caps the
+pool; 1 never starts one.
 """
 import ctypes
 import os
@@ -70,9 +44,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-
-BLAS_PARALLEL_WORK = 2 ** 24  # multiply-adds of one call from which 2 threads pay
-LAPACK_BLOCK = 32  # columns per blocked update in LAPACK's QR and SVD (ilaenv NB)
 
 
 def worker_count() -> int:
@@ -130,27 +101,20 @@ def _find_openblas():
 _OPENBLAS = _find_openblas()
 
 
-def lapack_work(m: int, k: int) -> int:
-    """The work blas weighs a QR or SVD of an m x k (m >= k) matrix by: the
-    multiply-adds of its largest update, m k min(k, LAPACK_BLOCK)."""
-    return m * k * min(k, LAPACK_BLOCK)
-
-
 @contextmanager
-def blas(work: int = 0):
-    """Run the block's OpenBLAS calls on min(count at import, worker_count())
-    threads when work >= BLAS_PARALLEL_WORK, else on one, and restore the
-    count after.  A no-op off the main thread and for any other BLAS."""
-    cap = worker_count()  # a bad BILOP_THREADS raises wherever it would apply
+def blas():
+    """Run the block's OpenBLAS calls on one thread and restore the count
+    after.  A no-op off the main thread and for any other BLAS."""
+    worker_count()  # a bad BILOP_THREADS raises wherever it would apply
     if _OPENBLAS is None or threading.current_thread() is not threading.main_thread():
         yield
         return
-    get, put, count = _OPENBLAS
-    before, threads = get(), min(count, cap) if work >= BLAS_PARALLEL_WORK else 1
-    if threads != before:
-        put(threads)
+    get, put, _ = _OPENBLAS
+    before = get()
+    if before != 1:
+        put(1)
     try:
         yield
     finally:
-        if threads != before:
+        if before != 1:
             put(before)

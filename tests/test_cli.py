@@ -8,10 +8,12 @@ import math
 import pytest
 
 import bilop.cli as cli_module
+import bilop.operator as operator_module
 import bilop.symbols.catalog as catalog_module
 from bilop.cli import SUBCOMMANDS
 from bilop.cli import main as cli_main
 from bilop.operator import FACTOR_FLOOR_C
+from bilop.parallel import blas
 from bilop.reports import to_jsonable
 
 # (subcommand, small-size flags, exit code, verdict)
@@ -197,6 +199,18 @@ def test_apply_reports_each_x_terms_parity_and_folded_block(tmp_path, capsys):
     assert len(data["basis_widths"]) == data["x_rank"] == 3
 
 
+def test_apply_reports_each_x_terms_row_blocks_and_the_workers(tmp_path, capsys, monkeypatch):
+    # N = 256 folds sqrt1 to 129 x 129: held in one block, or at FACTOR_BUDGET
+    # 2^14 streamed in 5 row chunks of at most 2^12 entries
+    monkeypatch.setenv("BILOP_THREADS", "3")
+    for budget, blocks in ((operator_module.FACTOR_BUDGET, [1]), (2 ** 14, [5])):
+        monkeypatch.setattr(operator_module, "FACTOR_BUDGET", budget)
+        assert cli_main(["apply", "--n", "256", "--symbol", "sqrt1",
+                         "--out-dir", str(tmp_path)]) == 0
+        data = json.loads(capsys.readouterr().out)["data"]
+        assert (data["row_blocks"], data["workers"]) == (blocks, 3)
+
+
 @pytest.mark.parametrize("name, args", [
     ("seminorms",["--samples", "100", "--box", "64", "--max-order", "1"]),
     ("decompose", ["--probes", "100"])])
@@ -252,11 +266,13 @@ def test_the_envelope_is_one_line_of_json(tmp_path, capsys):
                                   ["wbp-scan", "--n", "1024"]], ids=lambda a: a[0])
 def test_table_cells_are_written_as_converting_every_cell_wrote_them(tmp_path, capsys, argv):
     # plain int, float and str cells skip to_jsonable; the bytes stay those
-    # of converting every cell first
+    # of converting every cell first.  The runner runs on one BLAS thread,
+    # as cli.main runs it, so its values are the same bits
     assert cli_main([*argv, "--out-dir", str(tmp_path), "--out", "run"]) == 0
     name = argv[0]
     cfg = cli_module.effective_config(name, cli_module.build_parser().parse_args(argv))
-    _, _, (header, rows) = SUBCOMMANDS[name][1](cfg)
+    with blas():
+        _, _, (header, rows) = SUBCOMMANDS[name][1](cfg)
     want = io.StringIO()
     writer = csv.writer(want)
     writer.writerow(header)

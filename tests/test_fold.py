@@ -85,7 +85,7 @@ def parity_symbols(draw, dim):
 
 
 def _check_fold(sigma, grid):
-    u, v, _, _, parity, (Mr, Mc) = _factorize(sigma, grid, _floor(grid))
+    u, v, _, _, parity, (Mr, Mc), _ = _factorize(sigma, grid, _floor(grid))
     S = _dense(sigma, grid)
     assert np.linalg.norm(S - u.T @ v) <= 10 * FACTOR_RTOL * np.linalg.norm(S)
     n, half = grid.points_per_axis, grid.points_per_axis // 2 + 1

@@ -28,7 +28,7 @@ from bilop.operator import (
     pairing,
     transpose,
 )
-from bilop.parallel import thread_map
+from bilop.parallel import blas, thread_map
 from bilop.symbols import (SymbolClassParams, catalog_symbol, ftc_decompose,
                            parse_symbol_expr, symbol_catalog, symbol_from_expr)
 from bilop.symbols.core import _pack
@@ -479,19 +479,24 @@ def test_full_rank_symbol_over_the_factor_budget_names_the_basis_width():
 
 
 def test_streamed_factorization_evaluates_each_block_once_per_pass(monkeypatch):
-    # N = 4096: one sketch pass and Q^H S read each block once.  With no parity
-    # S is four 1024-row blocks of 4096 columns; even in xi and eta it folds to
-    # 2049 x 2049, which FACTOR_BUDGET cuts after 2047 rows
+    # N = 4096: one sketch pass and Q^H S read each row chunk once, on two
+    # workers.  With no parity S is cut into 16 chunks of FACTOR_BUDGET /
+    # FACTOR_CHUNKS entries (256 rows of 4096); even in xi and eta it folds
+    # to 2049 x 2049, cut into 5 chunks of 409 or 410 rows
+    monkeypatch.setenv("BILOP_THREADS", "2")
     blocks = []
     values = operator_module._values
     monkeypatch.setattr(operator_module, "_values", lambda sigma, grid, x, xi, eta: blocks.append(
-        np.shape(xi)[1]) or values(sigma, grid, x, xi, eta))
-    for expr, rows in (("sqrt(1+xi^2+eta^2)+xi+eta", [1024] * 4),
-                       ("sqrt(1+xi^2+eta^2)", [2047, 2])):
+        (float(np.ravel(xi)[0]), np.shape(xi)[1])) or values(sigma, grid, x, xi, eta))
+    for expr, rows in (("sqrt(1+xi^2+eta^2)+xi+eta", [256] * 16),
+                       ("sqrt(1+xi^2+eta^2)", [409] + [410] * 4)):
         blocks.clear()
-        make_operator(symbol_from_expr(expr, SymbolClassParams(1.0)),
-                      Grid(dim=1, points_per_axis=4096))
-        assert [b for b in blocks if b > 1] == rows * 2, expr
+        low = make_operator(symbol_from_expr(expr, SymbolClassParams(1.0)),
+                            Grid(dim=1, points_per_axis=4096)).lowrank()
+        read = [b for b in blocks if b[1] > 1]
+        assert sorted(n for _, n in set(read)) == sorted(rows), expr
+        assert all(read.count(b) == 2 for b in read), expr
+        assert low.row_blocks == (len(rows),)
 
 
 def test_streamed_factorization_starts_its_basis_at_the_first_pass_width(monkeypatch):
@@ -507,11 +512,13 @@ def test_streamed_factorization_starts_its_basis_at_the_first_pass_width(monkeyp
 @pytest.mark.parametrize("name", ["one", "eta"])
 def test_a_residual_stalled_at_roundoff_ends_the_basis(name):
     # S is constant along one axis, so the held-out residual is roundoff.  Folded
-    # to 2049 x 2049, one's meets FACTOR_RTOL at width 64 (5.5e-15); eta's stays
-    # above it (1.3e-14 at 128): the doubling that fails to halve it ends the
-    # basis at rank 1
+    # to 2049 x 2049 and read on one BLAS thread, as every command reads it,
+    # one's meets FACTOR_RTOL at width 64 (8.2e-15); eta's stays above it
+    # (1.1e-14 at 128): the doubling that fails to halve it ends the basis at
+    # rank 1
     grid = Grid(dim=1, points_per_axis=4096)
-    T = make_operator(catalog_symbol(name), grid)
+    with blas():
+        T = make_operator(catalog_symbol(name), grid)
     low = T.lowrank()
     width = {"one": 64, "eta": 128}[name]
     assert (low.rank, low.widths, low.folds) == (1, (width,), ((2049, 2049),))

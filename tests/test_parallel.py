@@ -1,22 +1,29 @@
 """thread_map: order, the warm-item gate in front of the pool, errors, caps;
-blas: its thread policy against a fake handle, and results lifted or not."""
+blas: one OpenBLAS thread against a fake handle and the real one; pooled
+passes equal one-thread ones bit for bit; symbols evaluate alike on two
+threads at once."""
 
 import os
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bilop.operator as operator_module
 import bilop.parallel as parallel
 from bilop.cli import main as cli_main
 from bilop.errors import ConfigError
 from bilop.grid import Grid
 from bilop.kernel import KernelQuadrature
-from bilop.operator import FACTOR_FLOOR_C, FACTOR_RTOL, _factorize
+from bilop.operator import FACTOR_FLOOR_C, _factorize
 from bilop.parallel import blas, thread_map
-from bilop.symbols import SymbolClassParams, catalog_symbol, symbol_from_expr
+from bilop.symbols import SymbolClassParams, catalog_symbol, ftc_decompose, symbol_from_expr
+from bilop.symbols.expr import FUNCTIONS
 
 
 @pytest.fixture
@@ -106,9 +113,6 @@ def test_an_unset_or_empty_thread_count_keeps_the_default(monkeypatch, value):
 
 # ------------------------------------------------------------ blas policy
 
-LARGE = parallel.BLAS_PARALLEL_WORK
-
-
 class FakeBlas:
     """A thread count with the get/set pair of the OpenBLAS handle."""
 
@@ -132,123 +136,184 @@ def fake_blas(monkeypatch):
     return fake
 
 
-@pytest.mark.parametrize("work, threads", [(0, 1), (LARGE - 1, 1), (LARGE, 2), (10 * LARGE, 2)])
-def test_blas_runs_small_work_on_one_thread_and_large_work_on_the_cap(fake_blas, work, threads):
-    with blas(work):
-        assert fake_blas.count == threads
-    assert fake_blas.sets == [threads, 5]
-
-
-@pytest.mark.parametrize("cap, threads", [("1", 1), ("2", 2), ("8", 3)])
-def test_large_work_takes_the_smaller_of_the_import_count_and_the_cap(
-        fake_blas, monkeypatch, cap, threads):
-    monkeypatch.setenv("BILOP_THREADS", cap)
-    with blas(LARGE):
-        assert fake_blas.count == threads
-
-
-def test_a_lift_inside_a_capped_block_returns_to_one_thread(fake_blas):
+def test_blas_runs_its_block_on_one_thread_and_restores_the_count(fake_blas):
     with blas():
-        with blas(LARGE):
-            assert fake_blas.count == 2
         assert fake_blas.count == 1
-        with blas(LARGE - 1):  # already at one thread: nothing to set
-            pass
-    assert fake_blas.sets == [1, 2, 1, 5]
+        with blas():  # already at one thread: nothing to set
+            assert fake_blas.count == 1
+        assert fake_blas.count == 1
+    assert fake_blas.sets == [1, 5]
 
 
 def test_blas_restores_the_count_when_the_block_raises(fake_blas):
-    for work in (0, LARGE):
-        with pytest.raises(ValueError, match="inside"):
-            with blas(work):
-                raise ValueError("inside")
-        assert fake_blas.count == 5
+    with pytest.raises(ValueError, match="inside"):
+        with blas():
+            raise ValueError("inside")
+    assert fake_blas.count == 5
 
 
 def test_blas_off_the_main_thread_never_sets_the_count(fake_blas):
     seen = []
 
     def body():
-        for work in (0, LARGE):
-            with blas(work):
-                seen.append(fake_blas.count)
+        with blas():
+            seen.append(fake_blas.count)
 
     worker = threading.Thread(target=body)
     worker.start()
     worker.join(timeout=10)
     assert not worker.is_alive()
-    assert seen == [5, 5] and fake_blas.sets == []
+    assert seen == [5] and fake_blas.sets == []
 
 
 def test_blas_without_a_handle_does_nothing(monkeypatch):
     real = parallel._OPENBLAS
     monkeypatch.setattr(parallel, "_OPENBLAS", None)
     before = real[0]() if real else None
-    for work in (0, LARGE):
-        with blas(work):
-            assert (real[0]() if real else None) == before
+    with blas():
+        assert (real[0]() if real else None) == before
 
 
 # even or odd in neither frequency, so S is factored unfolded
 PARITY_FREE = "sqrt(1+xi^2+eta^2)+xi+eta"
 
 
-def test_cli_runs_each_command_on_one_thread_and_lifts_large_products(fake_blas, tmp_path):
-    # apply at N = 16 makes only small products; at N = 512 the sketch S omega
-    # of a parity-free symbol (512 x 512 x 74) passes BLAS_PARALLEL_WORK
-    assert cli_main(["apply", "--n", "16", "--out-dir", str(tmp_path)]) == 0
-    assert fake_blas.sets == [1, 5]
-    fake_blas.sets.clear()
-    assert cli_main(["apply", "--n", "512", "--symbol", PARITY_FREE,
-                     "--out-dir", str(tmp_path)]) == 0
-    assert fake_blas.sets[0] == 1 and fake_blas.sets[-1] == 5
-    assert set(fake_blas.sets[1:-1]) == {1, 2}
+def test_cli_runs_each_command_on_one_thread(fake_blas, tmp_path):
+    # apply at N = 512 of a parity-free symbol makes a 512 x 512 x 74 sketch,
+    # 2^24 multiply-adds: it runs on one thread too
+    for argv in (["apply", "--n", "16"], ["apply", "--n", "512", "--symbol", PARITY_FREE]):
+        fake_blas.sets.clear()
+        assert cli_main([*argv, "--out-dir", str(tmp_path)]) == 0
+        assert fake_blas.sets == [1, 5]
 
 
-# ------------------------------------------- the real library, lifted or not
+# --------------------------------- the real library: pooled against one thread
 
 @pytest.fixture
-def real_blas(monkeypatch):
-    """The sets made through the real OpenBLAS handle; skipped without one."""
+def pooled(monkeypatch, pools):
+    """run(): its result at BILOP_THREADS=2 and =1 inside blas(), with a
+    switch interval short enough that every map past two items pools;
+    skipped without numpy's bundled OpenBLAS."""
     if parallel._OPENBLAS is None:
         pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
-    get, put, count = parallel._OPENBLAS
-    if count < 2:
-        pytest.skip("OpenBLAS started with one thread")
-    sets = []
-    monkeypatch.setattr(parallel, "_OPENBLAS", (get, lambda n: sets.append(n) or put(n), count))
-    return sets
+    interval = sys.getswitchinterval()
+
+    def run(fn):
+        outs = []
+        sys.setswitchinterval(1e-6)
+        try:
+            for cap in ("2", "1"):
+                monkeypatch.setenv("BILOP_THREADS", cap)
+                with blas():
+                    outs.append(fn())
+        finally:
+            sys.setswitchinterval(interval)
+        assert pools and set(pools) == {2}  # the two-worker run pooled, the other did not
+        return outs
+
+    return run
 
 
-def _lifted_and_serial(real_blas, monkeypatch, run):
-    """run() with BILOP_THREADS=2 and =1, each inside a one-thread block."""
-    outs = []
-    for cap in ("2", "1"):
-        monkeypatch.setenv("BILOP_THREADS", cap)
-        real_blas.clear()
-        with blas():
-            outs.append(run())
-        assert (max(real_blas[:-1]) > 1) == (cap == "2")  # the last set restores
-    return outs
-
-
-def test_a_lifted_factorization_matches_a_serial_one(real_blas, monkeypatch):
-    grid = Grid(dim=1, points_per_axis=512)  # S omega is 512 x 512 x 74
+def test_a_pooled_factorization_equals_a_one_thread_one_bit_for_bit(pooled, monkeypatch):
+    # FACTOR_BUDGET 2^16 streams the 512 x 512 S in 16 row chunks of 32 rows
+    monkeypatch.setattr(operator_module, "FACTOR_BUDGET", 2 ** 16)
+    grid = Grid(dim=1, points_per_axis=512)
     sigma = symbol_from_expr(PARITY_FREE, SymbolClassParams(1.0))
     floor = FACTOR_FLOOR_C * np.finfo(float).eps * np.sqrt(grid.points_per_axis)
-    (u1, v1, *rest1), (u2, v2, *rest2) = _lifted_and_serial(
-        real_blas, monkeypatch, lambda: _factorize(sigma, grid, floor))
-    assert u1.shape == u2.shape and v1.shape == v2.shape  # the same rank
-    assert rest1[1] == rest2[1]  # the same basis width
-    scale = FACTOR_RTOL * np.linalg.norm(u1.T @ v1, 2)
-    assert np.max(np.abs(u1.T @ v1 - u2.T @ v2)) <= scale
-    assert np.max(np.abs(u1 - u2)) <= scale and np.max(np.abs(v1 - v2)) <= scale
+    two, one = pooled(lambda: _factorize(sigma, grid, floor))
+    assert two[6] == one[6] == 16
+    assert np.array_equal(two[0], one[0]) and np.array_equal(two[1], one[1])
+    assert two[2:] == one[2:]
 
 
-def test_a_lifted_kernel_stream_matches_a_serial_one(real_blas, monkeypatch):
-    # level 512: 32 x 4097 row blocks times 4097 x 160 phase columns
-    quad = KernelQuadrature(catalog_symbol("sqrt1", 1), 512.0)
+def test_a_pooled_kernel_stream_equals_a_one_thread_one_bit_for_bit(pooled):
+    # level 512: 4097 rows t >= 0 in 129 row blocks, in 16 chunks
+    quad = KernelQuadrature(catalog_symbol("theta_sqrt1"), 512.0)
     rng = np.random.default_rng(0)
     us, vs = rng.uniform(0.05, 3.0, (2, 160))
-    lifted, serial = _lifted_and_serial(real_blas, monkeypatch, lambda: quad.values(0.0, us, vs))
-    assert np.max(np.abs(lifted - serial)) <= 1e-12 * np.max(np.abs(serial))
+    two, one = pooled(lambda: quad.values(0.4, us, vs, deriv=(1, 0, 0)))
+    assert quad.account()["row_chunks"] == 16
+    assert np.array_equal(two, one)
+
+
+def _task_ticks() -> dict:
+    """{thread id: user + system clock ticks} of this process's threads."""
+    ticks = {}
+    for task in Path("/proc/self/task").iterdir():
+        try:
+            fields = (task / "stat").read_text().rsplit(")", 1)[1].split()
+        except FileNotFoundError:  # the thread ended
+            continue
+        ticks[int(task.name)] = int(fields[11]) + int(fields[12])
+    return ticks
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads Linux /proc/self/task")
+def test_commands_leave_no_blas_helper_spinning(tmp_path):
+    # a threaded OpenBLAS call leaves its helpers spinning for 60-100 ms after
+    # their last job; with every call on one thread they never wake
+    time.sleep(0.15)  # past the spin of any threaded call made before
+    before = _task_ticks()
+    for argv in (["norm-scan", "--op", "commutator1", "--n", "1024", "--k-max", "16"],
+                 ["certify-czk", "--symbol", "sqrt1", "--samples", "200"]):
+        assert cli_main([*argv, "--out-dir", str(tmp_path)]) == 0
+    time.sleep(0.15)
+    after = _task_ticks()
+    caller = threading.get_native_id()
+    spun = {tid: after[tid] - t for tid, t in before.items() if tid != caller and tid in after}
+    assert all(ticks == 0 for ticks in spun.values()), spun
+
+
+# ------------------------------------------------ symbols on two threads at once
+
+@st.composite
+def expressions(draw):
+    """Source text over x, xi and eta from every grammar function, the four
+    operators and small integer powers."""
+    leaves = st.sampled_from(("x", "xi", "eta", "0.5", "2"))
+
+    def extend(child):
+        return st.one_of(
+            st.tuples(st.sampled_from(FUNCTIONS), child).map(lambda a: f"{a[0]}({a[1]})"),
+            st.tuples(child, st.sampled_from("+-*/"), child).map(lambda a: "({}{}{})".format(*a)),
+            st.tuples(child, st.integers(-2, 3)).map(lambda a: f"({a[0]})^{a[1]}"))
+
+    return draw(st.recursive(leaves, extend, max_leaves=8))
+
+
+_POINTS = tuple(np.random.default_rng(4).uniform(-3.0, 3.0, (3, 64)))  # x, xi, eta
+
+
+def _values_of(sigma):
+    """sigma and its first xi and x partials at _POINTS."""
+    return [np.asarray(ev(*_POINTS)) for ev in
+            (sigma.partial(), sigma.partial((0,), (1,), (0,)), sigma.partial((1,), (0,), (0,)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=expressions(), pick=st.integers(0, 1))
+def test_a_fresh_symbol_evaluates_alike_on_two_threads_at_once(text, pick):
+    # each AST fills its evaluation program and derivatives lazily, on first
+    # use; two pool threads may be the first users together
+    def make():
+        sigma = symbol_from_expr(text, SymbolClassParams(1.0))
+        return [sigma, ftc_decompose(sigma, quad_points=16, guard=False)[pick]]
+
+    start = threading.Barrier(2)
+
+    def race(sigma):
+        start.wait(timeout=10)
+        return _values_of(sigma)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the GIL over between the threads often
+    try:
+        for serial, shared in zip(make(), make()):
+            want = _values_of(serial)
+            with parallel.ThreadPoolExecutor(max_workers=2) as pool:
+                got = list(pool.map(race, [shared, shared], timeout=60))
+            for values in got:
+                for a, b in zip(values, want):
+                    assert np.array_equal(a, b, equal_nan=True)
+    finally:
+        sys.setswitchinterval(interval)
