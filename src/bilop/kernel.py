@@ -50,10 +50,9 @@ workers.  thread_map runs two chunks in the calling thread, so 16 chunks
 take (2 + 14 / 2) / 16 of the serial time on 2 workers; 32 at level 256
 fall below the switch interval it asks of its second item.  Memory is
 O(workers ROW_BLOCK L + PHASE_BUDGET) for an axis of length L, at any
-level and for any number of offsets.  A symbol
-that is complex or not finite anywhere on the box, or an a_s not finite at
-a requested x, raises DomainError; a parity carries a non-finite value to
-its mirror image too.
+level and for any number of offsets.  A symbol that is complex or not
+finite anywhere on the box, or an a_s not finite at a requested x, raises
+DomainError; a parity carries a non-finite value to its mirror image too.
 
 Decay fits and Calderon-Zygmund certification of commutator kernels
 K_slot = (a(y or z) - a(x)) K_N live here too.

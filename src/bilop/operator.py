@@ -31,18 +31,19 @@ as for eta, can stall above FACTOR_RTOL), or that spans S; only a prefix
 wider than the columns drawn makes another pass.  So S is evaluated as
 often as by a basis that takes whole passes, while QR and the SVD of Q^H S,
 cut at the same relative tail, run at the width the rank needs.  S, folded
-as below, is evaluated once when it holds at most FACTOR_BUDGET entries;
-a larger S is evaluated by each pass and by Q^H S in equal contiguous row
-chunks of at most FACTOR_BUDGET / FACTOR_CHUNKS entries on thread_map, in
-memory O(workers FACTOR_BUDGET / FACTOR_CHUNKS).  A 2^20-entry chunk of
-sqrt1 (6-9 ms on one thread) outlasts the switch interval thread_map asks
-of its second item, and Q^H S adds the chunks in order, so the factors
-are the same bits on any number of workers.  A pass past FACTOR_BUDGET /
-Mr columns raises BudgetError.  A streamed S starts its basis at the
-first pass's width, since its evaluations dwarf one QR and narrower
-prefixes only add QRs (sqrt1's ranks 36-41 at N = 4096-16384 need 64).
-Operators are built whole; non-finite symbol values and outputs raise
-DomainError.
+as below, is evaluated once when it holds at most FACTOR_BUDGET entries,
+else by each pass in n = ceil(FACTOR_CHUNKS Mr Mc / FACTOR_BUDGET) equal
+contiguous row blocks and by Q^H S in n column blocks, on thread_map.  A
+block gives its own rows of the sketch or columns of Q^H S: memory is
+O(workers FACTOR_BUDGET / FACTOR_CHUNKS) beside the output, past
+FACTOR_BUDGET for BILOP_THREADS > FACTOR_CHUNKS.  A 2^20-entry sqrt1 block
+(6-9 ms) outlasts the switch interval thread_map asks of its second item;
+the blocks, so the bits, do not depend on the workers.  A pass past
+FACTOR_BUDGET / Mr columns raises BudgetError.  A streamed S starts its
+basis at the first pass's width, since its evaluations dwarf one QR and
+narrower prefixes only add QRs (sqrt1's ranks 36-41 at N = 4096-16384 need
+64).  Operators are built whole; non-finite symbol values and outputs
+raise DomainError.
 
 The range finder runs on S folded by b_s's parity, read off its AST
 (frequency_parity) in each frequency variable.  An axis of parity p is
@@ -119,7 +120,7 @@ from .verdict import IDENTITY_TOL, check
 DIRECT_BUDGET = 2 ** 28
 DENSE_BUDGET = 2 ** 24
 FACTOR_BUDGET = 2 ** 22
-FACTOR_CHUNKS = 4  # row chunks of a streamed S_f per FACTOR_BUDGET entries
+FACTOR_CHUNKS = 4  # blocks of a streamed S_f per FACTOR_BUDGET entries
 FACTOR_RTOL = 1e-14
 FACTOR_FLOOR_C = 4.0  # one and eta stall at up to 1.4 eps sqrt(M), 2.7 unfolded
 SKETCH_START = 64   # first pass width
@@ -142,8 +143,7 @@ class LowRank:
     blocks of sizes ranks, w_s on each row of block s; the largest residual of
     the probes, and per block its basis width, the parity of b_s folded in each
     frequency variable ({var: +1, -1 or None}), the folded block's shape
-    (Mr, Mc) and the row blocks it was evaluated in (1 when held); the
-    roundoff floor."""
+    (Mr, Mc) and the n blocks a pass reads it in; the roundoff floor."""
 
     u: np.ndarray
     v: np.ndarray
@@ -280,21 +280,21 @@ def _fold(grid: Grid, parities) -> tuple:
 
 
 def _factorize(sigma: Symbol, grid: Grid, floor: float):
-    """(u, v, residual, width, parity, (Mr, Mc), row blocks) with S ~ u.T @ v
-    for S[k, l] = sigma(x_0, xi_k, eta_l), the basis width reached, sigma's
-    frequency parity, the folded block's shape and how many row blocks S_f
-    was evaluated in.  The range finder runs on W = Dr^1/2 S_f
-    Dc^1/2, S_f being S on the frequencies folded by that parity (_fold) and D
-    the counts; u and v are unfolded after.  A pass draws SKETCH_START +
-    SKETCH_PROBES columns of W Omega, a later one as many as Y holds; Q spans
-    prefixes of Y of widths BASIS_START, 2 BASIS_START, ... (SKETCH_START, 2
-    SKETCH_START, ... when W is streamed), and a pass is made only when a
-    prefix outgrows Y.  From the first pass width on, Q is that of all Y.  A
-    doubling that fails to halve a residual at or below floor ends the search.
-    The rule holds the probe residual and the dropped singular-value tail each
-    at or below FACTOR_RTOL; the two errors are orthogonal, so ||S - u.T v||_F
-    is about sqrt(2) FACTOR_RTOL ||S||_F at most (or the floor), not
-    FACTOR_RTOL ||S||_F."""
+    """(u, v, residual, width, parity, (Mr, Mc), n) with S ~ u.T @ v for
+    S[k, l] = sigma(x_0, xi_k, eta_l), the basis width reached, sigma's
+    frequency parity, the folded block's shape and the number of blocks a
+    pass reads S_f in.  The range finder runs on W = Dr^1/2 S_f Dc^1/2, S_f
+    being S on the frequencies folded by that parity (_fold) and D the
+    counts; u and v are unfolded after.  A pass draws SKETCH_START +
+    SKETCH_PROBES columns of W Omega, a later one as many as Y holds; Q
+    spans prefixes of Y of widths BASIS_START, 2 BASIS_START, ...
+    (SKETCH_START, 2 SKETCH_START, ... when W is streamed), and a pass is
+    made only when a prefix outgrows Y.  From the first pass width on, Q is
+    that of all Y.  A doubling that fails to halve a residual at or below
+    floor ends the search.  The rule holds the probe residual and the
+    dropped singular-value tail each at or below FACTOR_RTOL; the two
+    errors are orthogonal, so ||S - u.T v||_F is about sqrt(2) FACTOR_RTOL
+    ||S||_F at most (or the floor), not FACTOR_RTOL ||S||_F."""
     M = grid.points_per_axis ** grid.dim
     parity = frequency_parity(sigma.node, grid.dim)
     p = tuple(parity.values())
@@ -303,18 +303,19 @@ def _factorize(sigma: Symbol, grid: Grid, floor: float):
     full = min(Mr, Mc)  # a basis this wide spans W
     x = _flat(grid.node_mesh())
 
-    def rows_of(rows):  # S_f[rows, :]
-        return _values(sigma, grid, x[:, :1, None], xr[:, rows, None], xc[:, None, :])
+    def block(rows=slice(None), cols=slice(None)):  # S_f[rows, cols]
+        return _values(sigma, grid, x[:, :1, None], xr[:, rows, None], xc[:, None, cols])
 
-    held = rows_of(slice(None)) if Mr * Mc <= FACTOR_BUDGET else None
-    chunks = [slice(None)] if held is not None else np.array_split(  # row index arrays
-        np.arange(Mr), -(-Mr // max(1, FACTOR_BUDGET // (FACTOR_CHUNKS * Mc))))
+    held = block() if Mr * Mc <= FACTOR_BUDGET else None
+    n = 1 if held is not None else -(-FACTOR_CHUNKS * Mr * Mc // FACTOR_BUDGET)
 
-    def over(fn):
-        """[fn(rows, S_f[rows, :])]: on the held S_f, else per row chunk on thread_map."""
+    def over(fn, axis):
+        """fn of the held S_f, or of its n row (axis 0) or column blocks, joined."""
         if held is not None:
-            return [fn(chunks[0], held)]
-        return thread_map(lambda rows: fn(rows, rows_of(rows)), chunks)
+            return fn(held)
+        cut = (lambda i: block(i)) if axis == 0 else (lambda i: block(cols=i))
+        parts = np.array_split(np.arange((Mr, Mc)[axis]), n)
+        return np.concatenate(thread_map(lambda i: fn(cut(i)), parts), axis=axis)
 
     rng = np.random.default_rng(SKETCH_SEED)
     Y = np.empty((Mr, 0))
@@ -332,7 +333,7 @@ def _factorize(sigma: Symbol, grid: Grid, floor: float):
             new = width - Y.shape[1]
             omega = rng.standard_normal((Mc, new if probe is not None else new + SKETCH_PROBES))
             omega *= hc[:, None]
-            sketch = np.concatenate(over(lambda _, S: S @ omega)) * hr[:, None]
+            sketch = over(lambda S: S @ omega, 0) * hr[:, None]
             if probe is None:
                 probe = sketch[:, new:]
             Y = np.hstack([Y, sketch[:, :new]])
@@ -340,13 +341,14 @@ def _factorize(sigma: Symbol, grid: Grid, floor: float):
         scale = np.linalg.norm(probe)
         residual = np.linalg.norm(probe - Q @ (Q.conj().T @ probe)) / scale if scale else 0.0
 
-    R = sum(over(lambda rows, S: (Q[rows] * hr[rows, None]).conj().T @ S)) * hc  # Q^H W
+    Qh = (Q * hr[:, None]).conj().T
+    R = over(lambda S: Qh @ S, 1) * hc  # Q^H W
     u, s, vh = np.linalg.svd(R, full_matrices=False)
     tail = np.sqrt(np.cumsum(s[::-1] ** 2)[::-1])  # tail[r] = ||s[r:]||
     rank = int(np.count_nonzero(tail > FACTOR_RTOL * tail[0]))
     u = ((Q @ u[:, :rank]) * s[:rank]).T / hr
     return (u[:, ir] * sr, (vh[:rank] / hc)[:, ic] * sc, float(residual), k, parity,
-            (Mr, Mc), len(chunks))
+            (Mr, Mc), n)
 
 
 @dataclass(frozen=True)

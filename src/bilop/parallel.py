@@ -9,10 +9,10 @@ slower on two threads than on one.  thread_map therefore runs the first
 two items in the calling thread, the first paying for FFT plans and
 first allocations, and sends the rest to the pool only when the second,
 warm item took longer than a switch interval.  Its callers split their
-work into items of fixed bounds: the family members of a scan, and the
-row chunks of a streamed frequency matrix (operator._factorize) and of a
-kernel's row-block stream (kernel.KernelQuadrature), whose partial sums
-are added in chunk order.  So a result does not depend on how many
+work into items of fixed bounds (the family members of a scan, the row and
+column blocks of a streamed frequency matrix in operator._factorize, the
+chunks of a kernel's row-block stream in kernel.KernelQuadrature) and
+join or add the results in order, so a result does not depend on how many
 workers ran it.
 
 blas.  numpy's bundled OpenBLAS starts one thread per core and splits
@@ -26,11 +26,12 @@ to one, and when another process holds a core, threaded products of
 2^21-2^24 multiply-adds took 8-24 ms against 0.1-0.8 ms on one thread,
 the helper waiting whole scheduler ticks.  Numpy gives no per-call
 thread count, so blas() sets OpenBLAS's process-wide one to 1 for the
-block it guards and restores it after; cli.main runs every command
-inside it.  Since the count is process-wide, blas acts only on the main
-thread, and thread_map's pool threads run at the one thread it set, so
-pooled items never oversubscribe the cores.  BILOP_THREADS caps the
-pool; 1 never starts one.
+block it guards and restores it after; cli.main runs every command and
+thread_map every map inside it, so a mapped item gives the same bits
+wherever it is mapped from.  The count being process-wide, blas acts
+only on the main thread, a nested one sets nothing, and pool threads run
+at its one thread, never oversubscribing the cores.  BILOP_THREADS caps
+the pool; 1 never starts one.
 """
 import ctypes
 import os
@@ -61,19 +62,19 @@ def worker_count() -> int:
 
 
 def thread_map(fn, items):
-    """[fn(item) for item in items], the items after the second on a thread
-    pool when the second outlasted a switch interval."""
+    """[fn(item) for item in items] inside blas(), the items after the second
+    on a thread pool when the second outlasted a switch interval."""
     items = list(items)
-    out = [fn(item) for item in items[:1]]
-    start = time.perf_counter()
-    out += [fn(item) for item in items[1:2]]
-    slow = time.perf_counter() - start > sys.getswitchinterval()
-    rest = items[2:]
-    workers = min(worker_count(), len(rest))
-    if workers <= 1 or not slow:
-        return out + [fn(item) for item in rest]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return out + list(pool.map(fn, rest))
+    with blas():
+        out = [fn(item) for item in items[:1]]
+        start = time.perf_counter()
+        out += [fn(item) for item in items[1:2]]
+        slow = time.perf_counter() - start > sys.getswitchinterval()
+        workers = min(worker_count(), len(items) - 2)
+        if workers <= 1 or not slow:
+            return out + [fn(item) for item in items[2:]]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return out + list(pool.map(fn, items[2:]))
 
 
 def _find_openblas():

@@ -3,6 +3,7 @@
 import json
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -479,24 +480,57 @@ def test_full_rank_symbol_over_the_factor_budget_names_the_basis_width():
 
 
 def test_streamed_factorization_evaluates_each_block_once_per_pass(monkeypatch):
-    # N = 4096: one sketch pass and Q^H S read each row chunk once, on two
-    # workers.  With no parity S is cut into 16 chunks of FACTOR_BUDGET /
-    # FACTOR_CHUNKS entries (256 rows of 4096); even in xi and eta it folds
-    # to 2049 x 2049, cut into 5 chunks of 409 or 410 rows
+    # N = 4096: the one sketch pass reads S in row blocks and Q^H S in as many
+    # column blocks, each once, on two workers.  With no parity S is cut into
+    # 16 blocks of about FACTOR_BUDGET / FACTOR_CHUNKS entries (256 rows or
+    # columns of 4096); even in xi and eta it folds to 2049 x 2049, cut into 5
+    # blocks of 409 or 410
     monkeypatch.setenv("BILOP_THREADS", "2")
-    blocks = []
+    reads = []  # (first xi, xi count, first eta, eta count) of each evaluation
     values = operator_module._values
-    monkeypatch.setattr(operator_module, "_values", lambda sigma, grid, x, xi, eta: blocks.append(
-        (float(np.ravel(xi)[0]), np.shape(xi)[1])) or values(sigma, grid, x, xi, eta))
-    for expr, rows in (("sqrt(1+xi^2+eta^2)+xi+eta", [256] * 16),
-                       ("sqrt(1+xi^2+eta^2)", [409] + [410] * 4)):
-        blocks.clear()
+
+    def spy(sigma, grid, x, xi, eta):
+        reads.append((float(np.ravel(xi)[0]), np.size(xi), float(np.ravel(eta)[0]), np.size(eta)))
+        return values(sigma, grid, x, xi, eta)
+
+    monkeypatch.setattr(operator_module, "_values", spy)
+    for expr, M, sizes in (("sqrt(1+xi^2+eta^2)+xi+eta", 4096, [256] * 16),
+                           ("sqrt(1+xi^2+eta^2)", 2049, [409] + [410] * 4)):
+        reads.clear()
         low = make_operator(symbol_from_expr(expr, SymbolClassParams(1.0)),
                             Grid(dim=1, points_per_axis=4096)).lowrank()
-        read = [b for b in blocks if b[1] > 1]
-        assert sorted(n for _, n in set(read)) == sorted(rows), expr
-        assert all(read.count(b) == 2 for b in read), expr
-        assert low.row_blocks == (len(rows),)
+        S_reads = [r for r in reads if r[1] * r[3] > 1]
+        rows = [r[:2] for r in S_reads if r[3] == M and r[1] < M]
+        cols = [r[2:] for r in S_reads if r[1] == M and r[3] < M]
+        assert len(rows) + len(cols) == len(S_reads), expr  # no other read of S
+        for blocks in (rows, cols):
+            assert len(set(blocks)) == len(blocks), expr  # each block read once
+            assert sorted(n for _, n in blocks) == sorted(sizes), expr
+        assert low.row_blocks == (len(sizes),)
+
+
+def test_a_streamed_factorization_holds_no_partial_per_block(monkeypatch):
+    # FACTOR_BUDGET 2^18 cuts sqrt1's 2049 x 2049 S at N = 4096 into 65 blocks
+    # on two workers.  Each column block gives its own columns of Q^H S, so the
+    # peak stays a few times Q^H S's 64 x 2049 (1 MB), where holding one
+    # partial sum per block needed 65 of them (72 MB)
+    monkeypatch.setattr(operator_module, "FACTOR_BUDGET", 2 ** 18)
+    monkeypatch.setenv("BILOP_THREADS", "2")
+    grid = Grid(dim=1, points_per_axis=4096)
+    sigma = catalog_symbol("sqrt1")
+    floor = operator_module.FACTOR_FLOOR_C * np.finfo(float).eps * np.sqrt(grid.points_per_axis)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # every map past two items pools
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = operator_module._factorize(sigma, grid, floor)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+        sys.setswitchinterval(interval)
+    assert (got[3], got[5], got[6]) == (64, (2049, 2049), 65)
+    assert peak < 24 * 64 * 2049 * 8
 
 
 def test_streamed_factorization_starts_its_basis_at_the_first_pass_width(monkeypatch):

@@ -1,5 +1,6 @@
 """thread_map: order, the warm-item gate in front of the pool, errors, caps;
-blas: one OpenBLAS thread against a fake handle and the real one; pooled
+blas: one OpenBLAS thread against a fake handle and the real one, in
+cli.main and in every thread_map; pooled
 passes equal one-thread ones bit for bit; symbols evaluate alike on two
 threads at once."""
 
@@ -143,6 +144,18 @@ def test_blas_runs_its_block_on_one_thread_and_restores_the_count(fake_blas):
             assert fake_blas.count == 1
         assert fake_blas.count == 1
     assert fake_blas.sets == [1, 5]
+
+
+def test_thread_map_runs_its_items_on_one_blas_thread(fake_blas, pools):
+    # pooled items too, so a library call gives the bits cli.main gives
+    seen = []
+
+    def item(i):
+        seen.append(fake_blas.count)
+        return _slow_second(i)
+
+    assert thread_map(item, range(6)) == [i * i for i in range(6)]
+    assert pools == [2] and seen == [1] * 6 and fake_blas.sets == [1, 5]
 
 
 def test_blas_restores_the_count_when_the_block_raises(fake_blas):
