@@ -40,7 +40,7 @@ from .kernel import (certify_cz_commutator_kernel, fit_kernel_decay,
                      kernel_slice, ray_offsets)
 from .operator import (FACTOR_RTOL, apply, commutator, make_operator,
                        verify_transpose_identities)
-from .parallel import blas, worker_count
+from .parallel import worker_count
 from .reports import envelope, write_report
 from .symbols import (FAMILY_NAMES, MULTIPLIER_NAMES, SymbolClassParams,
                       catalog_names, catalog_symbol, estimate_seminorms,
@@ -475,8 +475,8 @@ def main(argv=None) -> int:
     try:
         cfg = effective_config(name, args)
         _, runner = SUBCOMMANDS[name]
-        with blas():  # one BLAS thread: thread_map is the one thread policy
-            verdict, data, table = runner(cfg)
+        worker_count()  # a bad BILOP_THREADS is an error for every command
+        verdict, data, table = runner(cfg)
         if name == "list-catalog":
             print("\n".join(data["listing"]))
             return 0

@@ -13,9 +13,9 @@ work into items of fixed bounds (the family members of a scan, the row and
 column blocks of a streamed frequency matrix in operator._factorize, the
 chunks of a kernel's row-block stream in kernel.KernelQuadrature) and
 join or add the results in order, so a result does not depend on how many
-workers ran it.
+workers ran it.  BILOP_THREADS caps the pool; 1 never starts one.
 
-blas.  numpy's bundled OpenBLAS starts one thread per core and splits
+OpenBLAS.  numpy's bundled OpenBLAS starts one thread per core and splits
 every call above its own small gates, but the paper's constructions make
 streams of small products (the randomized sketches, QRs and SVDs of each
 x-expansion, the row-block products of each truncated kernel), on which
@@ -24,22 +24,21 @@ scipy-openblas 0.3.31): every threaded call leaves its helper thread
 spinning for 60-100 ms after its last job, even after the count is set
 to one, and when another process holds a core, threaded products of
 2^21-2^24 multiply-adds took 8-24 ms against 0.1-0.8 ms on one thread,
-the helper waiting whole scheduler ticks.  Numpy gives no per-call
-thread count, so blas() sets OpenBLAS's process-wide one to 1 for the
-block it guards and restores it after; cli.main runs every command and
-thread_map every map inside it, so a mapped item gives the same bits
-wherever it is mapped from.  The count being process-wide, blas acts
-only on the main thread, a nested one sets nothing, and pool threads run
-at its one thread, never oversubscribing the cores.  BILOP_THREADS caps
-the pool; 1 never starts one.
+the helper waiting whole scheduler ticks.  Numpy gives no per-call thread
+count, so importing this module sets OpenBLAS's process-wide count to 1,
+once, before any bilop call, and nothing sets it again: a library call,
+a pooled item and a cli.main command all run on one BLAS thread and give
+the same bits, and pool threads never oversubscribe the cores.  The cost
+is process-wide: importing bilop leaves the whole process, its other
+libraries included, at one OpenBLAS thread, and a host that raises the
+count afterwards runs its bilop calls threaded, with other roundoff.  Any
+other BLAS is left as it is.
 """
 import ctypes
 import os
 import sys
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -62,25 +61,24 @@ def worker_count() -> int:
 
 
 def thread_map(fn, items):
-    """[fn(item) for item in items] inside blas(), the items after the second
-    on a thread pool when the second outlasted a switch interval."""
+    """[fn(item) for item in items], the items after the second on a thread
+    pool when the second outlasted a switch interval."""
     items = list(items)
-    with blas():
-        out = [fn(item) for item in items[:1]]
-        start = time.perf_counter()
-        out += [fn(item) for item in items[1:2]]
-        slow = time.perf_counter() - start > sys.getswitchinterval()
-        workers = min(worker_count(), len(items) - 2)
-        if workers <= 1 or not slow:
-            return out + [fn(item) for item in items[2:]]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return out + list(pool.map(fn, items[2:]))
+    out = [fn(item) for item in items[:1]]
+    start = time.perf_counter()
+    out += [fn(item) for item in items[1:2]]
+    slow = time.perf_counter() - start > sys.getswitchinterval()
+    workers = min(worker_count(), len(items) - 2)
+    if workers <= 1 or not slow:
+        return out + [fn(item) for item in items[2:]]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return out + list(pool.map(fn, items[2:]))
 
 
-def _find_openblas():
-    """(get, set, count at import) of the thread count of the OpenBLAS that
-    numpy bundles under numpy.libs, its symbols prefixed scipy_openblas_
-    (numpy >= 2) or openblas_; None for any other BLAS."""
+def _openblas_handle():
+    """(get, set) of the thread count of the OpenBLAS that numpy bundles
+    under numpy.libs, its symbols prefixed scipy_openblas_ (numpy >= 2) or
+    openblas_; None for any other BLAS."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("*openblas*")):
         try:
@@ -95,27 +93,10 @@ def _find_openblas():
                 continue
             get.argtypes, get.restype = [], ctypes.c_int
             put.argtypes, put.restype = [ctypes.c_int], None
-            return get, put, get()
+            return get, put
     return None
 
 
-_OPENBLAS = _find_openblas()
-
-
-@contextmanager
-def blas():
-    """Run the block's OpenBLAS calls on one thread and restore the count
-    after.  A no-op off the main thread and for any other BLAS."""
-    worker_count()  # a bad BILOP_THREADS raises wherever it would apply
-    if _OPENBLAS is None or threading.current_thread() is not threading.main_thread():
-        yield
-        return
-    get, put, _ = _OPENBLAS
-    before = get()
-    if before != 1:
-        put(1)
-    try:
-        yield
-    finally:
-        if before != 1:
-            put(before)
+_OPENBLAS = _openblas_handle()
+if _OPENBLAS is not None:
+    _OPENBLAS[1](1)  # the one BLAS thread of every bilop call, set once

@@ -127,10 +127,11 @@ def estimate_seminorms(sigma: Symbol, max_order: int = 2, box: float = 8192.0,
         raise InvalidInputError(f"max_order must be in 0..2, got {max_order}")
     if samples < 100:
         raise InvalidInputError(f"need >= 100 samples per shell, got {samples}")
-    if box < 2:
-        raise InvalidInputError(f"box must be >= 2, got {box}")
+    s_max = int(round(np.log2(box))) - 1 if box > 0 else -1
+    if s_max < 1:  # one shell's growth slope would read 0
+        raise InvalidInputError(f"a growth slope needs >= 2 dyadic shells (box >= 2^1.5), "
+                                f"got box {box}")
     dim = sigma.dim
-    s_max = int(round(np.log2(box))) - 1
     scales = 2.0 ** np.arange(s_max + 1)
     shells = tuple((lo, 2 * lo) for lo in scales.tolist())
 

@@ -12,9 +12,10 @@ import bilop.operator as operator_module
 import bilop.symbols.catalog as catalog_module
 from bilop.cli import SUBCOMMANDS
 from bilop.cli import main as cli_main
-from bilop.operator import FACTOR_FLOOR_C
-from bilop.parallel import blas
+from bilop.grid import Grid
+from bilop.operator import FACTOR_FLOOR_C, apply, make_operator
 from bilop.reports import to_jsonable
+from bilop.symbols import catalog_symbol, multiplier_function
 
 # (subcommand, small-size flags, exit code, verdict)
 SMOKE = [
@@ -175,6 +176,18 @@ def test_a_literal_zero_term_means_the_same_to_both_strategies(tmp_path, capsys,
     assert got["values"] == want["values"]
 
 
+@pytest.mark.parametrize("symbol", ["sqrt1", "theta_sqrt1", "cm0"])
+def test_a_library_apply_gives_the_bits_of_the_cli(tmp_path, capsys, symbol):
+    # OpenBLAS is pinned to one thread when bilop is imported, not per command,
+    # so a call outside cli.main rounds its factorization as the command does
+    assert cli_main(["apply", "--symbol", symbol, "--n", "1024", "--out-dir", str(tmp_path)]) == 0
+    want = json.loads(capsys.readouterr().out)["data"]["values"]
+    grid = Grid(dim=1, points_per_axis=1024)
+    out = apply(make_operator(catalog_symbol(symbol), grid),
+                multiplier_function("sinx", grid), multiplier_function("bump", grid))
+    assert to_jsonable(out.values) == want
+
+
 @pytest.mark.parametrize("symbol, widths", [("sqrt1", [32]), ("one", [16]),
                                             ("sin(x)*xi+cos(x)*sqrt(1+xi^2+eta^2)", [16, 32])])
 def test_apply_reports_each_basis_width_next_to_the_factor_tolerance(tmp_path, capsys,
@@ -266,13 +279,11 @@ def test_the_envelope_is_one_line_of_json(tmp_path, capsys):
                                   ["wbp-scan", "--n", "1024"]], ids=lambda a: a[0])
 def test_table_cells_are_written_as_converting_every_cell_wrote_them(tmp_path, capsys, argv):
     # plain int, float and str cells skip to_jsonable; the bytes stay those
-    # of converting every cell first.  The runner runs on one BLAS thread,
-    # as cli.main runs it, so its values are the same bits
+    # of converting every cell first
     assert cli_main([*argv, "--out-dir", str(tmp_path), "--out", "run"]) == 0
     name = argv[0]
     cfg = cli_module.effective_config(name, cli_module.build_parser().parse_args(argv))
-    with blas():
-        _, _, (header, rows) = SUBCOMMANDS[name][1](cfg)
+    _, _, (header, rows) = SUBCOMMANDS[name][1](cfg)
     want = io.StringIO()
     writer = csv.writer(want)
     writer.writerow(header)
@@ -317,7 +328,8 @@ def test_non_finite_multiplier_exits_1(tmp_path, capsys, args):
 
 
 # flags that leave a check nothing to decide on: one k value, one octave,
-# no probes, centers or directions, or a probe box that is a point
+# one dyadic shell, no probes, centers or directions, or a probe box that is
+# a point
 REFUSED = [
     ["norm-scan", "--k-max", "1"], ["norm-scan", "--k-max", "0"],
     ["kato-ponce", "--k-max", "1"], ["kato-ponce", "--k-max", "0"],
@@ -330,6 +342,8 @@ REFUSED = [
     ["fit-decay", "--directions", "0"],
     ["decompose", "--probes", "0"], ["decompose", "--box", "-64"],
     ["decompose", "--box", "0"],
+    ["seminorms", "--symbol", "bad_xieta", "--box", "2"],
+    ["seminorms", "--symbol", "bad_xieta", "--box", "2.5"],
 ]
 
 

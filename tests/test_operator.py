@@ -29,7 +29,7 @@ from bilop.operator import (
     pairing,
     transpose,
 )
-from bilop.parallel import blas, thread_map
+from bilop.parallel import thread_map
 from bilop.symbols import (SymbolClassParams, catalog_symbol, ftc_decompose,
                            parse_symbol_expr, symbol_catalog, symbol_from_expr)
 from bilop.symbols.core import _pack
@@ -546,13 +546,11 @@ def test_streamed_factorization_starts_its_basis_at_the_first_pass_width(monkeyp
 @pytest.mark.parametrize("name", ["one", "eta"])
 def test_a_residual_stalled_at_roundoff_ends_the_basis(name):
     # S is constant along one axis, so the held-out residual is roundoff.  Folded
-    # to 2049 x 2049 and read on one BLAS thread, as every command reads it,
-    # one's meets FACTOR_RTOL at width 64 (8.2e-15); eta's stays above it
-    # (1.1e-14 at 128): the doubling that fails to halve it ends the basis at
-    # rank 1
+    # to 2049 x 2049 and read on bilop's one BLAS thread, one's meets
+    # FACTOR_RTOL at width 64 (8.2e-15); eta's stays above it (1.1e-14 at
+    # 128): the doubling that fails to halve it ends the basis at rank 1
     grid = Grid(dim=1, points_per_axis=4096)
-    with blas():
-        T = make_operator(catalog_symbol(name), grid)
+    T = make_operator(catalog_symbol(name), grid)
     low = T.lowrank()
     width = {"one": 64, "eta": 128}[name]
     assert (low.rank, low.widths, low.folds) == (1, (width,), ((2049, 2049),))

@@ -1,10 +1,10 @@
 """thread_map: order, the warm-item gate in front of the pool, errors, caps;
-blas: one OpenBLAS thread against a fake handle and the real one, in
-cli.main and in every thread_map; pooled
-passes equal one-thread ones bit for bit; symbols evaluate alike on two
-threads at once."""
+OpenBLAS at one thread from the import of bilop on, its helpers idle in
+commands and library calls alike; pooled passes equal one-thread ones bit
+for bit; symbols evaluate alike on two threads at once."""
 
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -15,15 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bilop
 import bilop.operator as operator_module
 import bilop.parallel as parallel
 from bilop.cli import main as cli_main
 from bilop.errors import ConfigError
 from bilop.grid import Grid
 from bilop.kernel import KernelQuadrature
-from bilop.operator import FACTOR_FLOOR_C, _factorize
-from bilop.parallel import blas, thread_map
-from bilop.symbols import SymbolClassParams, catalog_symbol, ftc_decompose, symbol_from_expr
+from bilop.operator import FACTOR_FLOOR_C, _factorize, apply, make_operator
+from bilop.parallel import thread_map
+from bilop.symbols import (SymbolClassParams, catalog_symbol, ftc_decompose,
+                           multiplier_function, symbol_from_expr)
 from bilop.symbols.expr import FUNCTIONS
 
 
@@ -112,101 +114,31 @@ def test_an_unset_or_empty_thread_count_keeps_the_default(monkeypatch, value):
     assert parallel.worker_count() == min(4, os.cpu_count() or 1)
 
 
-# ------------------------------------------------------------ blas policy
+# ------------------------------------------- OpenBLAS pinned at import
 
-class FakeBlas:
-    """A thread count with the get/set pair of the OpenBLAS handle."""
-
-    def __init__(self, count):
-        self.count, self.sets = count, []
-
-    def get(self):
-        return self.count
-
-    def set(self, count):
-        self.sets.append(count)
-        self.count = count
-
-
-@pytest.fixture
-def fake_blas(monkeypatch):
-    """A handle whose count at import was 3, now 5, with BILOP_THREADS=2."""
-    fake = FakeBlas(5)
-    monkeypatch.setattr(parallel, "_OPENBLAS", (fake.get, fake.set, 3))
-    monkeypatch.setenv("BILOP_THREADS", "2")
-    return fake
-
-
-def test_blas_runs_its_block_on_one_thread_and_restores_the_count(fake_blas):
-    with blas():
-        assert fake_blas.count == 1
-        with blas():  # already at one thread: nothing to set
-            assert fake_blas.count == 1
-        assert fake_blas.count == 1
-    assert fake_blas.sets == [1, 5]
-
-
-def test_thread_map_runs_its_items_on_one_blas_thread(fake_blas, pools):
-    # pooled items too, so a library call gives the bits cli.main gives
-    seen = []
-
-    def item(i):
-        seen.append(fake_blas.count)
-        return _slow_second(i)
-
-    assert thread_map(item, range(6)) == [i * i for i in range(6)]
-    assert pools == [2] and seen == [1] * 6 and fake_blas.sets == [1, 5]
-
-
-def test_blas_restores_the_count_when_the_block_raises(fake_blas):
-    with pytest.raises(ValueError, match="inside"):
-        with blas():
-            raise ValueError("inside")
-    assert fake_blas.count == 5
-
-
-def test_blas_off_the_main_thread_never_sets_the_count(fake_blas):
-    seen = []
-
-    def body():
-        with blas():
-            seen.append(fake_blas.count)
-
-    worker = threading.Thread(target=body)
-    worker.start()
-    worker.join(timeout=10)
-    assert not worker.is_alive()
-    assert seen == [5] and fake_blas.sets == []
-
-
-def test_blas_without_a_handle_does_nothing(monkeypatch):
-    real = parallel._OPENBLAS
-    monkeypatch.setattr(parallel, "_OPENBLAS", None)
-    before = real[0]() if real else None
-    with blas():
-        assert (real[0]() if real else None) == before
+@pytest.mark.skipif(parallel._OPENBLAS is None, reason="numpy's BLAS is not its bundled OpenBLAS")
+def test_importing_bilop_pins_openblas_to_one_thread():
+    # a fresh process whose OpenBLAS starts at two threads; no block is entered
+    code = "import bilop, bilop.parallel as p; print(p._OPENBLAS[0]())"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join([str(Path(bilop.__file__).parents[1]), *sys.path])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "1"
 
 
 # even or odd in neither frequency, so S is factored unfolded
 PARITY_FREE = "sqrt(1+xi^2+eta^2)+xi+eta"
 
 
-def test_cli_runs_each_command_on_one_thread(fake_blas, tmp_path):
-    # apply at N = 512 of a parity-free symbol makes a 512 x 512 x 74 sketch,
-    # 2^24 multiply-adds: it runs on one thread too
-    for argv in (["apply", "--n", "16"], ["apply", "--n", "512", "--symbol", PARITY_FREE]):
-        fake_blas.sets.clear()
-        assert cli_main([*argv, "--out-dir", str(tmp_path)]) == 0
-        assert fake_blas.sets == [1, 5]
-
-
 # --------------------------------- the real library: pooled against one thread
 
 @pytest.fixture
 def pooled(monkeypatch, pools):
-    """run(): its result at BILOP_THREADS=2 and =1 inside blas(), with a
-    switch interval short enough that every map past two items pools;
-    skipped without numpy's bundled OpenBLAS."""
+    """run(): its result at BILOP_THREADS=2 and =1, with a switch interval
+    short enough that every map past two items pools; skipped without
+    numpy's bundled OpenBLAS."""
     if parallel._OPENBLAS is None:
         pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
     interval = sys.getswitchinterval()
@@ -217,8 +149,7 @@ def pooled(monkeypatch, pools):
         try:
             for cap in ("2", "1"):
                 monkeypatch.setenv("BILOP_THREADS", cap)
-                with blas():
-                    outs.append(fn())
+                outs.append(fn())
         finally:
             sys.setswitchinterval(interval)
         assert pools and set(pools) == {2}  # the two-worker run pooled, the other did not
@@ -264,17 +195,29 @@ def _task_ticks() -> dict:
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads Linux /proc/self/task")
 def test_commands_leave_no_blas_helper_spinning(tmp_path):
     # a threaded OpenBLAS call leaves its helpers spinning for 60-100 ms after
-    # their last job; with every call on one thread they never wake
-    time.sleep(0.15)  # past the spin of any threaded call made before
-    before = _task_ticks()
-    for argv in (["norm-scan", "--op", "commutator1", "--n", "1024", "--k-max", "16"],
-                 ["certify-czk", "--symbol", "sqrt1", "--samples", "200"]):
-        assert cli_main([*argv, "--out-dir", str(tmp_path)]) == 0
-    time.sleep(0.15)
-    after = _task_ticks()
+    # their last job; with every call on one thread they never wake, in
+    # cli.main and in library calls outside it alike
+    grid = Grid(dim=1, points_per_axis=1024)
+    f, g = multiplier_function("sinx", grid), multiplier_function("bump", grid)
+
+    def commands():
+        for argv in (["norm-scan", "--op", "commutator1", "--n", "1024", "--k-max", "16"],
+                     ["certify-czk", "--symbol", "sqrt1", "--samples", "200"]):
+            assert cli_main([*argv, "--out-dir", str(tmp_path)]) == 0
+
+    def library_calls():
+        for _ in range(3):
+            apply(make_operator(catalog_symbol("sqrt1"), grid), f, g)
+
     caller = threading.get_native_id()
-    spun = {tid: after[tid] - t for tid, t in before.items() if tid != caller and tid in after}
-    assert all(ticks == 0 for ticks in spun.values()), spun
+    for work in (commands, library_calls):
+        time.sleep(0.15)  # past the spin of any threaded call made before
+        before = _task_ticks()
+        work()
+        time.sleep(0.15)
+        after = _task_ticks()
+        spun = {tid: after[tid] - t for tid, t in before.items() if tid != caller and tid in after}
+        assert all(ticks == 0 for ticks in spun.values()), (work.__name__, spun)
 
 
 # ------------------------------------------------ symbols on two threads at once

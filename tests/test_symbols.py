@@ -214,6 +214,13 @@ def test_seminorms_reject_thin_sampling():
         estimate_seminorms(catalog_symbol("xi"), samples=40)
 
 
+def test_two_dyadic_shells_are_enough_to_fail_bad_xieta():
+    # box 3 holds two shells; below 2^1.5 the one shell left would fit a
+    # slope of 0, so seminorms refuses it (tests/test_cli.py REFUSED)
+    rep = estimate_seminorms(catalog_symbol("bad_xieta"), box=3.0)
+    assert (len(rep.shells), rep.verdict) == (2, "FAILED")
+
+
 def test_seminorms_deterministic():
     a = estimate_seminorms(catalog_symbol("sqrt1"), max_order=1, box=1024.0, samples=100, seed=5)
     b = estimate_seminorms(catalog_symbol("sqrt1"), max_order=1, box=1024.0, samples=100, seed=5)
